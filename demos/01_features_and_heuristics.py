@@ -31,10 +31,7 @@ def main():
     feats = cn_order_features_all(g, batch, k_max=2)
     order2 = feats[1]
     print("\norder-2 combined feature rows (one column per candidate node):")
-    dense = np.asarray(order2.combined.toarray()
-                       if hasattr(order2.combined, "toarray")
-                       else order2.combined)
-    for pair, row in zip(PAIRS, dense):
+    for pair, row in zip(PAIRS, order2.combined.toarray()):
         print(f"  pair {pair}: {row.astype(int)}")
     print("the rows differ, so the order-2 features distinguish the pairs.")
 

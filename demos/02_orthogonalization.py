@@ -17,10 +17,6 @@ from hocn.normalize import apply_normalization, exact_walk_participation
 from hocn.theory import sample_ba_graph
 
 
-def dense(mat):
-    return np.asarray(mat.toarray() if hasattr(mat, "toarray") else mat)
-
-
 def main():
     g = sample_ba_graph(200, 3, seed=0)
     rng = np.random.default_rng(7)
@@ -32,11 +28,11 @@ def main():
     batch = PairBatch(np.array(sorted(pairs)))
 
     feats = cn_order_features_all(g, batch, k_max=2)
-    raw = [dense(f.combined) for f in feats]
+    raw = [f.combined.toarray() for f in feats]
     normalized = [apply_normalization(f, exact_walk_participation(g, f.order))
                   for f in feats]
     basis = gram_schmidt_batch(normalized, RunningState(), training=True)
-    ortho = [dense(basis.matrix(k)) for k in (1, 2)]
+    ortho = [basis.matrix(k).toarray() for k in (1, 2)]
 
     print("cross-order correlation (order 1 vs order 2):")
     print(f"  raw          {order_correlation(raw)[0, 1]: .4f}")
@@ -47,7 +43,7 @@ def main():
     print(f"  orthogonal   {float(np.nanmean(edge_jsd(ortho[0], ortho[1]))):.4f}")
 
     print("\ncoefficient of variation of order-2 coefficients per pair:")
-    norm2 = dense(normalized[1].combined)
+    norm2 = normalized[1].combined.toarray()
     print(f"  raw          {coefficient_of_variation(raw[1]):.4f}")
     print(f"  normalized   {coefficient_of_variation(norm2):.4f}")
 

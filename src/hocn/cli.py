@@ -306,18 +306,12 @@ def cmd_diagnose(args) -> int:
     batch = PairBatch(np.array(pairs))
     feats = cn_order_features_all(g, batch, args.k_max,
                                   exclude_endpoints=args.exclude_endpoints)
-    raw = [np.asarray(f.combined.toarray() if hasattr(f.combined, "toarray")
-                      else f.combined) for f in feats]
+    raw = [f.combined for f in feats]
     normalized = [apply_normalization(f, exact_walk_participation(
         g, f.order, exclude_endpoints=args.exclude_endpoints)) for f in feats]
     state = RunningState()
     basis = gram_schmidt_batch(normalized, state, training=True)
-    ortho = [np.asarray(basis.matrix(k).toarray()
-                        if hasattr(basis.matrix(k), "toarray")
-                        else basis.matrix(k)) for k in range(1, args.k_max + 1)]
-    norm_dense = [np.asarray(f.combined.toarray()
-                             if hasattr(f.combined, "toarray")
-                             else f.combined) for f in normalized]
+    ortho = basis.matrices
     corr_raw = order_correlation(raw)
     corr_ortho = order_correlation(ortho)
     jsd = edge_jsd(raw[0], raw[-1])
@@ -330,7 +324,7 @@ def cmd_diagnose(args) -> int:
     for k in range(1, args.k_max + 1):
         rows.append(("cv_raw", k, None, repr(coefficient_of_variation(raw[k - 1]))))
         rows.append(("cv_normalized", k, None,
-                     repr(coefficient_of_variation(norm_dense[k - 1]))))
+                     repr(coefficient_of_variation(normalized[k - 1].combined))))
     rows.append(("jsd_mean_raw", None, None, repr(float(np.nanmean(jsd)))))
     rows.append(("jsd_mean_ortho", None, None, repr(float(np.nanmean(jsd_after)))))
     emit(args, ("quantity", "a", "b", "value"), rows)

@@ -120,12 +120,6 @@ class SplitResult:
     test: PairBatch
     split_seed: int
 
-    def write_manifest(self, stream) -> None:
-        stream.write("u,v,split\n")
-        for name in ("train", "valid", "test"):
-            for u, v in getattr(self, name).pairs:
-                stream.write(f"{u},{v},{name}\n")
-
 
 def _parse_line(line: str, fmt: str, lineno: int) -> tuple[int, int] | None:
     body = line.split("#", 1)[0].strip()

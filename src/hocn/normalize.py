@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, ScaleError
-from .features import OrderFeatures, as_dense, cn_set
+from .features import OrderFeatures, cn_set
 from .graph import Graph
 from .ortho import RunningState
 
@@ -112,16 +111,7 @@ def apply_normalization(feats: OrderFeatures, counts: ParticipationCounts,
     """
     if counts.order != feats.order:
         raise ConfigError(f"counts order {counts.order} != feature order {feats.order}")
-    inv = 1.0 / np.maximum(counts.counts, epsilon)
-
-    def scale(mat):
-        if sp.issparse(mat):
-            return (mat @ sp.diags(inv)).tocsr()
-        return np.asarray(mat, dtype=np.float64) * inv
-
-    return OrderFeatures(order=feats.order, pairs=feats.pairs,
-                         slices={key: scale(m) for key, m in feats.slices.items()},
-                         combined=scale(feats.combined))
+    return feats.scale_columns(1.0 / np.maximum(counts.counts, epsilon))
 
 
 def normalized_cn_score(g: Graph, i: int, j: int, k: int,

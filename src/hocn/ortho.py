@@ -103,16 +103,6 @@ class OrthoBasis:
     def matrix(self, k: int):
         return self.matrices[k - 1]
 
-    def row(self, k: int, index: int) -> np.ndarray:
-        mat = self.matrices[k - 1]
-        if sp.issparse(mat):
-            return np.asarray(mat.getrow(index).todense()).ravel()
-        return np.asarray(mat[index])
-
-    @property
-    def degenerate_count(self) -> int:
-        return sum(self.degenerate)
-
 
 def _combined_list(feats):
     out = []
@@ -190,10 +180,6 @@ class ExactOrthoBasis:
         """Frobenius inner product <OCN^a, OCN^b> over the all-pairs batch."""
         return float(self.coeffs[a - 1] @ self.gram @ self.coeffs[b - 1])
 
-    def raw_inner(self, a: int, b: int) -> float:
-        """<CN^a, CN^b> over the all-pairs batch."""
-        return float(self.gram[a - 1, b - 1])
-
     def cn_ocn_inner(self, k: int, i: int) -> float:
         """<CN^k, OCN^i>: the exact counterpart of the running xi."""
         return float(self.gram[k - 1] @ self.coeffs[i - 1])
@@ -204,7 +190,7 @@ class ExactOrthoBasis:
             batch = all_pairs_batch(self.graph.n)
         feats = cn_order_features_all(self.graph, batch, self.k_max,
                                       exclude_endpoints=self.exclude_endpoints)
-        mats = [as_dense(f.combined).astype(np.float64) for f in feats]
+        mats = [f.combined.toarray() for f in feats]
         out = []
         for k in range(self.k_max):
             acc = np.zeros_like(mats[0])
@@ -235,10 +221,9 @@ def full_graph_orthogonalize(g: Graph, k_max: int,
         chunk = PairBatch(pairs[start:start + batch_rows])
         feats = cn_order_features_all(g, chunk, k_max,
                                       exclude_endpoints=exclude_endpoints)
-        mats = [as_dense(f.combined).astype(np.float64) for f in feats]
         for a in range(k_max):
             for b in range(a, k_max):
-                val = float(np.vdot(mats[a], mats[b]))
+                val = frobenius_inner(feats[a].combined, feats[b].combined)
                 gram[a, b] += val
                 if a != b:
                     gram[b, a] += val
@@ -303,12 +288,4 @@ def apply_polynomial_filter(feats: OrderFeatures, weights: np.ndarray) -> OrderF
     n = feats.combined.shape[1]
     if weights.shape[0] != n:
         raise ConfigError(f"weight length {weights.shape[0]} != node count {n}")
-
-    def scale(mat):
-        if sp.issparse(mat):
-            return (mat @ sp.diags(weights)).tocsr()
-        return np.asarray(mat, dtype=np.float64) * weights
-
-    return OrderFeatures(order=feats.order, pairs=feats.pairs,
-                         slices={key: scale(m) for key, m in feats.slices.items()},
-                         combined=scale(feats.combined))
+    return feats.scale_columns(weights)

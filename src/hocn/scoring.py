@@ -15,16 +15,20 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, InputError, TrainingError
-from .features import as_dense, cn_order_features_all
+from .errors import ConfigError, InputError, ScaleError, TrainingError
+from .features import cn_order_features_all
 from .graph import Graph, PairBatch, SplitResult, sample_negatives
 from .normalize import running_counts, update_running_participation, apply_normalization
-from .ortho import (OrthoBasis, RunningState, apply_polynomial_filter,
+from .ortho import (RunningState, apply_polynomial_filter,
                     degree_filter_argument, gram_schmidt_batch, polynomial_weights)
 
 MODEL_FORMAT_VERSION = 1
 
 MAX_PROPAGATION_DEPTH = 8
+
+# The "identity" feature preset is a dense n x n matrix, as is H built from
+# it: 128 MiB each at this node count.
+IDENTITY_NODE_LIMIT = 4096
 
 
 def _common_neighbors(g: Graph, i: int, j: int) -> np.ndarray:
@@ -93,6 +97,9 @@ def propagate_features(g: Graph, x, depth: int) -> np.ndarray:
         raise InputError(f"propagation depth {depth} outside [0, {MAX_PROPAGATION_DEPTH}]")
     if isinstance(x, str):
         if x == "identity":
+            if g.n > IDENTITY_NODE_LIMIT:
+                raise ScaleError(f"n={g.n} exceeds the identity-feature guard "
+                                 f"{IDENTITY_NODE_LIMIT}; pass a (n, d) feature matrix")
             x = np.eye(g.n)
         elif x == "degree-log":
             x = np.log1p(g.degrees.astype(np.float64))[:, None]
@@ -149,18 +156,6 @@ class ScoreModel:
         )
 
 
-def ocn_score(model: ScoreModel, h: np.ndarray, basis: OrthoBasis, pair,
-              pair_index: int = 0) -> float:
-    """Logit for one pair given its basis rows; see the module docstring."""
-    i, j = int(pair[0]), int(pair[1])
-    if basis.k_max < model.k_max:
-        raise ConfigError(f"basis has {basis.k_max} orders, model wants {model.k_max}")
-    z = h[i] * h[j]
-    for k in range(1, model.k_max + 1):
-        z = z + model.alpha[k - 1] * (basis.row(k, pair_index) @ h)
-    return float(model.head_w @ z + model.head_b)
-
-
 @dataclass
 class FeatureConfig:
     """Settings for the structural-feature pipeline feeding the model."""
@@ -213,7 +208,7 @@ def pair_features(g: Graph, pairs: np.ndarray, h: np.ndarray,
         else:
             raise ConfigError(f"unknown variant {cfg.variant!r}")
         for k, mat in enumerate(mats):
-            q[k, start:start + len(chunk)] = as_dense(mat @ h)
+            q[k, start:start + len(chunk)] = mat @ h
     return m, q
 
 

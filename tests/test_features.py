@@ -74,13 +74,32 @@ def test_endpoint_exclusion_zeroes_endpoint_columns(g4):
     assert as_dense(kept.combined)[0, 1] == combined[0, 1]
 
 
-def test_dense_and_sparse_paths_agree():
+def test_all_orders_match_matrix_power():
     g = random_graph(30, 0.2, seed=3)
-    batch = batch_of([(0, 5), (2, 9), (14, 29)])
-    for k in (1, 2, 3):
-        dense = cn_order_features(g, batch, k, dense=True)
-        sparse = cn_order_features(g, batch, k, dense=False)
-        assert np.allclose(as_dense(dense.combined), as_dense(sparse.combined))
+    powers = [np.linalg.matrix_power(g.to_scipy().toarray(), l) for l in range(4)]
+    pairs = np.array(list(combinations(range(g.n), 2)))
+    u, v = pairs[:, 0], pairs[:, 1]
+    rows = np.arange(len(pairs))
+    for exclude in (False, True):
+        feats = cn_order_features_all(g, batch_of(pairs), 3, exclude_endpoints=exclude)
+        for f in feats:
+            k = f.order
+            assert set(f.slices) == {(k, k), (k - 1, k), (k, k - 1)}
+            want_combined = np.zeros((len(pairs), g.n))
+            for (k1, k2), got in f.slices.items():
+                want = powers[k1][u] * powers[k2][v]
+                if exclude:
+                    want[rows, u] = 0.0
+                    want[rows, v] = 0.0
+                assert got.format == "csr"
+                assert np.array_equal(got.toarray(), want), (exclude, k1, k2)
+                want_combined += want
+            assert f.combined.format == "csr"
+            assert np.array_equal(f.combined.toarray(), want_combined), (exclude, k)
+            if exclude:
+                for mat in (*f.slices.values(), f.combined):
+                    row = np.repeat(rows, np.diff(mat.indptr))
+                    assert not ((mat.indices == u[row]) | (mat.indices == v[row])).any()
 
 
 def test_all_orders_shares_pair_layout():

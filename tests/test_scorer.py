@@ -1,17 +1,18 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hocn import (ConfigError, FeatureConfig, InputError, RunningState,
-                  ScoreModel, TrainConfig, cn_order_features,
+from hocn import (ConfigError, FeatureConfig, Graph, InputError, RunningState,
+                  ScaleError, ScoreModel, TrainConfig, cn_order_features,
                   default_node_features, gram_schmidt_batch, heuristic_score,
                   heuristic_scores, model_scores, pair_features,
                   propagate_features, sample_ba_graph, split_edges,
                   train_model)
 from hocn.features import as_dense
-from hocn.scoring import _logits, logistic_loss_and_grads
+from hocn.scoring import IDENTITY_NODE_LIMIT, _logits, logistic_loss_and_grads
 
 from conftest import WITNESS_PAIRS, batch_of, random_graph
 
@@ -60,6 +61,18 @@ def test_propagation_presets_and_depth_guard(g4):
         propagate_features(g4, "identity", 99)
     with pytest.raises(InputError):
         propagate_features(g4, "unknown-preset", 1)
+
+
+def test_identity_preset_guard_raises_before_allocating():
+    g = Graph.from_edges(IDENTITY_NODE_LIMIT + 1, [])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScaleError):
+            propagate_features(g, "identity", 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n * g.n * 8 / 100
 
 
 def test_propagation_preserves_constant_vector_direction(g4):
