@@ -30,14 +30,14 @@ from .graph import (Graph, PairBatch, load_edge_list, merged_graph,
                     sample_negatives, split_edges)
 from .metrics import evaluate
 from .normalize import (apply_normalization, exact_walk_participation,
-                        running_counts, update_running_participation)
+                        normalized_cn_score, running_counts,
+                        update_running_participation)
 from .ortho import (RunningState, apply_polynomial_filter,
                     degree_filter_argument, full_graph_orthogonalize,
                     gram_schmidt_batch, polynomial_weights)
 from .scoring import (FeatureConfig, ScoreModel, TrainConfig,
-                      default_node_features, heuristic_score,
-                      heuristic_scores, model_scores, propagate_features,
-                      train_model)
+                      default_node_features, heuristic_scores, model_scores,
+                      propagate_features, train_model)
 from .theory import (BoundInputs, LatentModelParams, ba_bound_normalized,
                      ba_bound_unnormalized, bound_normalized,
                      bound_unnormalized, sample_ba_graph, validate_bound)
@@ -201,9 +201,10 @@ def cmd_score(args) -> int:
     if args.kind in ("cn", "aa", "ra"):
         scores = heuristic_scores(base, batch.pairs, args.kind)
     elif args.kind == "normalized-cn":
-        scores = np.array([heuristic_score(base, p, "normalized_cn",
-                                           order=args.k_max)
-                           for p in batch.pairs])
+        part = exact_walk_participation(base, args.k_max, exclude_endpoints=True)
+        scores = np.array([normalized_cn_score(base, int(u), int(v), args.k_max,
+                                               participation=part)
+                           for u, v in batch.pairs])
     elif args.kind in ("ocn", "ocnp"):
         args.variant = args.kind
         scores = _structural_scores(base, batch.pairs, args)

@@ -2,8 +2,10 @@
 
 A node that serves as a k-hop common neighbor for many pairs carries little
 information about any one of them, so each feature column is divided by the
-node's walk-participation count: exactly (all ordered pairs) on small graphs,
-or by the streaming column-sum estimate during training.
+node's walk-participation count: exactly, over all ordered pairs, from a
+closed form in the walk totals A^l·1 and the diagonals of A^p (sparse
+mat-vecs and walk-row inner products over blocks of nodes), or by the
+streaming column-sum estimate during training.
 """
 
 from __future__ import annotations
@@ -13,13 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ScaleError
-from .features import OrderFeatures, cn_set
+from .features import OrderFeatures, WalkRows, cn_set
 from .graph import Graph
 from .ortho import RunningState
 
 EXACT_NODE_LIMIT = 5000
 
 DIVISION_EPSILON = 1e-12
+
+# Nodes per block of walk rows when computing diag(A^p); bounds the memory
+# held at once to one block's rows A^0..A^k.
+_NODE_BLOCK = 1024
 
 
 @dataclass
@@ -40,12 +46,20 @@ class ParticipationCounts:
             stream.write(f"{node},{self.order},{value!r},{self.mode}\n")
 
 
-def _dense_powers(g: Graph, max_power: int) -> list[np.ndarray]:
-    adj = g.to_scipy().toarray()
-    powers = [np.eye(g.n)]
-    for _ in range(max_power):
-        powers.append(powers[-1] @ adj)
-    return powers
+def _walk_diagonals(adj, max_power: int) -> np.ndarray:
+    """diag(A^p) for p = 0..max_power, one row per p, from the walk rows of
+    one block of nodes at a time (identities in ``exact_walk_participation``).
+    """
+    n = adj.shape[0]
+    diags = np.zeros((max_power + 1, n))
+    for start in range(0, n, _NODE_BLOCK):
+        nodes = np.arange(start, min(start + _NODE_BLOCK, n))
+        walks = WalkRows(adj, nodes)
+        for p in range(max_power + 1):
+            m = p // 2
+            diags[p, nodes] = np.asarray(
+                walks.power(m).multiply(walks.power(p - m)).sum(axis=1)).ravel()
+    return diags
 
 
 def exact_walk_participation(g: Graph, k: int,
@@ -56,23 +70,32 @@ def exact_walk_participation(g: Graph, k: int,
     Uses the closed form
         sum_{i != j} (A^k1)_{ic} (A^k2)_{cj}
             = s_{k1}[c] s_{k2}[c] - (A^{k1+k2})_{cc}
-    per slice (s_l = row sums of A^l), with endpoint-column corrections when
-    the endpoints are excluded. For k=1 with endpoints excluded this is
+    per slice (s_l = A^l·1, the row sums of A^l, which equal its column sums
+    because A is symmetric), with endpoint-column corrections when the
+    endpoints are excluded. For k=1 with endpoints excluded this is
     d(c)(d(c) - 1).
+
+    The diagonals come from walk rows, never from an n x n power. Since A
+    is symmetric, diag(A^{2m})[c] = ||(A^m)_c||^2 and diag(A^{2m+1})[c] =
+    <(A^m)_c, (A^{m+1})_c>. Every term is an integer walk count, so the
+    result is exact.
     """
     if k < 1:
         raise ConfigError(f"order must be >= 1, got {k}")
     if g.n > node_limit:
         raise ScaleError(f"n={g.n} exceeds the exact-participation guard "
                          f"{node_limit}; use the running estimator")
-    powers = _dense_powers(g, 2 * k)
-    sums = [p.sum(axis=0) for p in powers]
+    adj = g.to_scipy()
+    sums = [np.ones(g.n)]
+    for _ in range(k):
+        sums.append(adj @ sums[-1])
+    diags = _walk_diagonals(adj, 2 * k)
     counts = np.zeros(g.n)
     for k1, k2 in ((k, k), (k - 1, k), (k, k - 1)):
-        counts += sums[k1] * sums[k2] - np.diag(powers[k1 + k2])
+        counts += sums[k1] * sums[k2] - diags[k1 + k2]
         if exclude_endpoints:
-            d1 = np.diag(powers[k1])
-            d2 = np.diag(powers[k2])
+            d1 = diags[k1]
+            d2 = diags[k2]
             counts -= d1 * (sums[k2] - d2)  # c == i terms
             counts -= d2 * (sums[k1] - d1)  # c == j terms
     counts[np.abs(counts) < 1e-9] = 0.0

@@ -11,8 +11,10 @@ import json
 import numpy as np
 import pytest
 
+import hocn.cli
 from hocn import (Graph, RunningState, ScoreModel, ba_bound_unnormalized,
-                  heuristic_scores, load_edge_list, merged_graph, split_edges)
+                  exact_walk_participation, heuristic_scores, load_edge_list,
+                  merged_graph, normalized_cn_score, split_edges)
 from hocn.cli import main
 from hocn.theory import BoundInputs, sample_ba_graph
 
@@ -75,6 +77,31 @@ def test_score_ra_matches_library(edge_file, capsys):
     expected = heuristic_scores(base, split.test.pairs, "ra")
     got = np.array([float(r["score"]) for r in rows])
     assert np.allclose(got, expected)
+
+
+def test_score_normalized_cn_shares_one_participation(edge_file, capsys, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return exact_walk_participation(*args, **kwargs)
+
+    monkeypatch.setattr(hocn.cli, "exact_walk_participation", counting)
+    code, out = run_cli(["score", "--input", edge_file, "--kind", "normalized-cn",
+                         "--seed", "3", "--split", "test", "--k-max", "2"], capsys)
+    assert code == 0
+    assert len(calls) == 1
+    _, rows = parse_csv(out)
+    with open(edge_file) as fh:
+        g, _ = load_edge_list(fh)
+    split = split_edges(g, (0.7, 0.1, 0.2), 3)
+    base = merged_graph(split, False)
+    part = exact_walk_participation(base, 2, exclude_endpoints=True)
+    expected = np.array([normalized_cn_score(base, int(u), int(v), 2, participation=part)
+                         for u, v in split.test.pairs])
+    assert (expected > 0).any()
+    got = np.array([float(r["score"]) for r in rows])
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["cn", "aa", "normalized-cn", "ocn", "ocnp"])

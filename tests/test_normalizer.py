@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -6,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hocn.normalize
 from hocn import (Graph, RunningState, ScaleError, apply_normalization,
                   cn_order_features, exact_walk_participation,
                   heuristic_score, normalized_cn_score, running_counts,
                   update_running_participation)
 from hocn.features import as_dense
+from hocn.theory import sample_ba_graph
 
 from conftest import batch_of, nonadjacent_pairs, random_graph
 
@@ -36,6 +39,44 @@ def test_exact_participation_matches_brute_force(seed, k, exclude):
     got = exact_walk_participation(g, k, exclude_endpoints=exclude).counts
     want = brute_force_participation(g, k, exclude)
     assert np.allclose(got, want), (seed, k, exclude)
+
+
+def matrix_power_participation(g: Graph, k: int, exclude_endpoints: bool) -> np.ndarray:
+    """The closed form evaluated on dense np.linalg.matrix_power powers."""
+    adj = g.to_scipy().toarray()
+    powers = [np.linalg.matrix_power(adj, p) for p in range(2 * k + 1)]
+    sums = [p.sum(axis=0) for p in powers]
+    counts = np.zeros(g.n)
+    for k1, k2 in ((k, k), (k - 1, k), (k, k - 1)):
+        counts += sums[k1] * sums[k2] - np.diag(powers[k1 + k2])
+        if exclude_endpoints:
+            d1 = np.diag(powers[k1])
+            d2 = np.diag(powers[k2])
+            counts -= d1 * (sums[k2] - d2)
+            counts -= d2 * (sums[k1] - d1)
+    counts[np.abs(counts) < 1e-9] = 0.0
+    return counts
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("exclude", [False, True])
+def test_exact_participation_equals_matrix_power_closed_form(monkeypatch, k, exclude):
+    # a small odd block leaves a partial last block (250 = 6 * 37 + 28)
+    monkeypatch.setattr(hocn.normalize, "_NODE_BLOCK", 37)
+    for g in (sample_ba_graph(250, 3, seed=4), random_graph(40, 0.2, seed=1)):
+        got = exact_walk_participation(g, k, exclude_endpoints=exclude).counts
+        assert np.array_equal(got, matrix_power_participation(g, k, exclude)), (g.n, k, exclude)
+
+
+def test_exact_participation_allocates_no_dense_square():
+    g = sample_ba_graph(4000, 2, seed=0)
+    tracemalloc.start()
+    try:
+        exact_walk_participation(g, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * g.n * g.n * 8, peak
 
 
 def test_participation_order_one_is_degree_pairs(g4):
