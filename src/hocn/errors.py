@@ -22,7 +22,7 @@ class SamplingError(HocnError):
 
 
 class ScaleError(HocnError):
-    """Exact all-pairs computation requested on a graph above the size guard."""
+    """Computation above a size or memory guard, refused before it allocates."""
 
 
 class ConfigError(HocnError):

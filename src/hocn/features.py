@@ -8,8 +8,10 @@ vector for the pair.
 
 Every matrix is a (batch, n) scipy CSR matrix. Walk rows A^l[u] come from
 repeated sparse row-times-adjacency products and are computed once per
-batch for all orders, so computing features allocates no batch x n dense
-storage.
+sub-chunk of the batch for all orders, so computing features allocates no
+batch x n dense storage. Row A^l[u] stores at most min((A^l 1)[u], n)
+entries; summed over l = 0..K and both endpoints, that bound sizes each
+sub-chunk's walk rows to at most ``_NNZ_BUDGET`` entries.
 """
 
 from __future__ import annotations
@@ -19,10 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError
+from .errors import ConfigError, ScaleError
 from .graph import Graph, PairBatch
 
 DEFAULT_MAX_ORDER = 3
+
+# Walk-row entries one sub-chunk of cn_order_features_all may hold, by the
+# per-node bound of _walk_nnz_bound (about 50 MB of CSR data and indices).
+_NNZ_BUDGET = 1 << 22
 
 
 @dataclass
@@ -74,10 +80,46 @@ class WalkRows:
         return self.rows[length]
 
 
-def _endpoint_walks(g: Graph, batch: PairBatch) -> tuple[WalkRows, WalkRows]:
+def _endpoint_walks(adj: sp.csr_matrix, pairs: np.ndarray) -> tuple[WalkRows, WalkRows]:
     """Walk rows of the source and of the target endpoints of a batch."""
-    adj = g.to_scipy()
-    return WalkRows(adj, batch.pairs[:, 0]), WalkRows(adj, batch.pairs[:, 1])
+    return WalkRows(adj, pairs[:, 0]), WalkRows(adj, pairs[:, 1])
+
+
+def _walk_nnz_bound(adj: sp.csr_matrix, k_max: int) -> np.ndarray:
+    """Per node u, sum over l = 0..k_max of min((A^l 1)[u], n).
+
+    Row A^l[u] has one stored entry per node an l-walk from u reaches, so
+    at most the number of such walks and at most n.
+    """
+    n = adj.shape[0]
+    walks = np.ones(n)
+    bound = np.ones(n, dtype=np.int64)
+    for _ in range(k_max):
+        walks = adj @ walks
+        bound += np.minimum(walks, n).astype(np.int64)
+    return bound
+
+
+def _sub_chunks(adj: sp.csr_matrix, pairs: np.ndarray, k_max: int) -> np.ndarray:
+    """Start offsets (and the end) of consecutive sub-chunks of ``pairs``.
+
+    Each sub-chunk is the longest run from its start whose endpoints' walk
+    rows 0..k_max stay within ``_NNZ_BUDGET`` entries by the bound of
+    ``_walk_nnz_bound``. Raises ScaleError before any walk row is built
+    when a single pair exceeds the budget.
+    """
+    bound = _walk_nnz_bound(adj, k_max)
+    cost = bound[pairs[:, 0]] + bound[pairs[:, 1]]
+    worst = int(cost.argmax())
+    if cost[worst] > _NNZ_BUDGET:
+        u, v = (int(x) for x in pairs[worst])
+        raise ScaleError(f"walk rows 0..{k_max} of pair ({u}, {v}) may hold {int(cost[worst])} "
+                         f"entries, above the sub-chunk budget of {_NNZ_BUDGET}")
+    total = np.concatenate([[0], np.cumsum(cost)])
+    cuts = [0]
+    while cuts[-1] < len(pairs):
+        cuts.append(int(np.searchsorted(total, total[cuts[-1]] + _NNZ_BUDGET, side="right")) - 1)
+    return np.array(cuts)
 
 
 def adj_power_row(g: Graph, u: int, l: int, max_order: int = DEFAULT_MAX_ORDER) -> np.ndarray:
@@ -94,6 +136,16 @@ def _zero_endpoint_columns(mat: sp.csr_matrix, pairs: np.ndarray) -> None:
     mat.eliminate_zeros()
 
 
+def _slice_keys(k: int) -> tuple[tuple[int, int], ...]:
+    return (k, k), (k - 1, k), (k, k - 1)
+
+
+def _combine(k: int, slices: dict) -> sp.csr_matrix:
+    combined = (slices[(k, k)] + slices[(k - 1, k)] + slices[(k, k - 1)]).tocsr()
+    combined.eliminate_zeros()
+    return combined
+
+
 def cn_order_features(g: Graph, batch: PairBatch, k: int,
                       exclude_endpoints: bool = False,
                       walks: tuple[WalkRows, WalkRows] | None = None) -> OrderFeatures:
@@ -107,28 +159,76 @@ def cn_order_features(g: Graph, batch: PairBatch, k: int,
     """
     if k < 1:
         raise ConfigError(f"order must be >= 1, got {k}")
-    ru, rv = _endpoint_walks(g, batch) if walks is None else walks
-    ru_km1, ru_k = ru.power(k - 1), ru.power(k)
-    rv_km1, rv_k = rv.power(k - 1), rv.power(k)
-    slices = {
-        (k, k): ru_k.multiply(rv_k).tocsr(),
-        (k - 1, k): ru_km1.multiply(rv_k).tocsr(),
-        (k, k - 1): ru_k.multiply(rv_km1).tocsr(),
-    }
+    ru, rv = _endpoint_walks(g.to_scipy(), batch.pairs) if walks is None else walks
+    slices = {(k1, k2): ru.power(k1).multiply(rv.power(k2)).tocsr() for k1, k2 in _slice_keys(k)}
     if exclude_endpoints:
         for mat in slices.values():
             _zero_endpoint_columns(mat, batch.pairs)
-    combined = (slices[(k, k)] + slices[(k - 1, k)] + slices[(k, k - 1)]).tocsr()
-    combined.eliminate_zeros()
-    return OrderFeatures(order=k, pairs=batch.pairs, slices=slices, combined=combined)
+    return OrderFeatures(order=k, pairs=batch.pairs, slices=slices, combined=_combine(k, slices))
 
 
 def cn_order_features_all(g: Graph, batch: PairBatch, k_max: int,
                           exclude_endpoints: bool = False) -> list[OrderFeatures]:
-    """Orders 1..k_max for one batch, sharing the endpoints' walk rows."""
-    walks = _endpoint_walks(g, batch)
-    return [cn_order_features(g, batch, k, exclude_endpoints, walks)
-            for k in range(1, k_max + 1)]
+    """Orders 1..k_max for one batch, sharing the endpoints' walk rows.
+
+    The batch is walked in consecutive sub-chunks of pairs (see
+    ``_sub_chunks``); each sub-chunk's walk rows serve all orders and are
+    dropped before the next is built. The result is identical, down to the
+    stored order of every row, to computing the whole batch at once.
+    """
+    adj = g.to_scipy()
+    cuts = _sub_chunks(adj, batch.pairs, k_max)
+    if len(cuts) == 2:
+        return _orders(g, adj, batch, k_max, exclude_endpoints)[0]
+    chunks = []
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        feats, sorted_walks = _orders(g, adj, PairBatch(batch.pairs[start:stop]), k_max,
+                                      exclude_endpoints)
+        chunks.append(([f.slices for f in feats], sorted_walks))
+    whole = np.logical_and.reduce([sorted_walks for _, sorted_walks in chunks])
+    return [_stack(batch, k, chunks, whole) for k in range(1, k_max + 1)]
+
+
+def _orders(g: Graph, adj: sp.csr_matrix, batch: PairBatch, k_max: int,
+            exclude_endpoints: bool) -> tuple[list[OrderFeatures], np.ndarray]:
+    """Orders 1..k_max from one set of walk rows, released on return, and
+    whether each walk-row matrix A^l (row 0 sources, row 1 targets) has
+    every row sorted."""
+    ru, rv = _endpoint_walks(adj, batch.pairs)
+    feats = [cn_order_features(g, batch, k, exclude_endpoints, (ru, rv))
+             for k in range(1, k_max + 1)]
+    sorted_walks = np.array([[w.power(l).has_canonical_format for l in range(k_max + 1)]
+                             for w in (ru, rv)])
+    return feats, sorted_walks
+
+
+def _stack(batch: PairBatch, k: int, chunks: list, whole: np.ndarray) -> OrderFeatures:
+    """Order k of the whole batch from its sub-chunks' slices.
+
+    scipy multiplies two CSR matrices by a sorted merge when every row of
+    both is sorted, and otherwise emits each row's columns in the reverse of
+    the left operand's order. A sub-chunk whose walk rows are all sorted
+    while the whole batch's are not got ascending rows where the whole batch
+    gets descending ones, so its rows are reversed. ``combined`` is summed
+    over the stacked slices, since the same choice applies to sums.
+    """
+    slices = {}
+    for k1, k2 in _slice_keys(k):
+        parts = []
+        for chunk_slices, sorted_walks in chunks:
+            mat = chunk_slices[k - 1][(k1, k2)]
+            merged = sorted_walks[0, k1] and sorted_walks[1, k2]
+            parts.append(_reverse_rows(mat) if merged and not (whole[0, k1] and whole[1, k2])
+                         else mat)
+        slices[(k1, k2)] = sp.vstack(parts, format="csr")
+    return OrderFeatures(order=k, pairs=batch.pairs, slices=slices, combined=_combine(k, slices))
+
+
+def _reverse_rows(mat: sp.csr_matrix) -> sp.csr_matrix:
+    """``mat`` with the stored entries of every row in reverse order."""
+    row = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    perm = mat.indptr[row] + mat.indptr[row + 1] - 1 - np.arange(mat.nnz)
+    return sp.csr_matrix((mat.data[perm], mat.indices[perm], mat.indptr), shape=mat.shape)
 
 
 def _bfs_distances(g: Graph, source: int, cutoff: int) -> np.ndarray:

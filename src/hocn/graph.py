@@ -8,7 +8,16 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import EdgeListParseError, InputError, SamplingError, SplitError
+from .errors import EdgeListParseError, InputError, SamplingError, ScaleError, SplitError
+
+# Largest node count whose edge keys u*n+v fit in int64: isqrt(2**63 - 1).
+_MAX_NODES = 3_037_000_499
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Distinct values of a 1-D array, ascending (np.unique without its overhead)."""
+    keys = np.sort(keys)
+    return keys[np.concatenate([[True], keys[1:] != keys[:-1]])] if keys.size else keys
 
 
 @dataclass(frozen=True)
@@ -30,23 +39,20 @@ class Graph:
 
         Self-loops and duplicates are dropped; both orientations are stored.
         """
+        if n > _MAX_NODES:
+            raise ScaleError(f"n={n} exceeds {_MAX_NODES}: edge keys u*n+v would overflow int64")
         edges = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
                            dtype=np.int64).reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise InputError("edge endpoint out of range")
         edges = edges[edges[:, 0] != edges[:, 1]]
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        und = np.unique(np.stack([lo, hi], axis=1), axis=0) if edges.size else edges.reshape(0, 2)
-        src = np.concatenate([und[:, 0], und[:, 1]])
-        dst = np.concatenate([und[:, 1], und[:, 0]])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+        keys = _sorted_unique(np.minimum(edges[:, 0], edges[:, 1]) * n
+                              + np.maximum(edges[:, 0], edges[:, 1]))
+        lo, hi = np.divmod(keys, n)
+        src, dst = np.divmod(np.sort(np.concatenate([keys, hi * n + lo])), n)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(n=n, indptr=indptr, indices=dst.astype(np.int64),
-                   degrees=np.diff(indptr).astype(np.int64))
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        return cls(n=n, indptr=indptr, indices=dst, degrees=np.diff(indptr))
 
     @property
     def num_edges(self) -> int:
@@ -164,20 +170,18 @@ def load_edge_list(source, format: str = "tsv", remap: bool = False):
     edges = np.array(raw, dtype=np.int64).reshape(-1, 2)
     mapping = None
     if remap and edges.size:
-        uniq = np.unique(edges)
+        uniq = _sorted_unique(edges.ravel())
         mapping = {int(old): i for i, old in enumerate(uniq)}
         edges = np.searchsorted(uniq, edges)
         n = uniq.size
     else:
         n = int(edges.max()) + 1 if edges.size else 0
-    self_loops = int((edges[:, 0] == edges[:, 1]).sum()) if edges.size else 0
-    keep = edges[edges[:, 0] != edges[:, 1]] if edges.size else edges
-    n_unique = (np.unique(np.sort(keep, axis=1), axis=0).shape[0] if keep.size else 0)
+    self_loops = int((edges[:, 0] == edges[:, 1]).sum())
     g = Graph.from_edges(n, edges)
     report = LoadReport(
         lines_read=lines_read,
         self_loops_dropped=self_loops,
-        duplicates_dropped=keep.shape[0] - n_unique,
+        duplicates_dropped=edges.shape[0] - self_loops - g.num_edges,
         id_mapping=mapping,
     )
     return g, report

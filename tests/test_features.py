@@ -1,11 +1,13 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from hocn import (ConfigError, Graph, adj_power_row, cn_order_features,
-                  cn_order_features_all, cn_set)
-from hocn.features import as_dense
+import hocn.features
+from hocn import (ConfigError, Graph, ScaleError, adj_power_row, cn_order_features,
+                  cn_order_features_all, cn_set, sample_ba_graph)
+from hocn.features import _sub_chunks, _walk_nnz_bound, as_dense
 
 from conftest import batch_of, random_graph
 
@@ -109,6 +111,120 @@ def test_all_orders_shares_pair_layout():
     assert [f.order for f in feats] == [1, 2, 3]
     for f in feats:
         assert (f.pairs == batch.pairs).all()
+
+
+def _pair_costs(g: Graph, pairs: np.ndarray, k_max: int) -> np.ndarray:
+    bound = _walk_nnz_bound(g.to_scipy(), k_max)
+    return bound[pairs[:, 0]] + bound[pairs[:, 1]]
+
+
+def _hub_pairs(g: Graph, count: int) -> np.ndarray:
+    """The ``count`` highest-degree nodes, each paired with a random other node."""
+    hubs = np.argsort(g.degrees, kind="stable")[::-1][:count]
+    rng = np.random.default_rng(0)
+    return np.stack([hubs, (hubs + 1 + rng.integers(0, g.n - 1, count)) % g.n], axis=1)
+
+
+def test_walk_nnz_bound_covers_walk_rows():
+    g = sample_ba_graph(300, 3, seed=2)
+    adj = g.to_scipy().toarray()
+    powers = [np.linalg.matrix_power(adj, l) for l in range(4)]
+    for k_max in range(4):
+        stored = sum(np.count_nonzero(p, axis=1) for p in powers[:k_max + 1])
+        assert (_walk_nnz_bound(g.to_scipy(), k_max) >= stored).all()
+    assert np.array_equal(_walk_nnz_bound(g.to_scipy(), 1), 1 + g.degrees)
+
+
+def _chunked_and_whole(monkeypatch, g: Graph, pairs: np.ndarray, k_max: int, exclude: bool,
+                       scale: int = 1):
+    """Features with the budget set to ``scale`` times the costliest pair,
+    the sub-chunk sizes that budget gives, and features with no budget."""
+    batch = batch_of(pairs)
+    monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", 1 << 62)
+    whole = cn_order_features_all(g, batch, k_max, exclude_endpoints=exclude)
+    monkeypatch.setattr(hocn.features, "_NNZ_BUDGET",
+                        scale * int(_pair_costs(g, pairs, k_max).max()))
+    sizes = np.diff(_sub_chunks(g.to_scipy(), batch.pairs, k_max))
+    chunked = cn_order_features_all(g, batch, k_max, exclude_endpoints=exclude)
+    return chunked, sizes, whole
+
+
+def _assert_same_csr(chunked, whole, batch_pairs) -> None:
+    assert [f.order for f in chunked] == [f.order for f in whole]
+    for got, want in zip(chunked, whole):
+        assert np.array_equal(got.pairs, batch_pairs)
+        assert set(got.slices) == set(want.slices)
+        for key in (*want.slices, "combined"):
+            a = got.combined if key == "combined" else got.slices[key]
+            b = want.combined if key == "combined" else want.slices[key]
+            assert a.format == "csr"
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(a, attr), getattr(b, attr)), (got.order, key, attr)
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 3])
+@pytest.mark.parametrize("exclude", [False, True])
+def test_sub_chunks_match_whole_batch(monkeypatch, k_max, exclude):
+    g = sample_ba_graph(1000, 2, seed=1)
+    rng = np.random.default_rng(k_max)
+    pairs = np.concatenate([rng.choice(g.n, size=(60, 2), replace=False),
+                            _hub_pairs(g, 1),
+                            rng.choice(g.n, size=(50, 2), replace=False)])
+    chunked, sizes, whole = _chunked_and_whole(monkeypatch, g, pairs, k_max, exclude)
+    # The hub pair costs the whole budget, so it sits alone in its sub-chunk.
+    assert sizes.sum() == len(pairs) and 1 in sizes and len(set(sizes)) > 2, sizes
+    _assert_same_csr(chunked, whole, pairs)
+
+
+@pytest.mark.parametrize("pairs, scale", [
+    (list(combinations(range(7), 2)), 1),
+    ([(2, 5), (2, 4), (4, 5)], 1),
+    ([(2, 5), (4, 5), (2, 4), (1, 6)], 2),
+])
+@pytest.mark.parametrize("exclude", [False, True])
+def test_sub_chunks_keep_row_order_of_whole_batch(monkeypatch, pairs, scale, exclude):
+    # scipy's elementwise product and sum emit sorted rows only when every
+    # row of both operands is sorted. Here the A^3 rows of nodes 2, 4 and 5
+    # are [1, 6], sorted, and that of node 1 is [5, 4, 2].
+    g = Graph.from_edges(7, [(1, 4), (2, 6), (4, 6), (5, 6)])
+    pairs = np.array(pairs)
+    for k_max in (1, 2, 3):
+        chunked, sizes, whole = _chunked_and_whole(monkeypatch, g, pairs, k_max, exclude, scale)
+        assert len(sizes) > 1
+        _assert_same_csr(chunked, whole, pairs)
+
+
+def test_sub_chunks_bound_peak_memory_on_hub_batch(monkeypatch):
+    g = sample_ba_graph(20000, 3, seed=0)
+    pairs = _hub_pairs(g, 800)
+    budget = 1 << 20
+    monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", budget)
+    assert len(_sub_chunks(g.to_scipy(), pairs, 3)) > 5
+    # CSR data plus int32 indices of the whole batch's walk rows, by the bound.
+    whole_rows_bytes = 12 * int(_pair_costs(g, pairs, 3).sum())
+    assert whole_rows_bytes > 8 * 12 * budget
+    tracemalloc.start()
+    try:
+        cn_order_features_all(g, batch_of(pairs), 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * whole_rows_bytes, (peak, whole_rows_bytes)
+
+
+def test_pair_above_budget_raises_before_walk_rows(monkeypatch):
+    g = sample_ba_graph(20000, 3, seed=0)
+    pairs = _hub_pairs(g, 800)
+    whole_rows_bytes = 12 * int(_pair_costs(g, pairs, 3).sum())
+    monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", 100)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScaleError):
+            cn_order_features_all(g, batch_of(pairs), 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * whole_rows_bytes, (peak, whole_rows_bytes)
 
 
 def test_adj_power_row_matches_matrix_power():

@@ -1,12 +1,14 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hocn.graph
 from hocn import (EdgeListParseError, Graph, InputError, PairBatch,
-                  SamplingError, SplitError, load_edge_list, merged_graph,
+                  SamplingError, ScaleError, SplitError, load_edge_list, merged_graph,
                   sample_negatives, split_edges)
 
 from conftest import G4_EDGES, random_graph
@@ -147,3 +149,54 @@ def test_from_edges_properties(edges):
     assert np.trace(adj) == 0
     assert set(np.unique(adj)) <= {0.0, 1.0}
     assert (g.degrees == adj.sum(axis=1)).all()
+
+
+def _reference_csr(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """indptr, indices and degrees by 2-D unique, lexsort and add.at."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = edges[edges[:, 0] != edges[:, 1]]
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    und = np.unique(np.stack([lo, hi], axis=1), axis=0) if edges.size else edges.reshape(0, 2)
+    src = np.concatenate([und[:, 0], und[:, 1]])
+    dst = np.concatenate([und[:, 1], und[:, 0]])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, src + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return indptr, dst.astype(np.int64), np.diff(indptr).astype(np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 25).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=80))))
+@example((0, []))
+@example((1, []))
+@example((1, [(0, 0), (0, 0)]))
+def test_from_edges_matches_reference_construction(case):
+    n, edges = case
+    g = Graph.from_edges(n, edges)
+    for got, want in zip((g.indptr, g.indices, g.degrees), _reference_csr(n, edges)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_node_guard_is_the_largest_count_with_int64_edge_keys():
+    limit = hocn.graph._MAX_NODES
+    assert limit * limit <= np.iinfo(np.int64).max < (limit + 1) * (limit + 1)
+
+
+# Node counts far beyond any allocation, so a missing guard fails fast.
+@pytest.mark.parametrize("build", [
+    lambda: Graph.from_edges(1 << 62, [(0, 1)]),
+    lambda: load_edge_list(f"0\t{2**62}\n"),
+])
+def test_node_count_whose_keys_overflow_raises_before_allocating(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScaleError):
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
