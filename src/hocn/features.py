@@ -11,11 +11,15 @@ repeated sparse row-times-adjacency products and are computed once per
 sub-chunk of the batch for all orders, so computing features allocates no
 batch x n dense storage. Row A^l[u] stores at most min((A^l 1)[u], n)
 entries; summed over l = 0..K and both endpoints, that bound sizes each
-sub-chunk's walk rows to at most ``_NNZ_BUDGET`` entries.
+sub-chunk's walk rows. Sub-chunks run on ``_WORKERS`` threads (scipy's
+sparse kernels release the GIL) and share ``_NNZ_BUDGET`` entries between
+them.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +30,15 @@ from .graph import Graph, PairBatch
 
 DEFAULT_MAX_ORDER = 3
 
-# Walk-row entries one sub-chunk of cn_order_features_all may hold, by the
-# per-node bound of _walk_nnz_bound (about 50 MB of CSR data and indices).
+# Walk-row entries the sub-chunks of cn_order_features_all in flight at once
+# may hold, by the per-node bound of _walk_nnz_bound (about 50 MB of CSR data
+# and indices). Each of the _WORKERS threads gets an equal share.
 _NNZ_BUDGET = 1 << 22
+
+# Threads that build sub-chunks: two at most, since the walk rows of every
+# sub-chunk in flight are held at once.
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
 
 @dataclass
@@ -49,11 +59,21 @@ class OrderFeatures:
         return self.pairs.shape[0]
 
     def scale_columns(self, weights: np.ndarray) -> "OrderFeatures":
-        """Copy with column c of every matrix multiplied by weights[c]."""
-        diag = sp.diags(weights)
+        """Copy with column c of every matrix multiplied by weights[c];
+        entries whose weight is 0 are dropped."""
         return OrderFeatures(order=self.order, pairs=self.pairs,
-                             slices={key: (m @ diag).tocsr() for key, m in self.slices.items()},
-                             combined=(self.combined @ diag).tocsr())
+                             slices={key: _scale_columns(m, weights)
+                                     for key, m in self.slices.items()},
+                             combined=_scale_columns(self.combined, weights))
+
+
+def _scale_columns(mat: sp.csr_matrix, weights: np.ndarray) -> sp.csr_matrix:
+    # The index arrays are copied: scipy sorts, sums and prunes them in place,
+    # and the scaled matrix must not rewrite the raw one.
+    out = sp.csr_matrix((mat.data * weights[mat.indices], mat.indices.copy(),
+                         mat.indptr.copy()), shape=mat.shape)
+    out.eliminate_zeros()
+    return out
 
 
 def as_dense(m) -> np.ndarray:
@@ -104,9 +124,10 @@ def _sub_chunks(adj: sp.csr_matrix, pairs: np.ndarray, k_max: int) -> np.ndarray
     """Start offsets (and the end) of consecutive sub-chunks of ``pairs``.
 
     Each sub-chunk is the longest run from its start whose endpoints' walk
-    rows 0..k_max stay within ``_NNZ_BUDGET`` entries by the bound of
-    ``_walk_nnz_bound``. Raises ScaleError before any walk row is built
-    when a single pair exceeds the budget.
+    rows 0..k_max stay within ``_NNZ_BUDGET // _WORKERS`` entries by the
+    bound of ``_walk_nnz_bound``; a pair above that share sits alone.
+    Raises ScaleError before any walk row is built when a single pair
+    exceeds ``_NNZ_BUDGET``.
     """
     bound = _walk_nnz_bound(adj, k_max)
     cost = bound[pairs[:, 0]] + bound[pairs[:, 1]]
@@ -115,10 +136,12 @@ def _sub_chunks(adj: sp.csr_matrix, pairs: np.ndarray, k_max: int) -> np.ndarray
         u, v = (int(x) for x in pairs[worst])
         raise ScaleError(f"walk rows 0..{k_max} of pair ({u}, {v}) may hold {int(cost[worst])} "
                          f"entries, above the sub-chunk budget of {_NNZ_BUDGET}")
+    share = _NNZ_BUDGET // _WORKERS
     total = np.concatenate([[0], np.cumsum(cost)])
     cuts = [0]
     while cuts[-1] < len(pairs):
-        cuts.append(int(np.searchsorted(total, total[cuts[-1]] + _NNZ_BUDGET, side="right")) - 1)
+        end = int(np.searchsorted(total, total[cuts[-1]] + share, side="right")) - 1
+        cuts.append(max(end, cuts[-1] + 1))
     return np.array(cuts)
 
 
@@ -172,19 +195,23 @@ def cn_order_features_all(g: Graph, batch: PairBatch, k_max: int,
     """Orders 1..k_max for one batch, sharing the endpoints' walk rows.
 
     The batch is walked in consecutive sub-chunks of pairs (see
-    ``_sub_chunks``); each sub-chunk's walk rows serve all orders and are
-    dropped before the next is built. The result is identical, down to the
-    stored order of every row, to computing the whole batch at once.
+    ``_sub_chunks``), ``_WORKERS`` at a time on a thread pool; each
+    sub-chunk's walk rows serve all orders and are dropped when its orders
+    are done. The result is identical, down to the stored order of every
+    row, to computing the whole batch at once.
     """
     adj = g.to_scipy()
     cuts = _sub_chunks(adj, batch.pairs, k_max)
     if len(cuts) == 2:
         return _orders(g, adj, batch, k_max, exclude_endpoints)[0]
-    chunks = []
-    for start, stop in zip(cuts[:-1], cuts[1:]):
+
+    def chunk(start: int, stop: int) -> tuple[list[dict], np.ndarray]:
         feats, sorted_walks = _orders(g, adj, PairBatch(batch.pairs[start:stop]), k_max,
                                       exclude_endpoints)
-        chunks.append(([f.slices for f in feats], sorted_walks))
+        return [f.slices for f in feats], sorted_walks
+
+    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+        chunks = list(pool.map(chunk, cuts[:-1], cuts[1:]))
     whole = np.logical_and.reduce([sorted_walks for _, sorted_walks in chunks])
     return [_stack(batch, k, chunks, whole) for k in range(1, k_max + 1)]
 

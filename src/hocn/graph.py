@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,6 +149,26 @@ def _parse_line(line: str, fmt: str, lineno: int) -> tuple[int, int] | None:
     return u, v
 
 
+# Text that np.loadtxt parses exactly as _parse_line does: one or more lines
+# of two ASCII-digit ids separated by spaces or tabs, each ending in "\n"
+# except perhaps the last.
+_PLAIN_EDGE = r"[0-9]+[ \t]+[0-9]+[ \t]*"
+_PLAIN_EDGE_TEXT = re.compile(rf"(?:{_PLAIN_EDGE}\n)*{_PLAIN_EDGE}\n?")
+
+
+def _plain_edges(text: str, fmt: str) -> np.ndarray | None:
+    """Edges of a plain tab/space-separated text in one vectorized parse, or
+    None when the text needs the per-line parser (which also reports the
+    line of any error)."""
+    if fmt == "csv" or not _PLAIN_EDGE_TEXT.fullmatch(text):
+        return None
+    try:
+        edges = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2)
+    except ValueError:  # an id beyond int64
+        return None
+    return edges if edges.shape[1] == 2 and edges.max() <= 2**62 else None
+
+
 def load_edge_list(source, format: str = "tsv", remap: bool = False):
     """Parse an edge-list text stream (or string) into a :class:`Graph`.
 
@@ -158,16 +179,19 @@ def load_edge_list(source, format: str = "tsv", remap: bool = False):
 
     Returns ``(graph, report)``.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    raw = []
-    lines_read = 0
-    for lineno, line in enumerate(source, start=1):
-        lines_read += 1
-        parsed = _parse_line(line, format, lineno)
-        if parsed is not None:
-            raw.append(parsed)
-    edges = np.array(raw, dtype=np.int64).reshape(-1, 2)
+    text = source if isinstance(source, str) else source.read()
+    edges = _plain_edges(text, format)
+    if edges is not None:
+        lines_read = edges.shape[0]
+    else:
+        raw = []
+        lines_read = 0
+        for lineno, line in enumerate(io.StringIO(text), start=1):
+            lines_read += 1
+            parsed = _parse_line(line, format, lineno)
+            if parsed is not None:
+                raw.append(parsed)
+        edges = np.array(raw, dtype=np.int64).reshape(-1, 2)
     mapping = None
     if remap and edges.size:
         uniq = _sorted_unique(edges.ravel())

@@ -30,7 +30,10 @@ def frobenius_inner(a, b) -> float:
 
 
 def frobenius_norm(a) -> float:
-    return float(np.sqrt(frobenius_inner(a, a)))
+    """Frobenius norm from the stored values (a sparse ``a`` must hold no
+    duplicate entries, as scipy's own arithmetic guarantees)."""
+    data = a.tocsr().data if sp.issparse(a) else np.asarray(a).ravel()
+    return float(np.sqrt(np.dot(data, data)))
 
 
 @dataclass
@@ -119,11 +122,14 @@ def _combined_list(feats):
 def gram_schmidt_batch(feats, state: RunningState, training: bool = True) -> OrthoBasis:
     """One batch of streaming Gram-Schmidt.
 
-    ``feats`` is a sequence of combined CN^k matrices for orders 1..K.
-    OCN^1 is CN^1 Frobenius-normalized; for k >= 2 the running inner
-    products are (in training mode) first updated with gain 1/(t+1) against
-    this batch's OCN^i, then CN^k - sum_i xi_hat^i OCN^i is normalized.
-    Near-zero residuals are emitted as zero matrices flagged degenerate.
+    ``feats`` is a sequence of combined CN^k matrices for orders 1..K, all
+    sparse or all dense. OCN^1 is CN^1 Frobenius-normalized; for k >= 2 the
+    running inner products are (in training mode) first updated with gain
+    1/(t+1) against this batch's OCN^i, then CN^k - sum_i xi_hat^i OCN^i is
+    normalized. The projection sum_i xi_hat^i OCN^i, whose support is that
+    of the lower orders, is formed first, so each order allocates one
+    residual, which is scaled in place. Near-zero residuals are emitted as
+    zero matrices flagged degenerate.
     """
     mats = _combined_list(feats)
     if not mats:
@@ -132,24 +138,19 @@ def gram_schmidt_batch(feats, state: RunningState, training: bool = True) -> Ort
     degenerate: list[bool] = []
     beta = 1.0 / (state.t + 1)
     for k, cn in enumerate(mats, start=1):
-        if k == 1:
-            residual = cn * 1.0
-        else:
-            residual = cn * 1.0
-            for i in range(1, k):
-                if training:
-                    xi_batch = frobenius_inner(cn, basis[i - 1])
-                    prev = state.xi_hat.get((k, i), 0.0)
-                    state.xi_hat[(k, i)] = (1.0 - beta) * prev + beta * xi_batch
-                xi = state.xi_hat.get((k, i), 0.0)
-                residual = residual - xi * basis[i - 1]
+        projection = None
+        for i in range(1, k):
+            if training:
+                xi_batch = frobenius_inner(cn, basis[i - 1])
+                prev = state.xi_hat.get((k, i), 0.0)
+                state.xi_hat[(k, i)] = (1.0 - beta) * prev + beta * xi_batch
+            term = state.xi_hat.get((k, i), 0.0) * basis[i - 1]
+            projection = term if projection is None else projection + term
+        residual = cn.astype(np.float64) if projection is None else cn - projection
         norm = frobenius_norm(residual)
-        if norm < DEGENERATE_NORM:
-            degenerate.append(True)
-            basis.append(residual * 0.0)
-        else:
-            degenerate.append(False)
-            basis.append(residual * (1.0 / norm))
+        degenerate.append(norm < DEGENERATE_NORM)
+        residual *= 0.0 if degenerate[-1] else 1.0 / norm
+        basis.append(residual)
     if training:
         state.t += 1
     return OrthoBasis(matrices=basis, degenerate=degenerate)

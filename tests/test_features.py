@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 from itertools import combinations
 
@@ -225,6 +227,72 @@ def test_pair_above_budget_raises_before_walk_rows(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 0.05 * whole_rows_bytes, (peak, whole_rows_bytes)
+
+
+def _hub_batch(seed: int):
+    """A BA(1000, 2) graph and a batch whose middle pair is its top hub."""
+    g = sample_ba_graph(1000, 2, seed=1)
+    rng = np.random.default_rng(seed)
+    pairs = np.concatenate([rng.choice(g.n, size=(60, 2), replace=False),
+                            _hub_pairs(g, 1),
+                            rng.choice(g.n, size=(50, 2), replace=False)])
+    return g, pairs
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 3])
+@pytest.mark.parametrize("exclude", [False, True])
+def test_worker_count_does_not_change_features(monkeypatch, k_max, exclude):
+    g, pairs = _hub_batch(k_max)
+    monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", int(_pair_costs(g, pairs, k_max).max()))
+    results = {}
+    switch = sys.getswitchinterval()
+    try:
+        # Four workers on a short switch interval stress the shared adjacency.
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(hocn.features, "_WORKERS", workers)
+            sys.setswitchinterval(1e-6 if workers == 4 else switch)
+            assert len(_sub_chunks(g.to_scipy(), pairs, k_max)) > 2
+            results[workers] = cn_order_features_all(g, batch_of(pairs), k_max,
+                                                     exclude_endpoints=exclude)
+    finally:
+        sys.setswitchinterval(switch)
+    _assert_same_csr(results[2], results[1], pairs)
+    _assert_same_csr(results[4], results[1], pairs)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pair_costing_exactly_the_budget_is_accepted(monkeypatch, workers):
+    g, pairs = _hub_batch(0)
+    costs = _pair_costs(g, pairs, 3)
+    monkeypatch.setattr(hocn.features, "_WORKERS", workers)
+    monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", int(costs.max()))
+    cuts = _sub_chunks(g.to_scipy(), pairs, 3)
+    hub = int(costs.argmax())
+    assert hub in cuts and hub + 1 in cuts  # the costliest pair sits alone
+    assert len(cn_order_features_all(g, batch_of(pairs), 3)) == 3
+    monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", int(costs.max()) - 1)
+    with pytest.raises(ScaleError):
+        cn_order_features_all(g, batch_of(pairs), 3)
+
+
+def test_worker_exception_reaches_caller_and_threads_end(monkeypatch):
+    g, pairs = _hub_batch(0)
+    monkeypatch.setattr(hocn.features, "_WORKERS", 2)
+    monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", int(_pair_costs(g, pairs, 3).max()))
+    cuts = _sub_chunks(g.to_scipy(), pairs, 3)
+    assert len(cuts) > 3
+    orders = hocn.features._orders
+
+    def failing(g, adj, batch, k_max, exclude_endpoints):
+        if np.array_equal(batch.pairs[0], pairs[cuts[1]]):
+            raise RuntimeError("sub-chunk 1 failed")
+        return orders(g, adj, batch, k_max, exclude_endpoints)
+
+    monkeypatch.setattr(hocn.features, "_orders", failing)
+    baseline = threading.active_count()
+    with pytest.raises(RuntimeError, match="sub-chunk 1 failed"):
+        cn_order_features_all(g, batch_of(pairs), 3)
+    assert threading.active_count() == baseline
 
 
 def test_adj_power_row_matches_matrix_power():

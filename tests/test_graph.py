@@ -63,6 +63,53 @@ def test_load_edge_list_counts_drops():
     assert report.self_loops_dropped == 1
 
 
+def _load_outcome(text: str, fmt: str, remap: bool):
+    try:
+        g, report = load_edge_list(text, format=fmt, remap=remap)
+    except EdgeListParseError as exc:
+        return "parse error", exc.line_number
+    except ScaleError as exc:
+        return "scale error", str(exc)
+    return g.n, g.indptr.tolist(), g.indices.tolist(), report
+
+
+# Ids up to 999, or far above the node guard, so that no draw allocates a
+# huge graph; look-alikes the per-line parser reads differently from loadtxt.
+_ID_TEXT = st.one_of(st.integers(0, 999).map(str),
+                     st.sampled_from(["007", "1_0", "-1", "+1", "\u0663", "1e3", "0x1", "",
+                                      str(2**62), str(2**62 + 1), str(2**63), str(10**20)]))
+_SEP = st.sampled_from([" ", "\t", "  \t", ",", ", ", "\u00a0"])
+_LINE = st.one_of(
+    st.tuples(_ID_TEXT, _SEP, _ID_TEXT, st.sampled_from(["", " ", "\t", "  # c", ",", " 5"]))
+    .map("".join),
+    st.sampled_from(["", "# comment", "   ", "1 2 3", "\r"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LINE, max_size=6), st.booleans(), st.sampled_from(["tsv", "csv"]),
+       st.booleans())
+@example(["1\t2", "3 4"], True, "tsv", False)
+@example(["1_0 2"], True, "tsv", False)
+@example([], True, "tsv", False)
+@example([f"0 {2**62}"], True, "tsv", True)
+def test_vectorized_edge_list_parse_matches_per_line_parser(lines, newline_at_end, fmt, remap):
+    text = "\n".join(lines) + ("\n" if newline_at_end and lines else "")
+    got = _load_outcome(text, fmt, remap)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hocn.graph, "_plain_edges", lambda text, fmt: None)
+        want = _load_outcome(text, fmt, remap)
+    assert got == want
+
+
+def test_plain_edge_text_takes_the_vectorized_parse():
+    text = "0\t1\n1 2 \n2\t3\n"
+    assert hocn.graph._plain_edges(text, "tsv").tolist() == [[0, 1], [1, 2], [2, 3]]
+    assert hocn.graph._plain_edges(text[:-1], "tsv").tolist() == [[0, 1], [1, 2], [2, 3]]
+    for other in ("0\t1\n\n", "\n0\t1", "0,1\n", "# c\n0 1\n", f"0 {2**62 + 1}\n"):
+        assert hocn.graph._plain_edges(other, "tsv") is None, other
+    assert hocn.graph._plain_edges(text, "csv") is None
+
+
 def test_pair_batch_rejects_self_pairs():
     with pytest.raises(InputError):
         PairBatch(np.array([[1, 1]]))

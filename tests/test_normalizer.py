@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,6 +127,22 @@ def test_apply_normalization_divides_columns(g4):
     expect = raw / np.maximum(part.counts, 1e-12)
     assert np.allclose(got, expect)
     assert (got[raw == 0] == 0).all()
+
+
+def test_scale_columns_matches_diagonal_product_and_copies():
+    g = random_graph(30, 0.3, seed=4)
+    feats = cn_order_features(g, batch_of([(0, 5), (2, 9), (11, 20)]), 2)
+    weights = np.random.default_rng(0).normal(size=g.n)
+    weights[::3] = 0.0
+    scaled = feats.scale_columns(weights)
+    pairs = [(scaled.slices[key], raw) for key, raw in feats.slices.items()]
+    for got, raw in pairs + [(scaled.combined, feats.combined)]:
+        want = (raw @ sp.diags(weights)).tocsr()
+        assert want.nnz < raw.nnz  # some stored entries have weight 0
+        assert got.format == "csr" and got.nnz == want.nnz
+        assert np.array_equal(got.toarray(), want.toarray())
+        for a in (got.data, got.indices, got.indptr):
+            assert not any(np.shares_memory(a, b) for b in (raw.data, raw.indices, raw.indptr))
 
 
 def test_normalization_epsilon_guards_zero_columns(g4):

@@ -1,15 +1,17 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hocn import (Graph, RunningState, ScaleError, apply_polynomial_filter,
-                  cn_order_features, degree_filter_argument, frobenius_inner,
-                  frobenius_norm, full_graph_orthogonalize,
-                  gram_schmidt_batch, polynomial_weights)
+                  cn_order_features, cn_order_features_all, degree_filter_argument,
+                  frobenius_inner, frobenius_norm, full_graph_orthogonalize,
+                  gram_schmidt_batch, polynomial_weights, sample_ba_graph)
 from hocn.features import as_dense
 from hocn.ortho import all_pairs_batch
 
@@ -222,3 +224,92 @@ def test_streaming_first_batch_matches_plain_gram_schmidt(seed):
         if np.dot(got, want) < 0:
             want = -want
         assert np.allclose(got, want, atol=1e-9)
+
+
+def reference_gram_schmidt(mats, state: RunningState, training: bool):
+    """Residual by residual: one new matrix per subtraction and per scaling,
+    norm from the summed elementwise square."""
+    basis, degenerate = [], []
+    beta = 1.0 / (state.t + 1)
+    for k, cn in enumerate(mats, start=1):
+        residual = cn * 1.0
+        for i in range(1, k):
+            if training:
+                xi_batch = frobenius_inner(cn, basis[i - 1])
+                prev = state.xi_hat.get((k, i), 0.0)
+                state.xi_hat[(k, i)] = (1.0 - beta) * prev + beta * xi_batch
+            residual = residual - state.xi_hat.get((k, i), 0.0) * basis[i - 1]
+        norm = math.sqrt(frobenius_inner(residual, residual))
+        degenerate.append(norm < 1e-12)
+        basis.append(residual * (0.0 if degenerate[-1] else 1.0 / norm))
+    if training:
+        state.t += 1
+    return basis, degenerate
+
+
+def _assert_matches_reference(batches, training_flags):
+    got_state, want_state = RunningState(), RunningState()
+    for mats, training in zip(batches, training_flags):
+        got = gram_schmidt_batch(mats, got_state, training=training)
+        want, want_degenerate = reference_gram_schmidt(mats, want_state, training)
+        assert got.degenerate == want_degenerate
+        assert got_state.t == want_state.t
+        assert set(got_state.xi_hat) == set(want_state.xi_hat)
+        for key, value in want_state.xi_hat.items():
+            assert got_state.xi_hat[key] == pytest.approx(value, rel=1e-12, abs=0.0)
+        for a, b in zip(got.matrices, want):
+            assert sp.issparse(a) == sp.issparse(b)
+            a, b = as_dense(a), as_dense(b)
+            assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1.0)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_gram_schmidt_matches_residual_by_residual_reference(dense):
+    g = random_graph(40, 0.15, seed=12)
+    rng = np.random.default_rng(3)
+    batches = []
+    for _ in range(4):
+        u = rng.integers(0, g.n, 12)
+        v = (u + 1 + rng.integers(0, g.n - 1, 12)) % g.n
+        feats = cn_order_features_all(g, batch_of(np.stack([u, v], axis=1)), 3)
+        batches.append([f.combined.toarray() if dense else f.combined for f in feats])
+    _assert_matches_reference(batches, [True, True, True, False])
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("offset", [0.0, 1e-14, 1e-2])
+def test_gram_schmidt_near_degenerate_matches_reference(dense, offset):
+    # CN^2 = 3 CN^1 + offset * noise. The two forms round differently, and
+    # cancellation scales that by |CN^2| / |residual|: about 100 at the
+    # largest offset. The smaller ones leave a residual under DEGENERATE_NORM.
+    rng = np.random.default_rng(4)
+    cn1 = sp.random(20, 30, density=0.2, format="csr", random_state=5)
+    noise = sp.random(20, 30, density=0.2, format="csr", random_state=6)
+    cn2 = (3.0 * cn1 + offset * noise).tocsr()
+    cn3 = sp.csr_matrix(rng.normal(size=(20, 30)) * (cn1.toarray() != 0))
+    mats = [cn1, cn2, cn3]
+    if dense:
+        mats = [m.toarray() for m in mats]
+    _assert_matches_reference([mats, mats], [True, False])
+    degenerate = gram_schmidt_batch(mats, RunningState()).degenerate
+    assert degenerate == [False, offset < 1e-12, False]
+
+
+def test_gram_schmidt_peak_memory_near_one_combined_matrix():
+    g = sample_ba_graph(20000, 3, seed=0)
+    rng = np.random.default_rng(0)
+    u = rng.integers(0, g.n, 512)
+    v = (u + 1 + rng.integers(0, g.n - 1, 512)) % g.n
+    mats = [f.combined for f in cn_order_features_all(g, batch_of(np.stack([u, v], axis=1)), 3)]
+    largest = max(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in mats)
+    state = RunningState()
+    gram_schmidt_batch(mats, state)
+    for training in (True, False):
+        tracemalloc.start()
+        try:
+            gram_schmidt_batch(mats, state, training=training)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The returned basis alone is about one combined matrix per order.
+        assert peak < 1.5 * largest, (training, peak, largest)
