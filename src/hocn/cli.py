@@ -6,6 +6,11 @@ pair-scoring model), eval (ranking metrics), diagnose (redundancy and
 concentration reports), theory (closed-form bounds and their Monte-Carlo
 validation), bench (timing sweep with a linear fit).
 
+score, eval, diagnose and bench all build structural features through the
+two stages in ``hocn.scoring``: ``batch_features`` (per-order CN features
+normalized by walk participation) and ``basis_matrices`` (Gram-Schmidt or
+the polynomial filter).
+
 Outputs are CSV with a commented header carrying version, seed, and the
 effective configuration; ``--json`` mirrors the same rows as a JSON array.
 Config files are plain key=value lines; explicit flags win. Exit codes:
@@ -15,7 +20,6 @@ Config files are plain key=value lines; explicit flags win. Exit codes:
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 import time
@@ -25,19 +29,14 @@ import numpy as np
 from . import __version__
 from .diagnostics import coefficient_of_variation, edge_jsd, order_correlation
 from .errors import ConfigError, HocnError, InputError
-from .features import cn_order_features_all
 from .graph import (Graph, PairBatch, load_edge_list, merged_graph,
                     sample_negatives, split_edges)
 from .metrics import evaluate
-from .normalize import (apply_normalization, exact_walk_participation,
-                        normalized_cn_score, running_counts,
-                        update_running_participation)
-from .ortho import (RunningState, apply_polynomial_filter,
-                    degree_filter_argument, full_graph_orthogonalize,
-                    gram_schmidt_batch, polynomial_weights)
-from .scoring import (FeatureConfig, ScoreModel, TrainConfig,
-                      default_node_features, heuristic_scores, model_scores,
-                      propagate_features, train_model)
+from .normalize import exact_walk_participation, normalized_cn_score
+from .ortho import RunningState
+from .scoring import (FeatureConfig, ScoreModel, TrainConfig, basis_matrices,
+                      batch_features, default_node_features, heuristic_scores,
+                      model_scores, propagate_features, train_model)
 from .theory import (BoundInputs, LatentModelParams, ba_bound_normalized,
                      ba_bound_unnormalized, bound_normalized,
                      bound_unnormalized, sample_ba_graph, validate_bound)
@@ -145,6 +144,13 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
     return tuple(parts)
 
 
+def _feature_config(args, **fields) -> FeatureConfig:
+    """Pipeline settings from the common flags; ``fields`` override them."""
+    return FeatureConfig(**{"k_max": args.k_max, "variant": args.variant,
+                            "exclude_endpoints": args.exclude_endpoints,
+                            "seed": args.seed, **fields})
+
+
 def _load_split(args):
     with open(args.input) as fh:
         g, _report = load_edge_list(fh, format=args.format)
@@ -166,29 +172,15 @@ def cmd_prepare(args) -> int:
 
 
 def _structural_scores(g: Graph, pairs: np.ndarray, args) -> np.ndarray:
-    """Row sums of per-order combined features after the chosen transform."""
-    cfg = FeatureConfig(k_max=args.k_max, variant=args.variant,
-                        exclude_endpoints=args.exclude_endpoints,
-                        seed=args.seed)
+    """Row sums of per-order absolute basis matrices, unscaled, with the
+    running statistics accumulated over the scored pairs."""
+    cfg = _feature_config(args)
     state = RunningState()
     scores = np.zeros(pairs.shape[0])
-    poly_x = degree_filter_argument(g) if args.variant == "ocnp" else None
     for start in range(0, pairs.shape[0], cfg.batch_size):
         chunk = PairBatch(pairs[start:start + cfg.batch_size])
-        feats = cn_order_features_all(g, chunk, cfg.k_max,
-                                      exclude_endpoints=cfg.exclude_endpoints)
-        normalized = []
-        for f in feats:
-            state = update_running_participation(state, f)
-            normalized.append(apply_normalization(f, running_counts(state, f.order)))
-        if args.variant == "ocnp":
-            basis = [apply_polynomial_filter(
-                f, polynomial_weights(cfg.poly_basis, f.order, poly_x))
-                for f in normalized]
-            mats = [b.combined for b in basis]
-        else:
-            basis = gram_schmidt_batch(normalized, state, training=True)
-            mats = [basis.matrix(k) for k in range(1, cfg.k_max + 1)]
+        _, normalized = batch_features(g, chunk, cfg, state, training=True)
+        mats = basis_matrices(g, normalized, cfg, state, training=True)
         rowsum = sum(np.asarray(np.abs(m).sum(axis=1)).ravel() for m in mats)
         scores[start:start + len(chunk)] = rowsum
     return scores
@@ -218,10 +210,8 @@ def cmd_score(args) -> int:
 
 def cmd_train(args) -> int:
     g, split = _load_split(args)
-    fc = FeatureConfig(k_max=args.k_max, variant=args.variant,
-                       exclude_endpoints=args.exclude_endpoints,
-                       seed=args.seed)
-    tc = TrainConfig(features=fc, learning_rate=float(args.learning_rate),
+    tc = TrainConfig(features=_feature_config(args),
+                     learning_rate=float(args.learning_rate),
                      epochs=int(args.epochs), seed=args.seed,
                      use_valid_as_input=args.use_valid_as_input)
     result = train_model(split, tc)
@@ -256,17 +246,13 @@ def cmd_eval(args) -> int:
                 state = RunningState.load(fh)
         else:
             state = RunningState()
-        fc = FeatureConfig(k_max=model.k_max, depth=model.depth,
-                           variant=model.variant,
-                           exclude_endpoints=args.exclude_endpoints,
-                           seed=args.seed)
+        fc = _feature_config(args, k_max=model.k_max, depth=model.depth,
+                             variant=model.variant)
         x = default_node_features(base, dim=fc.feature_dim, seed=fc.seed)
         h = propagate_features(base, x, fc.depth)
-        training = args.state is None
-        score_fn = lambda pairs: model_scores(
-            base, pairs, model, state, h,
-            fc) if not training else _model_scores_training(
-            base, pairs, model, state, h, fc)
+        # no saved running statistics: let them accumulate over the scored pairs
+        score_fn = lambda pairs: model_scores(base, pairs, model, state, h, fc,
+                                              training=args.state is None)
     else:
         raise InputError(f"unknown eval kind {args.kind!r}")
     report = evaluate(score_fn, batch, negatives, ks=ks, seed=args.seed)
@@ -275,13 +261,6 @@ def cmd_eval(args) -> int:
     rows.append(("mrr", None, repr(report.mrr), report.n_pos, report.n_neg))
     emit(args, ("metric", "K", "value", "n_pos", "n_neg"), rows)
     return 0
-
-
-def _model_scores_training(base, pairs, model, state, h, fc):
-    # no saved running statistics: let them accumulate over the scored pairs
-    from .scoring import pair_features, _logits
-    m, q = pair_features(base, pairs, h, fc, state, training=True)
-    return _logits(model.alpha, model.head_w, model.head_b, m, q)
 
 
 def _diagnose_graph(args) -> Graph:
@@ -305,14 +284,14 @@ def cmd_diagnose(args) -> int:
         seen.add((u, v))
         pairs.append((u, v))
     batch = PairBatch(np.array(pairs))
-    feats = cn_order_features_all(g, batch, args.k_max,
-                                  exclude_endpoints=args.exclude_endpoints)
-    raw = [f.combined for f in feats]
-    normalized = [apply_normalization(f, exact_walk_participation(
-        g, f.order, exclude_endpoints=args.exclude_endpoints)) for f in feats]
+    cfg = _feature_config(args, variant="ocn")
+    participation = [exact_walk_participation(g, k, exclude_endpoints=args.exclude_endpoints)
+                     for k in range(1, args.k_max + 1)]
     state = RunningState()
-    basis = gram_schmidt_batch(normalized, state, training=True)
-    ortho = basis.matrices
+    feats, normalized = batch_features(g, batch, cfg, state, training=True,
+                                       participation=participation)
+    raw = [f.combined for f in feats]
+    ortho = basis_matrices(g, normalized, cfg, state, training=True)
     corr_raw = order_correlation(raw)
     corr_ortho = order_correlation(ortho)
     jsd = edge_jsd(raw[0], raw[-1])
@@ -390,15 +369,11 @@ def cmd_bench(args) -> int:
         return PairBatch(np.stack([u, v], axis=1))
 
     def run_once(pb, k_max, with_ortho):
+        cfg = _feature_config(args, k_max=k_max, variant="ocn")
         state = RunningState()
-        feats = cn_order_features_all(g, pb, k_max,
-                                      exclude_endpoints=args.exclude_endpoints)
-        normalized = []
-        for f in feats:
-            state = update_running_participation(state, f)
-            normalized.append(apply_normalization(f, running_counts(state, f.order)))
+        _, normalized = batch_features(g, pb, cfg, state, training=True)
         if with_ortho:
-            gram_schmidt_batch(normalized, state, training=True)
+            basis_matrices(g, normalized, cfg, state, training=True)
 
     rows = []
     times = []

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, ScaleError
-from .graph import Graph, PairBatch
+from .graph import Graph, PairBatch, hop_distances
 
 DEFAULT_MAX_ORDER = 3
 
@@ -258,23 +258,6 @@ def _reverse_rows(mat: sp.csr_matrix) -> sp.csr_matrix:
     return sp.csr_matrix((mat.data[perm], mat.indices[perm], mat.indptr), shape=mat.shape)
 
 
-def _bfs_distances(g: Graph, source: int, cutoff: int) -> np.ndarray:
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = [source]
-    depth = 0
-    while frontier and depth < cutoff:
-        depth += 1
-        nxt = []
-        for node in frontier:
-            for nb in g.neighbors(node):
-                if dist[nb] < 0:
-                    dist[nb] = depth
-                    nxt.append(int(nb))
-        frontier = nxt
-    return dist
-
-
 def cn_set(g: Graph, i: int, j: int, k: int,
            exclude_endpoints: bool = True,
            spd_filter: bool = False) -> set[int]:
@@ -289,7 +272,7 @@ def cn_set(g: Graph, i: int, j: int, k: int,
     combined = cn_order_features(g, batch, k, exclude_endpoints=exclude_endpoints).combined
     members = {int(c) for c in combined.indices[combined.data > 0]}
     if spd_filter:
-        di = _bfs_distances(g, i, k)
-        dj = _bfs_distances(g, j, k)
+        di = hop_distances(g, i, k)
+        dj = hop_distances(g, j, k)
         members = {c for c in members if di[c] == k and dj[c] == k}
     return members

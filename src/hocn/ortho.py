@@ -99,10 +99,6 @@ class OrthoBasis:
     matrices: list
     degenerate: list
 
-    @property
-    def k_max(self) -> int:
-        return len(self.matrices)
-
     def matrix(self, k: int):
         return self.matrices[k - 1]
 

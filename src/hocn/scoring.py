@@ -10,7 +10,7 @@ pipeline is exercised end to end with manually derived gradients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,7 +18,8 @@ import scipy.sparse as sp
 from .errors import ConfigError, InputError, ScaleError, TrainingError
 from .features import cn_order_features_all
 from .graph import Graph, PairBatch, SplitResult, sample_negatives
-from .normalize import running_counts, update_running_participation, apply_normalization
+from .normalize import (apply_normalization, normalized_cn_score, running_counts,
+                        update_running_participation)
 from .ortho import (RunningState, apply_polynomial_filter,
                     degree_filter_argument, gram_schmidt_batch, polynomial_weights)
 
@@ -41,7 +42,6 @@ def heuristic_score(g: Graph, pair, kind: str, order: int = 1) -> float:
     if i == j:
         raise InputError("pair with identical endpoints")
     if kind == "normalized_cn" or kind.startswith("normalized_cn_"):
-        from .normalize import normalized_cn_score
         if kind.startswith("normalized_cn_"):
             order = int(kind.rsplit("_", 1)[1])
         return normalized_cn_score(g, i, j, order)
@@ -170,43 +170,64 @@ class FeatureConfig:
     seed: int = 0
 
 
+def batch_features(g: Graph, batch: PairBatch, cfg: FeatureConfig,
+                   state: RunningState, training: bool,
+                   participation: list | None = None) -> tuple[list, list]:
+    """Stage 1 of the feature pipeline: (raw, normalized) CN features of
+    orders 1..K for one batch.
+
+    Column c of order k is divided by the walk participation of node c:
+    ``participation[k-1]`` when given (the exact counts), otherwise the
+    running estimate in ``state``, which training mode first updates with
+    this batch's column sums.
+    """
+    raw = cn_order_features_all(g, batch, cfg.k_max, exclude_endpoints=cfg.exclude_endpoints)
+    normalized = []
+    for f in raw:
+        if participation is not None:
+            counts = participation[f.order - 1]
+        else:
+            if training:
+                update_running_participation(state, f)
+            counts = running_counts(state, f.order)
+        normalized.append(apply_normalization(f, counts))
+    return raw, normalized
+
+
+def basis_matrices(g: Graph, normalized: list, cfg: FeatureConfig,
+                   state: RunningState, training: bool) -> list:
+    """Stage 2 of the feature pipeline: one (batch, n) matrix per order with
+    the cross-order redundancy removed, by streaming Gram-Schmidt (variant
+    "ocn") or the diagonal polynomial filter (variant "ocnp")."""
+    if cfg.variant == "ocn":
+        return gram_schmidt_batch(normalized, state, training=training).matrices
+    if cfg.variant == "ocnp":
+        x = degree_filter_argument(g)
+        return [apply_polynomial_filter(f, polynomial_weights(cfg.poly_basis, f.order, x)).combined
+                for f in normalized]
+    raise ConfigError(f"unknown variant {cfg.variant!r}")
+
+
 def pair_features(g: Graph, pairs: np.ndarray, h: np.ndarray,
                   cfg: FeatureConfig, state: RunningState,
                   training: bool) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair model inputs: (B, F) elementwise products and (K, B, F) CN pools.
 
-    Runs the full pipeline per mini-batch: CN features, path normalization
-    with the running participation estimate, then streaming Gram-Schmidt
-    (variant "ocn") or the diagonal polynomial filter (variant "ocnp").
-    Basis rows are rescaled by sqrt(batch size) so feature magnitudes do not
-    depend on batch boundaries.
+    Runs both pipeline stages per mini-batch, with the running participation
+    estimate. Gram-Schmidt basis rows are rescaled by sqrt(batch size) so
+    feature magnitudes do not depend on batch boundaries.
     """
     n_pairs = pairs.shape[0]
     f_dim = h.shape[1]
     m = h[pairs[:, 0]] * h[pairs[:, 1]]
     q = np.zeros((cfg.k_max, n_pairs, f_dim))
-    poly_x = degree_filter_argument(g) if cfg.variant == "ocnp" else None
     for start in range(0, n_pairs, cfg.batch_size):
         chunk = PairBatch(pairs[start:start + cfg.batch_size])
-        feats = cn_order_features_all(g, chunk, cfg.k_max,
-                                      exclude_endpoints=cfg.exclude_endpoints)
-        normalized = []
-        for f in feats:
-            if training:
-                update_running_participation(state, f)
-            counts = running_counts(state, f.order)
-            normalized.append(apply_normalization(f, counts))
+        _, normalized = batch_features(g, chunk, cfg, state, training)
+        mats = basis_matrices(g, normalized, cfg, state, training)
         if cfg.variant == "ocn":
-            basis = gram_schmidt_batch(normalized, state, training=training)
             scale = math.sqrt(len(chunk))
-            mats = [basis.matrix(k) * scale for k in range(1, cfg.k_max + 1)]
-        elif cfg.variant == "ocnp":
-            mats = []
-            for f in normalized:
-                weights = polynomial_weights(cfg.poly_basis, f.order, poly_x)
-                mats.append(apply_polynomial_filter(f, weights).combined)
-        else:
-            raise ConfigError(f"unknown variant {cfg.variant!r}")
+            mats = [mat * scale for mat in mats]
         for k, mat in enumerate(mats):
             q[k, start:start + len(chunk)] = mat @ h
     return m, q
@@ -301,7 +322,8 @@ def train_model(split: SplitResult, config: TrainConfig) -> TrainResult:
 
 def model_scores(g: Graph, pairs: np.ndarray, model: ScoreModel,
                  state: RunningState, h: np.ndarray,
-                 cfg: FeatureConfig) -> np.ndarray:
-    """Inference-mode logits for a pair array (running statistics frozen)."""
-    m, q = pair_features(g, pairs, h, cfg, state, training=False)
+                 cfg: FeatureConfig, training: bool = False) -> np.ndarray:
+    """Logits for a pair array. Running statistics stay frozen unless
+    ``training``, which accumulates them over the scored pairs."""
+    m, q = pair_features(g, pairs, h, cfg, state, training=training)
     return _logits(model.alpha, model.head_w, model.head_b, m, q)

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import BoundDomainError, InputError
-from .graph import Graph
+from .graph import Graph, hop_distances
 
 INV_E = math.exp(-1.0)
 
@@ -339,21 +339,6 @@ def _walk_count_matrix(g: Graph, length: int) -> np.ndarray:
     return out
 
 
-def _hop_distances(g: Graph, source: int) -> np.ndarray:
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for nb in g.neighbors(node):
-                if dist[nb] < 0:
-                    dist[nb] = dist[node] + 1
-                    nxt.append(int(nb))
-        frontier = nxt
-    return dist
-
-
 def _latent_trial(params: LatentModelParams, bound_kind: str, k: int,
                   delta: float, seed: int):
     sample = sample_latent_model(replace(params, seed=seed))
@@ -412,7 +397,7 @@ def _ba_trial(n: int, m: int, bound_kind: str, k: int, delta: float, seed: int):
     except BoundDomainError:
         return None
     # hop-count proxy: per-hop share of the bound times the hop distance
-    hops = int(_hop_distances(g, i)[j])
+    hops = int(hop_distances(g, i)[j])
     if hops < 0:
         return None
     s_ij = hops * (value / (2.0 * k))

@@ -15,6 +15,10 @@ import hocn.cli
 from hocn import (Graph, RunningState, ScoreModel, ba_bound_unnormalized,
                   exact_walk_participation, heuristic_scores, load_edge_list,
                   merged_graph, normalized_cn_score, split_edges)
+from hocn import (FeatureConfig, PairBatch, apply_normalization, apply_polynomial_filter,
+                  cn_order_features_all, coefficient_of_variation, degree_filter_argument,
+                  edge_jsd, gram_schmidt_batch, order_correlation, polynomial_weights,
+                  running_counts, update_running_participation)
 from hocn.cli import main
 from hocn.theory import BoundInputs, sample_ba_graph
 
@@ -253,3 +257,87 @@ def test_usage_error_exits_two(capsys):
         main(["score"])  # missing required --input
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def _structural_scores_reference(g, pairs, variant, k_max, exclude):
+    """The score-subcommand pipeline written out step by step."""
+    cfg = FeatureConfig(k_max=k_max, variant=variant, exclude_endpoints=exclude)
+    state = RunningState()
+    scores = np.zeros(pairs.shape[0])
+    for start in range(0, pairs.shape[0], cfg.batch_size):
+        chunk = PairBatch(pairs[start:start + cfg.batch_size])
+        feats = cn_order_features_all(g, chunk, k_max, exclude_endpoints=exclude)
+        normalized = []
+        for f in feats:
+            update_running_participation(state, f)
+            normalized.append(apply_normalization(f, running_counts(state, f.order)))
+        if variant == "ocnp":
+            x = degree_filter_argument(g)
+            mats = [apply_polynomial_filter(
+                f, polynomial_weights(cfg.poly_basis, f.order, x)).combined
+                for f in normalized]
+        else:
+            mats = gram_schmidt_batch(normalized, state, training=True).matrices
+        scores[start:start + len(chunk)] = sum(
+            np.asarray(np.abs(m).sum(axis=1)).ravel() for m in mats)
+    return scores
+
+
+@pytest.fixture(scope="module")
+def large_edge_file(tmp_path_factory):
+    # about 2100 training edges: more than one 2048-pair feature batch
+    return write_edges(tmp_path_factory.mktemp("large") / "g.tsv", ba_edges(1000, 3, seed=5))
+
+
+@pytest.mark.parametrize("kind", ["ocn", "ocnp"])
+@pytest.mark.parametrize("k_max", [2, 3])
+@pytest.mark.parametrize("exclude", [False, True])
+def test_structural_scores_equal_step_by_step_pipeline(large_edge_file, kind, k_max,
+                                                       exclude, capsys):
+    argv = ["score", "--input", large_edge_file, "--kind", kind, "--split", "train",
+            "--k-max", str(k_max), "--seed", "2"]
+    code, out = run_cli(argv + (["--exclude-endpoints"] if exclude else []), capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    with open(large_edge_file) as fh:
+        g, _ = load_edge_list(fh)
+    split = split_edges(g, (0.7, 0.1, 0.2), 2)
+    assert len(split.train) > FeatureConfig().batch_size
+    expected = _structural_scores_reference(split.train_graph, split.train.pairs,
+                                            kind, k_max, exclude)
+    assert np.array_equal([float(r["score"]) for r in rows], expected)
+
+
+@pytest.mark.parametrize("exclude", [False, True])
+def test_diagnose_rows_equal_exact_pipeline(exclude, capsys):
+    argv = ["diagnose", "--synthetic", "120,3", "--pairs", "64", "--k-max", "3",
+            "--seed", "4"]
+    code, out = run_cli(argv + (["--exclude-endpoints"] if exclude else []), capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    g = sample_ba_graph(120, 3, seed=4)
+    rng = np.random.default_rng(4)
+    pairs = []
+    while len(pairs) < 64:
+        u, v = (int(x) for x in rng.integers(0, g.n, size=2))
+        if u != v and (u, v) not in pairs and (v, u) not in pairs:
+            pairs.append((u, v))
+    feats = cn_order_features_all(g, PairBatch(np.array(pairs)), 3, exclude_endpoints=exclude)
+    raw = [f.combined for f in feats]
+    normalized = [apply_normalization(f, exact_walk_participation(
+        g, f.order, exclude_endpoints=exclude)).combined for f in feats]
+    ortho = gram_schmidt_batch(normalized, RunningState(), training=True).matrices
+    corr_raw, corr_ortho = order_correlation(raw), order_correlation(ortho)
+    expected = []
+    for a in range(3):
+        for b in range(3):
+            expected.append(("corr_raw", a + 1, b + 1, corr_raw[a, b]))
+            expected.append(("corr_ortho", a + 1, b + 1, corr_ortho[a, b]))
+    for k in range(1, 4):
+        expected.append(("cv_raw", k, None, coefficient_of_variation(raw[k - 1])))
+        expected.append(("cv_normalized", k, None, coefficient_of_variation(normalized[k - 1])))
+    expected.append(("jsd_mean_raw", None, None, np.nanmean(edge_jsd(raw[0], raw[-1]))))
+    expected.append(("jsd_mean_ortho", None, None, np.nanmean(edge_jsd(ortho[0], ortho[-1]))))
+    assert [(r["quantity"], r["a"], r["b"], r["value"]) for r in rows] == [
+        (q, "" if a is None else str(a), "" if b is None else str(b), repr(float(v)))
+        for q, a, b, v in expected]

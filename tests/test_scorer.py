@@ -1,3 +1,4 @@
+import copy
 import io
 import math
 import tracemalloc
@@ -185,3 +186,39 @@ def test_pair_features_ocnp_variant():
     assert m.shape == (2, h.shape[1])
     assert q.shape == (2, 2, h.shape[1])
     assert np.isfinite(q).all()
+
+
+def _state_snapshot(state):
+    return (state.t, dict(state.xi_hat), dict(state.psi_t),
+            {k: v.copy() for k, v in state.psi_hat.items()})
+
+
+def _same_state(a, b):
+    return (a[0] == b[0] and a[1] == b[1] and a[2] == b[2] and a[3].keys() == b[3].keys()
+            and all(np.array_equal(a[3][k], b[3][k]) for k in a[3]))
+
+
+@pytest.mark.parametrize("variant", ["ocn", "ocnp"])
+def test_model_scores_training_flag(variant):
+    g = sample_ba_graph(120, 3, seed=6)
+    split = split_edges(g, (0.7, 0.1, 0.2), seed=2)
+    features = FeatureConfig(k_max=3, feature_dim=8, variant=variant, batch_size=32)
+    result = train_model(split, TrainConfig(features=features, epochs=1,
+                                            steps_per_epoch=10, seed=2))
+    model, h, pairs = result.model, result.h, split.test.pairs
+    before = _state_snapshot(result.state)
+
+    model_scores(split.train_graph, pairs, model, result.state, h, features)
+    assert _same_state(_state_snapshot(result.state), before)
+
+    scored, featured = copy.deepcopy(result.state), copy.deepcopy(result.state)
+    logits = model_scores(split.train_graph, pairs, model, scored, h, features,
+                          training=True)
+    m, q = pair_features(split.train_graph, pairs, h, features, featured, training=True)
+    z = m + np.tensordot(model.alpha, q, axes=(0, 0))
+    assert np.array_equal(logits, z @ model.head_w + model.head_b)
+    assert _same_state(_state_snapshot(scored), _state_snapshot(featured))
+    batches = -(-len(pairs) // features.batch_size)
+    assert batches > 1
+    assert scored.t == before[0] + (batches if variant == "ocn" else 0)
+    assert all(scored.psi_t[k] == before[2][k] + batches for k in range(1, 4))
