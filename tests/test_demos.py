@@ -1,9 +1,9 @@
 """Smoke test of the walkthroughs in ``demos/``: each runs to exit 0.
 
 Demos 01-03 call the feature pipeline, the orthogonalizer and the trainer,
-so a refactor that breaks a walkthrough fails here. Demo 04 (the theory
-lab) is left out: it takes about 17 s and calls only the latent-model
-bounds and their Monte-Carlo validation, which test_theory covers.
+and demo 04 the latent-model bounds and their Monte-Carlo validation, so a
+refactor that breaks a walkthrough fails here. Demo 04 is the slowest, at
+about 6 s.
 """
 
 import os
@@ -20,7 +20,8 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 @pytest.mark.parametrize("name", ["01_features_and_heuristics.py",
                                   "02_orthogonalization.py",
-                                  "03_train_and_evaluate.py"])
+                                  "03_train_and_evaluate.py",
+                                  "04_theory_lab.py"])
 def test_demo_runs(name):
     src = str(Path(hocn.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 import scipy.special as spfn
 
-from hocn import (BoundDomainError, BoundInputs, InputError,
+from hocn import (BoundDomainError, BoundInputs, Graph, InputError,
                   LatentModelParams, ba_bound_normalized,
                   ba_bound_unnormalized, bound_normalized,
-                  bound_unnormalized, count_paths, degree_expectation_ba,
-                  lambert_w, log_double_factorial_ratio, sample_ba_graph,
+                  bound_unnormalized, cn_set, count_paths,
+                  degree_expectation_ba, lambert_w,
+                  log_double_factorial_ratio, sample_ba_graph,
                   sample_latent_graph, sample_latent_model, torus_distances,
                   unit_ball_volume, validate_bound)
+from hocn.theory import _walk_counts_2k
 
 from conftest import random_graph
 
@@ -227,3 +229,84 @@ def test_validate_bound_requires_trials():
     params = LatentModelParams(n=40, dim=2, radius=0.3, seed=0)
     with pytest.raises(InputError):
         validate_bound("latent", params, "unnormalized", 1, 0.1, 10, 0)
+
+
+def test_walk_counts_match_matrix_power():
+    cases = [random_graph(12, 0.3, seed=2), random_graph(20, 0.1, seed=5),
+             random_graph(15, 0.6, seed=1), Graph.from_edges(7, [])]
+    assert (cases[1].degrees == 0).any()  # isolated nodes
+    for g in cases:
+        adj = g.to_scipy().toarray()
+        for k in range(4):
+            assert np.array_equal(_walk_counts_2k(g, k),
+                                  np.linalg.matrix_power(adj, 2 * k)), (g.n, k)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_latent_graph_equals_graph_from_triu_edges(dim):
+    for radius in (0.05, 0.2, 1e-9):
+        sample = sample_latent_model(
+            LatentModelParams(n=80, dim=dim, radius=radius, seed=dim))
+        iu, iv = np.triu_indices(80, k=1)
+        keep = sample.distances[iu, iv] <= radius
+        want = Graph.from_edges(80, np.stack([iu[keep], iv[keep]], axis=1))
+        got = sample.graph
+        for name in ("indptr", "indices", "degrees"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (dim, radius, name)
+    assert got.num_edges == 0  # the last radius links no pair
+
+
+def test_torus_distances_match_broadcast_reference():
+    rng = np.random.default_rng(0)
+    for dim in range(1, 13):
+        pos = rng.random((40, dim))
+        pos[0] = 0.999  # a point whose nearest copies wrap around
+        diff = np.abs(pos[:, None, :] - pos[None, :, :])
+        diff = np.minimum(diff, 1.0 - diff)
+        want = np.sqrt((diff ** 2).sum(axis=-1))
+        got = torus_distances(pos)
+        if dim <= 7:
+            assert np.array_equal(got, want), dim
+        else:
+            assert np.all(np.abs(got - want) <= 4e-16 * want), dim
+
+
+def _reference_normalized_trial(params, k, delta, seed):
+    """One normalized latent trial with the pair set recomputed per split."""
+    sample = sample_latent_model(LatentModelParams(
+        n=params.n, dim=params.dim, radius=params.radius, seed=seed))
+    g = sample.graph
+    walks = np.linalg.matrix_power(g.to_scipy().toarray(), 2 * k)
+    iu, iv = np.triu_indices(g.n, k=1)
+    eligible = np.nonzero(walks[iu, iv] > 0)[0]
+    if eligible.size == 0:
+        return None
+    pick = int(eligible[np.random.default_rng(seed + 1).integers(0, eligible.size)])
+    i, j = int(iu[pick]), int(iv[pick])
+    best = None
+    for split in range(1, 2 * k):
+        members = cn_set(g, i, j, k, exclude_endpoints=True)
+        zeta = max(int(max((g.degrees[c] for c in members), default=2)), 2)
+        result = bound_normalized(BoundInputs(
+            n=params.n, delta=delta, k=k, dim=params.dim,
+            r_sum=(split - 1) * params.radius,
+            r_m_max=(2 * k - split) * params.radius, eta_2k=float(walks[i, j]),
+            zeta=zeta, rho=0.5 ** (1.0 / (params.dim * (k - 1)))))
+        if not result.vacuous and (best is None or result.value > best):
+            best = result.value
+    return None if best is None else best - float(sample.distances[i, j])
+
+
+def test_validate_bound_normalized_matches_per_split_reference():
+    # about one trial in ten gives a non-vacuous bound
+    params = LatentModelParams(n=100, dim=2, radius=0.35, seed=0)
+    report = validate_bound("latent", params, "normalized", k=2, delta=0.1,
+                            trials=100, seed=5)
+    slacks = [_reference_normalized_trial(params, 2, 0.1, 5 + 1000 * t)
+              for t in range(100)]
+    valid = [s for s in slacks if s is not None]
+    assert valid
+    assert report.eligible == len(valid)
+    assert report.violations == sum(1 for s in valid if s < 0)
+    assert report.mean_slack == float(np.mean(valid))
