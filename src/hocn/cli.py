@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -172,8 +173,10 @@ def cmd_prepare(args) -> int:
 
 
 def _structural_scores(g: Graph, pairs: np.ndarray, args) -> np.ndarray:
-    """Row sums of per-order absolute basis matrices, unscaled, with the
-    running statistics accumulated over the scored pairs."""
+    """Row sums of per-order absolute basis matrices, with the running
+    statistics accumulated over the scored pairs. Gram-Schmidt rows are
+    rescaled by sqrt(batch size), as in ``scoring.pair_features``, so a
+    score does not depend on the size of the batch its pair falls in."""
     cfg = _feature_config(args)
     state = RunningState()
     scores = np.zeros(pairs.shape[0])
@@ -181,7 +184,8 @@ def _structural_scores(g: Graph, pairs: np.ndarray, args) -> np.ndarray:
         chunk = PairBatch(pairs[start:start + cfg.batch_size])
         _, normalized = batch_features(g, chunk, cfg, state, training=True)
         mats = basis_matrices(g, normalized, cfg, state, training=True)
-        rowsum = sum(np.asarray(np.abs(m).sum(axis=1)).ravel() for m in mats)
+        scale = math.sqrt(len(chunk)) if cfg.variant == "ocn" else 1.0
+        rowsum = scale * sum(np.asarray(np.abs(m).sum(axis=1)).ravel() for m in mats)
         scores[start:start + len(chunk)] = rowsum
     return scores
 
@@ -348,6 +352,10 @@ def cmd_theory(args) -> int:
              repr(report.violation_fraction), repr(report.mean_slack))]
     emit(args, ("model", "bound", "k", "delta", "trials", "eligible",
                 "violations", "violation_fraction", "mean_slack"), rows)
+    if report.eligible == 0:
+        print(f"warning: eligible=0: none of the {report.trials} trials gave a usable bound, "
+              "so nothing was checked; for --model latent a larger --radius makes the graph "
+              "denser (the README example uses --radius 0.15)", file=sys.stderr)
     return 0
 
 

@@ -6,10 +6,14 @@ of (k1 + k2)-length u-v walks through c. The three slices (k, k), (k-1, k)
 and (k, k-1) cover lengths 2k and 2k-1; their sum is the combined count
 vector for the pair.
 
-Every matrix is a (batch, n) scipy CSR matrix. Walk rows A^l[u] come from
-repeated sparse row-times-adjacency products and are computed once per
-sub-chunk of the batch for all orders, so computing features allocates no
-batch x n dense storage. Row A^l[u] stores at most min((A^l 1)[u], n)
+Every matrix is a (batch, n) scipy CSR matrix in canonical format: each
+row's column indices are sorted and unique. So a pair's row, stored order
+included, is the same whichever other pairs share its batch. Walk rows
+A^l[u] come from repeated sparse row-times-adjacency products and are
+computed once per sub-chunk of the batch for all orders, so computing
+features allocates no batch x n dense storage. They are left unsorted; each
+slice product is sorted instead, since it is far smaller than the A^k rows
+it comes from. Row A^l[u] stores at most min((A^l 1)[u], n)
 entries; summed over l = 0..K and both endpoints, that bound sizes each
 sub-chunk's walk rows. Sub-chunks run on ``_WORKERS`` threads (scipy's
 sparse kernels release the GIL) and share ``_NNZ_BUDGET`` entries between
@@ -46,7 +50,8 @@ class OrderFeatures:
     """Per-order count matrices for one batch of pairs.
 
     ``slices`` maps (k1, k2) -> (h, n) CSR matrix, ``combined`` is their
-    elementwise sum, also CSR.
+    elementwise sum, also CSR. Every matrix is canonical (sorted, unique
+    column indices per row), and ``scale_columns`` keeps it so.
     """
 
     order: int
@@ -58,6 +63,12 @@ class OrderFeatures:
     def batch_size(self) -> int:
         return self.pairs.shape[0]
 
+    def copy(self) -> "OrderFeatures":
+        """Copy with every matrix copied."""
+        return OrderFeatures(order=self.order, pairs=self.pairs,
+                             slices={key: m.copy() for key, m in self.slices.items()},
+                             combined=self.combined.copy())
+
     def scale_columns(self, weights: np.ndarray) -> "OrderFeatures":
         """Copy with column c of every matrix multiplied by weights[c];
         entries whose weight is 0 are dropped."""
@@ -68,8 +79,9 @@ class OrderFeatures:
 
 
 def _scale_columns(mat: sp.csr_matrix, weights: np.ndarray) -> sp.csr_matrix:
-    # The index arrays are copied: scipy sorts, sums and prunes them in place,
-    # and the scaled matrix must not rewrite the raw one.
+    # The index arrays are copied: eliminate_zeros prunes them in place, and
+    # the scaled matrix must not rewrite the raw one. The input is canonical,
+    # so nothing else rewrites them.
     out = sp.csr_matrix((mat.data * weights[mat.indices], mat.indices.copy(),
                          mat.indptr.copy()), shape=mat.shape)
     out.eliminate_zeros()
@@ -163,12 +175,6 @@ def _slice_keys(k: int) -> tuple[tuple[int, int], ...]:
     return (k, k), (k - 1, k), (k, k - 1)
 
 
-def _combine(k: int, slices: dict) -> sp.csr_matrix:
-    combined = (slices[(k, k)] + slices[(k - 1, k)] + slices[(k, k - 1)]).tocsr()
-    combined.eliminate_zeros()
-    return combined
-
-
 def cn_order_features(g: Graph, batch: PairBatch, k: int,
                       exclude_endpoints: bool = False,
                       walks: tuple[WalkRows, WalkRows] | None = None) -> OrderFeatures:
@@ -178,16 +184,19 @@ def cn_order_features(g: Graph, batch: PairBatch, k: int,
     mat-vec products per endpoint. ``walks`` holds the source and target
     rows that ``cn_order_features_all`` shares across orders.
     ``exclude_endpoints`` zeroes the two endpoint columns of each batch row
-    (classic-CN convention).
+    (classic-CN convention). Each slice is sorted as it is formed, so every
+    returned matrix is canonical CSR and ``combined`` is their sorted merge.
     """
     if k < 1:
         raise ConfigError(f"order must be >= 1, got {k}")
     ru, rv = _endpoint_walks(g.to_scipy(), batch.pairs) if walks is None else walks
     slices = {(k1, k2): ru.power(k1).multiply(rv.power(k2)).tocsr() for k1, k2 in _slice_keys(k)}
-    if exclude_endpoints:
-        for mat in slices.values():
+    for mat in slices.values():
+        mat.sort_indices()
+        if exclude_endpoints:
             _zero_endpoint_columns(mat, batch.pairs)
-    return OrderFeatures(order=k, pairs=batch.pairs, slices=slices, combined=_combine(k, slices))
+    combined = slices[(k, k)] + slices[(k - 1, k)] + slices[(k, k - 1)]
+    return OrderFeatures(order=k, pairs=batch.pairs, slices=slices, combined=combined)
 
 
 def cn_order_features_all(g: Graph, batch: PairBatch, k_max: int,
@@ -197,65 +206,42 @@ def cn_order_features_all(g: Graph, batch: PairBatch, k_max: int,
     The batch is walked in consecutive sub-chunks of pairs (see
     ``_sub_chunks``), ``_WORKERS`` at a time on a thread pool; each
     sub-chunk's walk rows serve all orders and are dropped when its orders
-    are done. The result is identical, down to the stored order of every
-    row, to computing the whole batch at once.
+    are done. Every matrix is canonical CSR, so a pair's row, stored order
+    included, does not depend on the other pairs of its batch and the
+    sub-chunks' matrices are stacked as they are.
     """
     adj = g.to_scipy()
     cuts = _sub_chunks(adj, batch.pairs, k_max)
     if len(cuts) == 2:
-        return _orders(g, adj, batch, k_max, exclude_endpoints)[0]
+        return _orders(g, adj, batch, k_max, exclude_endpoints)
 
-    def chunk(start: int, stop: int) -> tuple[list[dict], np.ndarray]:
-        feats, sorted_walks = _orders(g, adj, PairBatch(batch.pairs[start:stop]), k_max,
-                                      exclude_endpoints)
-        return [f.slices for f in feats], sorted_walks
+    def chunk(start: int, stop: int) -> list[OrderFeatures]:
+        return _orders(g, adj, PairBatch(batch.pairs[start:stop]), k_max, exclude_endpoints)
 
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-        chunks = list(pool.map(chunk, cuts[:-1], cuts[1:]))
-    whole = np.logical_and.reduce([sorted_walks for _, sorted_walks in chunks])
-    return [_stack(batch, k, chunks, whole) for k in range(1, k_max + 1)]
+        # Copied here as they arrive, the parts sit in this thread's heap,
+        # which later stages reuse once the parts are stacked and freed. Left
+        # in the workers' heaps, they raised the peak RSS of 16,384-pair K=3
+        # batches of BA(100k, 3) by about 3%.
+        chunks = [[f.copy() for f in feats] for feats in pool.map(chunk, cuts[:-1], cuts[1:])]
+    feats = []
+    for k in range(1, k_max + 1):
+        # Popping each sub-chunk's order k frees it once it is stacked.
+        parts = [chunk_feats.pop(0) for chunk_feats in chunks]
+        slices = {key: sp.vstack([p.slices[key] for p in parts], format="csr")
+                  for key in _slice_keys(k)}
+        feats.append(OrderFeatures(order=k, pairs=batch.pairs, slices=slices,
+                                   combined=sp.vstack([p.combined for p in parts],
+                                                      format="csr")))
+    return feats
 
 
 def _orders(g: Graph, adj: sp.csr_matrix, batch: PairBatch, k_max: int,
-            exclude_endpoints: bool) -> tuple[list[OrderFeatures], np.ndarray]:
-    """Orders 1..k_max from one set of walk rows, released on return, and
-    whether each walk-row matrix A^l (row 0 sources, row 1 targets) has
-    every row sorted."""
-    ru, rv = _endpoint_walks(adj, batch.pairs)
-    feats = [cn_order_features(g, batch, k, exclude_endpoints, (ru, rv))
-             for k in range(1, k_max + 1)]
-    sorted_walks = np.array([[w.power(l).has_canonical_format for l in range(k_max + 1)]
-                             for w in (ru, rv)])
-    return feats, sorted_walks
-
-
-def _stack(batch: PairBatch, k: int, chunks: list, whole: np.ndarray) -> OrderFeatures:
-    """Order k of the whole batch from its sub-chunks' slices.
-
-    scipy multiplies two CSR matrices by a sorted merge when every row of
-    both is sorted, and otherwise emits each row's columns in the reverse of
-    the left operand's order. A sub-chunk whose walk rows are all sorted
-    while the whole batch's are not got ascending rows where the whole batch
-    gets descending ones, so its rows are reversed. ``combined`` is summed
-    over the stacked slices, since the same choice applies to sums.
-    """
-    slices = {}
-    for k1, k2 in _slice_keys(k):
-        parts = []
-        for chunk_slices, sorted_walks in chunks:
-            mat = chunk_slices[k - 1][(k1, k2)]
-            merged = sorted_walks[0, k1] and sorted_walks[1, k2]
-            parts.append(_reverse_rows(mat) if merged and not (whole[0, k1] and whole[1, k2])
-                         else mat)
-        slices[(k1, k2)] = sp.vstack(parts, format="csr")
-    return OrderFeatures(order=k, pairs=batch.pairs, slices=slices, combined=_combine(k, slices))
-
-
-def _reverse_rows(mat: sp.csr_matrix) -> sp.csr_matrix:
-    """``mat`` with the stored entries of every row in reverse order."""
-    row = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    perm = mat.indptr[row] + mat.indptr[row + 1] - 1 - np.arange(mat.nnz)
-    return sp.csr_matrix((mat.data[perm], mat.indices[perm], mat.indptr), shape=mat.shape)
+            exclude_endpoints: bool) -> list[OrderFeatures]:
+    """Orders 1..k_max from one set of walk rows, released on return."""
+    walks = _endpoint_walks(adj, batch.pairs)
+    return [cn_order_features(g, batch, k, exclude_endpoints, walks)
+            for k in range(1, k_max + 1)]
 
 
 def cn_set(g: Graph, i: int, j: int, k: int,

@@ -30,8 +30,9 @@ def frobenius_inner(a, b) -> float:
 
 
 def frobenius_norm(a) -> float:
-    """Frobenius norm from the stored values (a sparse ``a`` must hold no
-    duplicate entries, as scipy's own arithmetic guarantees)."""
+    """Frobenius norm from the stored values. A sparse ``a`` must hold no
+    duplicate entries: feature matrices are canonical CSR (see
+    ``hocn.features``), and scipy's sums and scalings of them stay so."""
     data = a.tocsr().data if sp.issparse(a) else np.asarray(a).ravel()
     return float(np.sqrt(np.dot(data, data)))
 

@@ -193,6 +193,16 @@ def test_theory_validate_latent(capsys):
     assert float(row["violation_fraction"]) <= 0.1
 
 
+def test_theory_validate_warns_when_nothing_is_checked(capsys):
+    # At the default radius every latent trial's bound is vacuous.
+    code = main(["theory", "--mode", "validate", "--trials", "100"])
+    captured = capsys.readouterr()
+    assert code == 0
+    _, rows = parse_csv(captured.out)
+    assert int(rows[0]["eligible"]) == 0
+    assert "eligible=0" in captured.err and "--radius" in captured.err
+
+
 def test_bench_emits_fit(capsys):
     code, out = run_cli(["bench", "--nodes", "2000",
                          "--batch-sizes", "64,128,256",
@@ -278,7 +288,8 @@ def _structural_scores_reference(g, pairs, variant, k_max, exclude):
                 for f in normalized]
         else:
             mats = gram_schmidt_batch(normalized, state, training=True).matrices
-        scores[start:start + len(chunk)] = sum(
+        scale = np.sqrt(len(chunk)) if variant == "ocn" else 1.0
+        scores[start:start + len(chunk)] = scale * sum(
             np.asarray(np.abs(m).sum(axis=1)).ravel() for m in mats)
     return scores
 
@@ -306,6 +317,20 @@ def test_structural_scores_equal_step_by_step_pipeline(large_edge_file, kind, k_
     expected = _structural_scores_reference(split.train_graph, split.train.pairs,
                                             kind, k_max, exclude)
     assert np.array_equal([float(r["score"]) for r in rows], expected)
+
+
+def test_ocn_score_does_not_shrink_with_batch_size(large_edge_file, capsys):
+    # With K=1 a score is the pair's order-1 row term. The train split has
+    # 2070 pairs: one batch of 2048 and one of 22.
+    code, out = run_cli(["score", "--input", large_edge_file, "--kind", "ocn",
+                         "--split", "train", "--k-max", "1", "--seed", "2"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    batch_size = FeatureConfig().batch_size
+    scores = np.array([float(r["score"]) for r in rows])
+    assert len(scores) - batch_size == 22
+    large, small = scores[:batch_size].mean(), scores[batch_size:].mean()
+    assert 1 / 3 < small / large < 3, (large, small)
 
 
 @pytest.mark.parametrize("exclude", [False, True])

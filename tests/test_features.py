@@ -196,6 +196,24 @@ def test_sub_chunks_keep_row_order_of_whole_batch(monkeypatch, pairs, scale, exc
         _assert_same_csr(chunked, whole, pairs)
 
 
+@pytest.mark.parametrize("k_max", [1, 2, 3])
+@pytest.mark.parametrize("exclude", [False, True])
+def test_pair_row_does_not_depend_on_batch(k_max, exclude):
+    g = sample_ba_graph(1000, 2, seed=0)
+    pairs = np.random.default_rng(k_max).choice(g.n, size=(200, 2), replace=False)
+    batch = cn_order_features_all(g, batch_of(pairs), k_max, exclude_endpoints=exclude)
+    for x, pair in enumerate(pairs):
+        alone = cn_order_features_all(g, batch_of([pair]), k_max, exclude_endpoints=exclude)
+        for in_batch, single in zip(batch, alone):
+            for key in (*in_batch.slices, "combined"):
+                a = in_batch.combined if key == "combined" else in_batch.slices[key]
+                b = single.combined if key == "combined" else single.slices[key]
+                assert a.has_canonical_format and b.has_canonical_format
+                row = slice(a.indptr[x], a.indptr[x + 1])
+                assert np.array_equal(a.indices[row], b.indices), (pair, in_batch.order, key)
+                assert np.array_equal(a.data[row], b.data), (pair, in_batch.order, key)
+
+
 def test_sub_chunks_bound_peak_memory_on_hub_batch(monkeypatch):
     g = sample_ba_graph(20000, 3, seed=0)
     pairs = _hub_pairs(g, 800)
