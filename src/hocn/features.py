@@ -63,12 +63,6 @@ class OrderFeatures:
     def batch_size(self) -> int:
         return self.pairs.shape[0]
 
-    def copy(self) -> "OrderFeatures":
-        """Copy with every matrix copied."""
-        return OrderFeatures(order=self.order, pairs=self.pairs,
-                             slices={key: m.copy() for key, m in self.slices.items()},
-                             combined=self.combined.copy())
-
     def scale_columns(self, weights: np.ndarray) -> "OrderFeatures":
         """Copy with column c of every matrix multiplied by weights[c];
         entries whose weight is 0 are dropped."""
@@ -219,11 +213,11 @@ def cn_order_features_all(g: Graph, batch: PairBatch, k_max: int,
         return _orders(g, adj, PairBatch(batch.pairs[start:stop]), k_max, exclude_endpoints)
 
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-        # Copied here as they arrive, the parts sit in this thread's heap,
-        # which later stages reuse once the parts are stacked and freed. Left
-        # in the workers' heaps, they raised the peak RSS of 16,384-pair K=3
-        # batches of BA(100k, 3) by about 3%.
-        chunks = [[f.copy() for f in feats] for feats in pool.map(chunk, cuts[:-1], cuts[1:])]
+        # The parts are stacked where the workers built them. Copying them
+        # into this thread as they arrive made the peak RSS of a 16,384-pair
+        # K=3 batch of BA(100k, 3) swing by about 50 MB with the threads'
+        # timing.
+        chunks = list(pool.map(chunk, cuts[:-1], cuts[1:]))
     feats = []
     for k in range(1, k_max + 1):
         # Popping each sub-chunk's order k frees it once it is stacked.
