@@ -11,10 +11,15 @@ two stages in ``hocn.scoring``: ``batch_features`` (per-order CN features
 normalized by walk participation) and ``basis_matrices`` (Gram-Schmidt or
 the polynomial filter).
 
+Every subcommand takes ``--seed``, ``--config``, ``--json`` and ``--output``;
+any other flag belongs only to the subcommands that read it. eval takes the
+feature settings (orders, depth, variant, endpoint exclusion) from the model
+file that train wrote, and the frozen running statistics from ``--state``.
+
 Outputs are CSV with a commented header carrying version, seed, and the
 effective configuration; ``--json`` mirrors the same rows as a JSON array.
-Config files are plain key=value lines; explicit flags win. Exit codes:
-0 ok, 1 runtime failure, 2 usage error.
+Config files are plain key=value lines naming flags of the subcommand;
+explicit flags win. Exit codes: 0 ok, 1 runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -146,8 +151,9 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
 
 
 def _feature_config(args, **fields) -> FeatureConfig:
-    """Pipeline settings from the common flags; ``fields`` override them."""
-    return FeatureConfig(**{"k_max": args.k_max, "variant": args.variant,
+    """Pipeline settings from --k-max, --exclude-endpoints and --seed;
+    ``fields`` override them."""
+    return FeatureConfig(**{"k_max": args.k_max,
                             "exclude_endpoints": args.exclude_endpoints,
                             "seed": args.seed, **fields})
 
@@ -172,12 +178,11 @@ def cmd_prepare(args) -> int:
     return 0
 
 
-def _structural_scores(g: Graph, pairs: np.ndarray, args) -> np.ndarray:
+def _structural_scores(g: Graph, pairs: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
     """Row sums of per-order absolute basis matrices, with the running
     statistics accumulated over the scored pairs. Gram-Schmidt rows are
     rescaled by sqrt(batch size), as in ``scoring.pair_features``, so a
     score does not depend on the size of the batch its pair falls in."""
-    cfg = _feature_config(args)
     state = RunningState()
     scores = np.zeros(pairs.shape[0])
     for start in range(0, pairs.shape[0], cfg.batch_size):
@@ -202,8 +207,8 @@ def cmd_score(args) -> int:
                                                participation=part)
                            for u, v in batch.pairs])
     elif args.kind in ("ocn", "ocnp"):
-        args.variant = args.kind
-        scores = _structural_scores(base, batch.pairs, args)
+        scores = _structural_scores(base, batch.pairs,
+                                    _feature_config(args, variant=args.kind))
     else:
         raise InputError(f"unknown score kind {args.kind!r}")
     rows = [(int(u), int(v), repr(float(s)))
@@ -214,10 +219,9 @@ def cmd_score(args) -> int:
 
 def cmd_train(args) -> int:
     g, split = _load_split(args)
-    tc = TrainConfig(features=_feature_config(args),
+    tc = TrainConfig(features=_feature_config(args, variant=args.variant),
                      learning_rate=float(args.learning_rate),
-                     epochs=int(args.epochs), seed=args.seed,
-                     use_valid_as_input=args.use_valid_as_input)
+                     epochs=int(args.epochs), seed=args.seed)
     result = train_model(split, tc)
     with open(args.model_out, "w") as fh:
         result.model.save(fh)
@@ -230,6 +234,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.kind == "model" and not (args.model and args.state):
+        raise InputError("--kind model needs --model and --state, the files that "
+                         "train writes with --model-out and --state-out")
     g, split = _load_split(args)
     base = merged_graph(split, args.use_valid_as_input)
     batch = getattr(split, args.split)
@@ -241,22 +248,15 @@ def cmd_eval(args) -> int:
     if args.kind in ("cn", "aa", "ra"):
         score_fn = lambda pairs: heuristic_scores(base, pairs, args.kind)
     elif args.kind == "model":
-        if not args.model:
-            raise InputError("--model is required with --kind model")
         with open(args.model) as fh:
             model = ScoreModel.load(fh)
-        if args.state:
-            with open(args.state) as fh:
-                state = RunningState.load(fh)
-        else:
-            state = RunningState()
-        fc = _feature_config(args, k_max=model.k_max, depth=model.depth,
-                             variant=model.variant)
+        with open(args.state) as fh:
+            state = RunningState.load(fh)
+        fc = FeatureConfig(k_max=model.k_max, depth=model.depth, variant=model.variant,
+                           exclude_endpoints=model.exclude_endpoints, seed=args.seed)
         x = default_node_features(base, dim=fc.feature_dim, seed=fc.seed)
         h = propagate_features(base, x, fc.depth)
-        # no saved running statistics: let them accumulate over the scored pairs
-        score_fn = lambda pairs: model_scores(base, pairs, model, state, h, fc,
-                                              training=args.state is None)
+        score_fn = lambda pairs: model_scores(base, pairs, model, state, h, fc)
     else:
         raise InputError(f"unknown eval kind {args.kind!r}")
     report = evaluate(score_fn, batch, negatives, ks=ks, seed=args.seed)
@@ -424,38 +424,37 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--config", default=None)
-    common.add_argument("--k-max", dest="k_max", type=int, default=None)
-    common.add_argument("--variant", choices=("ocn", "ocnp"), default=None)
-    common.add_argument("--exclude-endpoints", dest="exclude_endpoints",
-                        action="store_const", const=True, default=None)
-    common.add_argument("--use-valid-as-input", dest="use_valid_as_input",
-                        action="store_const", const=True, default=None)
-    common.add_argument("--threads", type=int, default=None)
     common.add_argument("--json", action="store_const", const=True, default=None)
     common.add_argument("--output", default=None)
+
+    edges = argparse.ArgumentParser(add_help=False)
+    edges.add_argument("--input", required=True)
+    edges.add_argument("--format", default=None)
+    edges.add_argument("--ratios", default=None)
+
+    features = argparse.ArgumentParser(add_help=False)
+    features.add_argument("--k-max", dest="k_max", type=int, default=None)
+    features.add_argument("--exclude-endpoints", dest="exclude_endpoints",
+                          action="store_const", const=True, default=None)
+
+    valid_input = argparse.ArgumentParser(add_help=False)
+    valid_input.add_argument("--use-valid-as-input", dest="use_valid_as_input",
+                             action="store_const", const=True, default=None)
 
     parser = argparse.ArgumentParser(prog="hocn")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prepare", parents=[common])
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", default=None)
-    p.add_argument("--ratios", default=None)
+    p = sub.add_parser("prepare", parents=[common, edges])
     p.set_defaults(func=cmd_prepare)
 
-    p = sub.add_parser("score", parents=[common])
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", default=None)
-    p.add_argument("--ratios", default=None)
+    p = sub.add_parser("score", parents=[common, edges, features, valid_input])
     p.add_argument("--split", choices=("train", "valid", "test"), default="test")
     p.add_argument("--kind", default="cn",
                    choices=("cn", "aa", "ra", "normalized-cn", "ocn", "ocnp"))
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("train", parents=[common])
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", default=None)
-    p.add_argument("--ratios", default=None)
+    p = sub.add_parser("train", parents=[common, edges, features])
+    p.add_argument("--variant", choices=("ocn", "ocnp"), default=None)
     p.add_argument("--epochs", type=int, default=4)
     p.add_argument("--learning-rate", dest="learning_rate", type=float,
                    default=0.5)
@@ -463,10 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state-out", dest="state_out", default=None)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", parents=[common])
-    p.add_argument("--input", required=True)
-    p.add_argument("--format", default=None)
-    p.add_argument("--ratios", default=None)
+    p = sub.add_parser("eval", parents=[common, edges, valid_input])
     p.add_argument("--split", choices=("train", "valid", "test"), default="test")
     p.add_argument("--kind", default="cn", choices=("cn", "aa", "ra", "model"))
     p.add_argument("--model", default=None)
@@ -475,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ks", default="20,50,100")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("diagnose", parents=[common])
+    p = sub.add_parser("diagnose", parents=[common, features])
     p.add_argument("--input", default=None)
     p.add_argument("--format", default=None)
     p.add_argument("--synthetic", default="200,3",
@@ -484,6 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("theory", parents=[common])
+    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--mode", choices=("validate", "grid"), default="validate")
     p.add_argument("--model", choices=("latent", "ba"), default="latent")
     p.add_argument("--bound", choices=("unnormalized", "normalized"),
@@ -506,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-inner", dest="n_inner", type=int, default=4)
     p.set_defaults(func=cmd_theory)
 
-    p = sub.add_parser("bench", parents=[common])
+    p = sub.add_parser("bench", parents=[common, features])
     p.add_argument("--batch-sizes", dest="batch_sizes",
                    default="1024,4096,16384,65536")
     p.add_argument("--nodes", type=int, default=100000)

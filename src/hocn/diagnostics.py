@@ -40,20 +40,15 @@ def variation_ratio(values) -> float:
     return float(vals.std() / mean)
 
 
-def coefficient_of_variation(matrix, aggregation: str = "per-pair") -> float:
+def coefficient_of_variation(matrix) -> float:
     """Spread of common-neighbor coefficients, high means low over-smoothing.
 
-    "per-pair" takes each pair's nonzero coefficient row, measures std/mean
-    within it, and averages over pairs with at least two contributors. This
-    is the contrast between a pair's own common neighbors, the quantity that
-    collapses when high orders make every contributor look alike. "per-node"
-    instead measures std/mean of column totals across the batch.
+    Takes each pair's nonzero coefficient row, measures std/mean within it,
+    and averages over pairs with at least two contributors. This is the
+    contrast between a pair's own common neighbors, the quantity that
+    collapses when high orders make every contributor look alike.
     """
     dense = np.asarray(as_dense(matrix), dtype=np.float64)
-    if aggregation == "per-node":
-        return variation_ratio(dense.sum(axis=0))
-    if aggregation != "per-pair":
-        raise ValueError(f"unknown aggregation {aggregation!r}")
     per_row = []
     for row in np.abs(dense):
         nz = row[row > 0]
@@ -90,28 +85,3 @@ def edge_jsd(p_rows, q_rows) -> np.ndarray:
     vals = 0.5 * (kl(pt, mt) + kl(qt, mt))
     out[ok] = np.clip(vals, 0.0, LN2)
     return out
-
-
-def write_correlation_csv(stream, corr: np.ndarray) -> None:
-    stream.write("order_a,order_b,pearson\n")
-    k = corr.shape[0]
-    for a in range(k):
-        for b in range(k):
-            val = "" if np.isnan(corr[a, b]) else repr(float(corr[a, b]))
-            stream.write(f"{a + 1},{b + 1},{val}\n")
-
-
-def write_cv_csv(stream, rows) -> None:
-    """rows: iterable of (order, variant, cv)."""
-    stream.write("order,variant,cv\n")
-    for order, variant, cv in rows:
-        val = "" if np.isnan(cv) else repr(float(cv))
-        stream.write(f"{order},{variant},{val}\n")
-
-
-def write_jsd_csv(stream, before: np.ndarray, after: np.ndarray) -> None:
-    stream.write("edge_index,jsd_before,jsd_after\n")
-    for idx, (b, a) in enumerate(zip(before, after)):
-        sb = "" if np.isnan(b) else repr(float(b))
-        sa = "" if np.isnan(a) else repr(float(a))
-        stream.write(f"{idx},{sb},{sa}\n")

@@ -78,9 +78,10 @@ class Graph:
         data = np.ones(self.indices.size, dtype=np.float64)
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
-    def to_edge_list(self, stream, sep: str = "\t") -> None:
+    def to_edge_list(self, stream) -> None:
+        """Write one tab-separated ``u v`` line per edge, u < v."""
         for u, v in self.edge_array():
-            stream.write(f"{u}{sep}{v}\n")
+            stream.write(f"{u}\t{v}\n")
 
 
 def hop_distances(g: Graph, source: int, cutoff: int | None = None) -> np.ndarray:
@@ -98,10 +99,11 @@ def hop_distances(g: Graph, source: int, cutoff: int | None = None) -> np.ndarra
 
 @dataclass(frozen=True)
 class PairBatch:
-    """Ordered batch of (source, target) node pairs with optional 0/1 labels."""
+    """Ordered, non-empty batch of (source, target) node pairs as an (h, 2)
+    int64 array, no pair with identical endpoints. Whether a pair is a
+    positive or a negative is up to the caller, which keeps the two apart."""
 
     pairs: np.ndarray
-    labels: np.ndarray | None = None
 
     def __post_init__(self):
         pairs = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
@@ -110,11 +112,6 @@ class PairBatch:
             raise InputError("empty pair batch")
         if (pairs[:, 0] == pairs[:, 1]).any():
             raise InputError("pair with identical endpoints")
-        if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
-            if labels.shape[0] != pairs.shape[0]:
-                raise InputError("labels length does not match pairs")
-            object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return self.pairs.shape[0]
@@ -306,4 +303,4 @@ def sample_negatives(g: Graph, count: int, seed: int, exclude=()) -> PairBatch:
             chosen_set.add(key)
             chosen_list.append(key)
         chosen = np.array(chosen_list, dtype=np.int64)
-    return PairBatch(chosen, labels=np.zeros(len(chosen), dtype=np.int64))
+    return PairBatch(chosen)

@@ -21,12 +21,6 @@ class EvalReport:
     n_neg: int
     seed: int = 0
 
-    def write_csv(self, stream) -> None:
-        stream.write("metric,K,value,n_pos,n_neg,seed\n")
-        for k in sorted(self.hits):
-            stream.write(f"hits,{k},{self.hits[k]!r},{self.n_pos},{self.n_neg},{self.seed}\n")
-        stream.write(f"mrr,,{self.mrr!r},{self.n_pos},{self.n_neg},{self.seed}\n")
-
 
 def hits_at_k(pos_scores, neg_scores, k: int) -> float:
     """Fraction of positives strictly above the K-th highest negative score."""

@@ -40,11 +40,6 @@ class ParticipationCounts:
     counts: np.ndarray
     mode: str
 
-    def write_csv(self, stream) -> None:
-        stream.write("node,k,count,mode\n")
-        for node, value in enumerate(self.counts):
-            stream.write(f"{node},{self.order},{value!r},{self.mode}\n")
-
 
 def _walk_diagonals(adj, max_power: int) -> np.ndarray:
     """diag(A^p) for p = 0..max_power, one row per p, from the walk rows of
@@ -125,16 +120,15 @@ def running_counts(state: RunningState, k: int) -> ParticipationCounts:
     return ParticipationCounts(order=k, counts=state.psi_hat[k], mode="running")
 
 
-def apply_normalization(feats: OrderFeatures, counts: ParticipationCounts,
-                        epsilon: float = DIVISION_EPSILON) -> OrderFeatures:
-    """Divide every feature column c by max(counts[c], epsilon).
+def apply_normalization(feats: OrderFeatures, counts: ParticipationCounts) -> OrderFeatures:
+    """Divide every feature column c by max(counts[c], DIVISION_EPSILON).
 
-    Zero entries stay zero; epsilon only guards nodes never observed in any
-    batch.
+    Zero entries stay zero; the epsilon only guards nodes never observed in
+    any batch.
     """
     if counts.order != feats.order:
         raise ConfigError(f"counts order {counts.order} != feature order {feats.order}")
-    return feats.scale_columns(1.0 / np.maximum(counts.counts, epsilon))
+    return feats.scale_columns(1.0 / np.maximum(counts.counts, DIVISION_EPSILON))
 
 
 def normalized_cn_score(g: Graph, i: int, j: int, k: int,

@@ -22,6 +22,9 @@ DEGENERATE_NORM = 1e-12
 
 FULL_GRAPH_NODE_LIMIT = 2000
 
+# Pairs per streamed row block of the full-graph Gram matrix.
+_FULL_GRAPH_ROWS = 4096
+
 
 def frobenius_inner(a, b) -> float:
     if sp.issparse(a) and sp.issparse(b):
@@ -201,7 +204,6 @@ class ExactOrthoBasis:
 
 def full_graph_orthogonalize(g: Graph, k_max: int,
                              exclude_endpoints: bool = False,
-                             batch_rows: int = 4096,
                              node_limit: int = FULL_GRAPH_NODE_LIMIT) -> ExactOrthoBasis:
     """Exact Gram-Schmidt over the batch of all unordered pairs.
 
@@ -215,8 +217,8 @@ def full_graph_orthogonalize(g: Graph, k_max: int,
                          "use the streaming orthogonalizer")
     pairs = all_pairs_batch(g.n).pairs
     gram = np.zeros((k_max, k_max))
-    for start in range(0, pairs.shape[0], batch_rows):
-        chunk = PairBatch(pairs[start:start + batch_rows])
+    for start in range(0, pairs.shape[0], _FULL_GRAPH_ROWS):
+        chunk = PairBatch(pairs[start:start + _FULL_GRAPH_ROWS])
         feats = cn_order_features_all(g, chunk, k_max,
                                       exclude_endpoints=exclude_endpoints)
         for a in range(k_max):

@@ -60,7 +60,7 @@ def heuristic_score(g: Graph, pair, kind: str, order: int = 1) -> float:
 def heuristic_scores(g: Graph, pairs: np.ndarray, kind: str) -> np.ndarray:
     """Vectorized CN/AA/RA over a (h, 2) pair array via sparse row products."""
     if kind not in ("cn", "aa", "ra"):
-        return np.array([heuristic_score(g, p, kind) for p in pairs])
+        raise ConfigError(f"unknown heuristic kind {kind!r}")
     adj = g.to_scipy()
     if kind == "cn":
         weighted = adj
@@ -119,7 +119,8 @@ def propagate_features(g: Graph, x, depth: int) -> np.ndarray:
 
 @dataclass
 class ScoreModel:
-    """Learned coefficients of the orthogonal-CN scoring form."""
+    """Learned coefficients of the orthogonal-CN scoring form, with the
+    feature settings they were trained on."""
 
     k_max: int
     alpha: np.ndarray
@@ -127,10 +128,12 @@ class ScoreModel:
     head_w: np.ndarray
     head_b: float
     variant: str = "ocn"
+    exclude_endpoints: bool = False
 
     def save(self, stream) -> None:
         stream.write(f"hocn-model v{MODEL_FORMAT_VERSION}\n")
         stream.write(f"variant {self.variant}\n")
+        stream.write(f"exclude_endpoints {int(self.exclude_endpoints)}\n")
         stream.write(f"k_max {self.k_max}\n")
         stream.write(f"depth {self.depth}\n")
         stream.write("alpha " + " ".join(repr(float(a)) for a in self.alpha) + "\n")
@@ -153,6 +156,7 @@ class ScoreModel:
             head_w=np.array([float(v) for v in fields["head_w"].split()]),
             head_b=float(fields["head_b"]),
             variant=fields.get("variant", "ocn"),
+            exclude_endpoints=bool(int(fields.get("exclude_endpoints", 0))),
         )
 
 
@@ -263,7 +267,6 @@ class TrainConfig:
     epochs: int = 4
     steps_per_epoch: int = 60
     seed: int = 0
-    use_valid_as_input: bool = False
 
 
 @dataclass
@@ -309,14 +312,15 @@ def train_model(split: SplitResult, config: TrainConfig) -> TrainResult:
             if not math.isfinite(loss):
                 raise TrainingError(
                     "training loss diverged",
-                    last_state=ScoreModel(cfg.k_max, alpha, cfg.depth,
-                                          head_w, head_b, cfg.variant))
+                    last_state=ScoreModel(cfg.k_max, alpha, cfg.depth, head_w, head_b,
+                                          cfg.variant, cfg.exclude_endpoints))
             losses.append(loss)
             alpha = alpha - config.learning_rate * g_alpha
             head_w = head_w - config.learning_rate * g_w
             head_b = head_b - config.learning_rate * g_b
     model = ScoreModel(k_max=cfg.k_max, alpha=alpha, depth=cfg.depth,
-                       head_w=head_w, head_b=float(head_b), variant=cfg.variant)
+                       head_w=head_w, head_b=float(head_b), variant=cfg.variant,
+                       exclude_endpoints=cfg.exclude_endpoints)
     return TrainResult(model=model, state=state, h=h, losses=losses)
 
 

@@ -306,8 +306,7 @@ def ba_bound_unnormalized(b: BoundInputs) -> float:
     return 2.0 * b.k * (math.log(arg) / b.steepness + _ba_shared_term(b))
 
 
-def ba_bound_normalized(b: BoundInputs, n_inner: int,
-                        branch: str = "principal") -> float:
+def ba_bound_normalized(b: BoundInputs, n_inner: int) -> float:
     """Barabasi-Albert bound after normalization (needs the Lambert W)."""
     if b.steepness <= 0.0:
         raise BoundDomainError("steepness must be > 0")
@@ -325,7 +324,7 @@ def ba_bound_normalized(b: BoundInputs, n_inner: int,
     w_arg = -r_factor * c_const ** (1.0 / (n_inner - 2))
     if w_arg < -INV_E:
         raise BoundDomainError(f"Lambert W argument {w_arg:.6g} below -1/e")
-    w_val = lambert_w(w_arg, branch=branch)
+    w_val = lambert_w(w_arg)
     inner = -w_val / r_factor
     if not 0.0 < inner < 1.0:
         raise BoundDomainError(f"inner Lambert term {inner:.6g} outside (0, 1)")
@@ -354,14 +353,6 @@ class ViolationReport:
     @property
     def violation_fraction(self) -> float:
         return self.violations / self.eligible if self.eligible else float("nan")
-
-    def write_csv(self, stream) -> None:
-        stream.write("model,bound,k,delta,trials,eligible,violations,"
-                     "violation_fraction,mean_slack,seed\n")
-        frac = "" if self.eligible == 0 else repr(self.violation_fraction)
-        stream.write(f"{self.model},{self.bound},{self.k},{self.delta},"
-                     f"{self.trials},{self.eligible},{self.violations},"
-                     f"{frac},{self.mean_slack!r},{self.seed}\n")
 
 
 def _walk_counts_2k(g: Graph, k: int) -> np.ndarray:

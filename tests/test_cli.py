@@ -7,14 +7,19 @@ emitted CSV (or JSON) is parsed back and cross-checked against the library.
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hocn.cli
 from hocn import (Graph, RunningState, ScoreModel, ba_bound_unnormalized,
-                  exact_walk_participation, heuristic_scores, load_edge_list,
-                  merged_graph, normalized_cn_score, split_edges)
+                  default_node_features, evaluate, exact_walk_participation,
+                  heuristic_scores, load_edge_list, merged_graph, model_scores,
+                  normalized_cn_score, propagate_features, sample_negatives, split_edges)
 from hocn import (FeatureConfig, PairBatch, apply_normalization, apply_polynomial_filter,
                   cn_order_features_all, coefficient_of_variation, degree_filter_argument,
                   edge_jsd, gram_schmidt_batch, order_correlation, polynomial_weights,
@@ -366,3 +371,106 @@ def test_diagnose_rows_equal_exact_pipeline(exclude, capsys):
     assert [(r["quantity"], r["a"], r["b"], r["value"]) for r in rows] == [
         (q, "" if a is None else str(a), "" if b is None else str(b), repr(float(v)))
         for q, a, b, v in expected]
+
+
+# Each (subcommand, flag) below was accepted and then ignored: the flag now
+# belongs only to the subcommands that read it.
+_REQUIRED = {"prepare": ["--input", "g.tsv"], "score": ["--input", "g.tsv"],
+             "train": ["--input", "g.tsv", "--model-out", "m.txt"],
+             "eval": ["--input", "g.tsv"], "diagnose": [], "theory": [], "bench": []}
+_FLAG_VALUES = {"--k-max": ["2"], "--variant": ["ocn"], "--threads": ["2"],
+                "--exclude-endpoints": [], "--use-valid-as-input": []}
+_UNREAD_FLAGS = [
+    ("prepare", "--k-max"), ("prepare", "--variant"), ("prepare", "--exclude-endpoints"),
+    ("prepare", "--use-valid-as-input"), ("prepare", "--threads"),
+    ("score", "--variant"), ("score", "--threads"),
+    ("train", "--use-valid-as-input"), ("train", "--threads"),
+    ("eval", "--k-max"), ("eval", "--variant"), ("eval", "--exclude-endpoints"),
+    ("eval", "--threads"),
+    ("diagnose", "--variant"), ("diagnose", "--use-valid-as-input"), ("diagnose", "--threads"),
+    ("theory", "--k-max"), ("theory", "--variant"), ("theory", "--exclude-endpoints"),
+    ("theory", "--use-valid-as-input"),
+    ("bench", "--variant"), ("bench", "--use-valid-as-input"), ("bench", "--threads"),
+]
+
+
+@pytest.mark.parametrize("command,flag", _UNREAD_FLAGS)
+def test_flag_a_subcommand_does_not_read_is_a_usage_error(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_REQUIRED[command], flag, *_FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_config_key_a_subcommand_does_not_read_is_an_error(edge_file, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("threads=2\n")
+    code = main(["score", "--input", edge_file, "--config", str(cfg)])
+    assert code == 1
+    assert "unknown config key: threads" in capsys.readouterr().err
+
+
+def test_eval_model_requires_state(edge_file, tmp_path, capsys):
+    model_path = str(tmp_path / "model.txt")
+    assert main(["train", "--input", edge_file, "--epochs", "1",
+                 "--model-out", model_path]) == 0
+    capsys.readouterr()
+    code = main(["eval", "--input", edge_file, "--kind", "model", "--model", model_path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "InputError" in captured.err and "--state" in captured.err
+    assert captured.out == ""
+
+
+def test_eval_builds_features_the_model_was_trained_on(edge_file, tmp_path, capsys):
+    model_path = str(tmp_path / "model.txt")
+    state_path = str(tmp_path / "state.csv")
+    seed = 1
+    assert main(["train", "--input", edge_file, "--epochs", "2", "--exclude-endpoints",
+                 "--model-out", model_path, "--state-out", state_path,
+                 "--seed", str(seed)]) == 0
+    capsys.readouterr()
+    code, out = run_cli(["eval", "--input", edge_file, "--kind", "model", "--model", model_path,
+                         "--state", state_path, "--seed", str(seed)], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+
+    with open(edge_file) as fh:
+        g, _ = load_edge_list(fh)
+    split = split_edges(g, (0.7, 0.1, 0.2), seed)
+    base = split.train_graph
+    exclude = [tuple(p) for p in np.concatenate(
+        [split.train.pairs, split.valid.pairs, split.test.pairs], axis=0)]
+    negatives = sample_negatives(base, max(len(split.test), 200), seed + 7, exclude=exclude)
+    with open(model_path) as fh:
+        model = ScoreModel.load(fh)
+    assert model.exclude_endpoints
+
+    def expected_rows(exclude_endpoints):
+        with open(state_path) as fh:
+            state = RunningState.load(fh)
+        cfg = FeatureConfig(k_max=model.k_max, depth=model.depth, variant=model.variant,
+                            exclude_endpoints=exclude_endpoints, seed=seed)
+        h = propagate_features(base, default_node_features(base, dim=cfg.feature_dim,
+                                                           seed=seed), cfg.depth)
+        report = evaluate(lambda pairs: model_scores(base, pairs, model, state, h, cfg),
+                          split.test, negatives, ks=(20, 50, 100))
+        return ([("hits", str(k), repr(report.hits[k])) for k in sorted(report.hits)]
+                + [("mrr", "", repr(report.mrr))])
+
+    got = [(r["metric"], r["K"], r["value"]) for r in rows]
+    assert got == expected_rows(True)
+    assert got != expected_rows(False)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(hocn.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "hocn", "theory", "--mode", "grid",
+                           "--model", "ba", "--n", "100", "--m", "3", "--eta", "16726.0",
+                           "--max-degree", "1", "--k-grid-max", "3"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    _, rows = parse_csv(proc.stdout)
+    assert [int(r["k"]) for r in rows] == [2, 3]

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -8,8 +7,6 @@ from hypothesis import strategies as st
 
 from hocn import (coefficient_of_variation, edge_jsd, order_correlation,
                   variation_ratio)
-from hocn.diagnostics import (write_correlation_csv, write_cv_csv,
-                              write_jsd_csv)
 
 LN2 = math.log(2.0)
 
@@ -49,22 +46,11 @@ def test_variation_ratio_hand_values():
     assert np.isnan(variation_ratio([1.0, -1.0]))
 
 
-def test_cv_per_node_aggregation():
-    mat = np.array([[1.0, 3.0], [0.0, 0.0]])
-    assert coefficient_of_variation(mat, aggregation="per-node") == \
-        pytest.approx(0.5)
-
-
 def test_cv_per_pair_aggregation():
     mat = np.array([[1.0, 3.0, 0.0],    # cv 0.5 over {1, 3}
                     [2.0, 2.0, 2.0],    # cv 0.0
                     [5.0, 0.0, 0.0]])   # single contributor, skipped
     assert coefficient_of_variation(mat) == pytest.approx(0.25)
-
-
-def test_cv_rejects_unknown_aggregation():
-    with pytest.raises(ValueError):
-        coefficient_of_variation(np.ones((2, 2)), aggregation="nope")
 
 
 def test_jsd_identical_rows_zero():
@@ -114,23 +100,3 @@ def test_jsd_symmetric_and_bounded(rows_p, rows_q):
     assert np.allclose(ab, ba, equal_nan=True)
     finite = ab[~np.isnan(ab)]
     assert ((finite >= 0.0) & (finite <= LN2 + 1e-12)).all()
-
-
-def test_csv_writers():
-    buf = io.StringIO()
-    write_correlation_csv(buf, np.array([[1.0, np.nan], [np.nan, 1.0]]))
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "order_a,order_b,pearson"
-    assert lines[2] == "1,2,"
-
-    buf = io.StringIO()
-    write_cv_csv(buf, [(1, "raw", 0.5), (1, "normalized", float("nan"))])
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[1] == "1,raw,0.5"
-    assert lines[2] == "1,normalized,"
-
-    buf = io.StringIO()
-    write_jsd_csv(buf, np.array([0.1, np.nan]), np.array([0.2, 0.3]))
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "edge_index,jsd_before,jsd_after"
-    assert lines[2] == "1,,0.3"

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,16 +111,3 @@ def test_evaluate_names_nonfinite_pair():
     with pytest.raises(EvaluationError) as info:
         evaluate(fn, positives, negatives, ks=(1,))
     assert "(4, 5)" in str(info.value)
-
-
-def test_report_csv_shape():
-    positives = batch_of([(0, 1), (2, 3)])
-    negatives = batch_of([(0, 3), (1, 2), (0, 2)])
-    fn = lambda pairs: pairs[:, 0] + pairs[:, 1] * 0.1
-    report = evaluate(fn, positives, negatives, ks=(1, 3), seed=2)
-    buf = io.StringIO()
-    report.write_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "metric,K,value,n_pos,n_neg,seed"
-    assert len(lines) == 4
-    assert lines[-1].startswith("mrr,")

@@ -1,4 +1,3 @@
-import io
 import tracemalloc
 from itertools import combinations
 
@@ -173,13 +172,3 @@ def test_ra_degeneracy_on_random_graphs(seed):
 def test_normalized_score_zero_without_members():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert normalized_cn_score(g, 0, 2, 1) == 0.0
-
-
-def test_participation_csv_round_trip(g4):
-    part = exact_walk_participation(g4, 1)
-    buf = io.StringIO()
-    part.write_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "node,k,count,mode"
-    assert len(lines) == g4.n + 1
-    assert lines[1].startswith("0,1,")

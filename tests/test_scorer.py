@@ -42,6 +42,11 @@ def test_vectorized_heuristics_match_scalar():
         assert np.allclose(fast, slow)
 
 
+def test_vectorized_heuristics_reject_other_kinds(g4):
+    with pytest.raises(ConfigError):
+        heuristic_scores(g4, np.array([(0, 3)]), "normalized_cn_2")
+
+
 def test_witness_ties_heuristics_but_not_order_two(witness):
     (p1, p2) = WITNESS_PAIRS
     for kind in ("cn", "aa", "ra"):
@@ -105,6 +110,20 @@ def test_model_file_round_trip():
     assert np.array_equal(loaded.alpha, model.alpha)
     assert np.array_equal(loaded.head_w, model.head_w)
     assert loaded.head_b == model.head_b
+
+
+def test_model_file_records_exclude_endpoints():
+    model = ScoreModel(k_max=1, alpha=np.array([0.5]), depth=2, head_w=np.array([1.0]),
+                       head_b=0.0, exclude_endpoints=True)
+    buf = io.StringIO()
+    model.save(buf)
+    buf.seek(0)
+    assert ScoreModel.load(buf).exclude_endpoints is True
+    # a file written before the setting was recorded: the old default
+    older = "".join(line for line in buf.getvalue().splitlines(keepends=True)
+                    if not line.startswith("exclude_endpoints"))
+    assert older != buf.getvalue()
+    assert ScoreModel.load(io.StringIO(older)).exclude_endpoints is False
 
 
 def test_model_load_rejects_garbage():
