@@ -35,8 +35,8 @@ import numpy as np
 from . import __version__
 from .diagnostics import coefficient_of_variation, edge_jsd, order_correlation
 from .errors import ConfigError, HocnError, InputError
-from .graph import (Graph, PairBatch, load_edge_list, merged_graph,
-                    sample_negatives, split_edges)
+from .graph import (Graph, PairBatch, _draw_distinct_pairs, load_edge_list,
+                    merged_graph, sample_negatives, split_edges)
 from .metrics import evaluate
 from .normalize import exact_walk_participation, normalized_cn_score
 from .ortho import RunningState
@@ -98,9 +98,9 @@ def resolve(args: argparse.Namespace) -> argparse.Namespace:
     for key, value in DEFAULTS.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, value)
-    for key in ("seed", "k_max", "threads"):
-        if hasattr(args, key):
-            setattr(args, key, int(getattr(args, key)))
+    for key in ("seed", "k_max", "threads", "negatives"):
+        if getattr(args, key, None) is not None:
+            setattr(args, key, _numbers(getattr(args, key), key, 1, error=ConfigError)[0])
     for key in _BOOL_KEYS:
         if hasattr(args, key) and not isinstance(getattr(args, key), bool):
             setattr(args, key, _parse_bool(getattr(args, key)))
@@ -143,11 +143,15 @@ def emit(args, fieldnames, rows, stream=None) -> None:
             stream.close()
 
 
-def _parse_ratios(text: str) -> tuple[float, float, float]:
-    parts = [float(p) for p in str(text).split(",")]
-    if len(parts) != 3:
-        raise InputError(f"expected three ratios, got {text!r}")
-    return tuple(parts)
+def _numbers(text, name: str, count: int | None = None, kind=int, error=InputError) -> list:
+    """Comma-separated values of ``kind``, exactly ``count`` of them if given."""
+    try:
+        values = [kind(p) for p in str(text).split(",")]
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)):
+        raise error(f"{name}: expected {count or 'a list of'} {kind.__name__}(s), got {text!r}")
+    return values
 
 
 def _feature_config(args, **fields) -> FeatureConfig:
@@ -161,7 +165,7 @@ def _feature_config(args, **fields) -> FeatureConfig:
 def _load_split(args):
     with open(args.input) as fh:
         g, _report = load_edge_list(fh, format=args.format)
-    return g, split_edges(g, _parse_ratios(args.ratios), args.seed)
+    return g, split_edges(g, _numbers(args.ratios, "ratios", 3, float), args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +244,10 @@ def cmd_eval(args) -> int:
     g, split = _load_split(args)
     base = merged_graph(split, args.use_valid_as_input)
     batch = getattr(split, args.split)
-    exclude = [tuple(p) for p in np.concatenate(
-        [split.train.pairs, split.valid.pairs, split.test.pairs], axis=0)]
-    n_neg = int(args.negatives) if args.negatives else max(len(batch), 200)
+    exclude = np.concatenate([split.train.pairs, split.valid.pairs, split.test.pairs])
+    n_neg = args.negatives or max(len(batch), 200)
     negatives = sample_negatives(base, n_neg, args.seed + 7, exclude=exclude)
-    ks = tuple(int(k) for k in str(args.ks).split(","))
+    ks = tuple(_numbers(args.ks, "--ks"))
     if args.kind in ("cn", "aa", "ra"):
         score_fn = lambda pairs: heuristic_scores(base, pairs, args.kind)
     elif args.kind == "model":
@@ -272,22 +275,13 @@ def _diagnose_graph(args) -> Graph:
         with open(args.input) as fh:
             g, _ = load_edge_list(fh, format=args.format)
         return g
-    n, m = (int(x) for x in str(args.synthetic).split(","))
+    n, m = _numbers(args.synthetic, "--synthetic", 2)
     return sample_ba_graph(n, m, seed=args.seed)
 
 
 def cmd_diagnose(args) -> int:
     g = _diagnose_graph(args)
-    rng = np.random.default_rng(args.seed)
-    pairs = []
-    seen = set()
-    while len(pairs) < int(args.pairs):
-        u, v = (int(x) for x in rng.integers(0, g.n, size=2))
-        if u == v or (u, v) in seen or (v, u) in seen:
-            continue
-        seen.add((u, v))
-        pairs.append((u, v))
-    batch = PairBatch(np.array(pairs))
+    batch = PairBatch(_draw_distinct_pairs(g.n, args.pairs, args.seed))
     cfg = _feature_config(args, variant="ocn")
     participation = [exact_walk_participation(g, k, exclude_endpoints=args.exclude_endpoints)
                      for k in range(1, args.k_max + 1)]
@@ -367,7 +361,7 @@ def _r_squared(t: np.ndarray, y: np.ndarray, fit: np.ndarray) -> float:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in str(args.batch_sizes).split(",")]
+    sizes = _numbers(args.batch_sizes, "--batch-sizes")
     g = sample_ba_graph(int(args.nodes), 3, seed=args.seed)
     rng = np.random.default_rng(args.seed + 1)
 

@@ -259,48 +259,45 @@ def merged_graph(split: SplitResult, use_valid_as_input: bool) -> Graph:
     return Graph.from_edges(split.train_graph.n, edges)
 
 
-def sample_negatives(g: Graph, count: int, seed: int, exclude=()) -> PairBatch:
-    """Uniformly sample ``count`` distinct non-adjacent unordered pairs.
+def _draw_distinct_pairs(n: int, count: int, seed: int, forbidden=()) -> np.ndarray:
+    """(count, 2) distinct pairs u < v of nodes in [0, n), uniform over those
+    whose key u*n+v is not in the sorted ``forbidden``, in first-draw order.
+    Draws come in blocks, which take the same stream from
+    ``default_rng(seed)`` as one ``integers(0, n)`` call per endpoint."""
+    taken = np.asarray(forbidden, dtype=np.int64)
+    available = n * (n - 1) // 2 - taken.size
+    if count > available:
+        raise SamplingError(f"requested {count} distinct pairs, only {available} available")
+    rng = np.random.default_rng(seed)
+    keys = np.zeros(0, dtype=np.int64)
+    while keys.size < count:
+        # A draw yields a new pair with probability 2 * (available - keys.size) / n^2;
+        # 2**20 draws keep a block within 16 MB.
+        need = count - keys.size
+        block = min(need * n * n // (2 * (available - keys.size)) + 64, 1 << 20)
+        u, v = rng.integers(0, n, size=(block, 2)).T
+        drawn = (np.minimum(u, v) * n + np.maximum(u, v))[u != v]
+        drawn = drawn[np.searchsorted(taken, drawn) == np.searchsorted(taken, drawn, "right")]
+        _, first = np.unique(drawn, return_index=True)
+        fresh = drawn[np.sort(first)[:need]]
+        keys = np.concatenate([keys, fresh])
+        taken = _sorted_unique(np.concatenate([taken, fresh]))
+    return np.stack(np.divmod(keys, n), axis=1)
 
-    ``exclude`` holds extra forbidden pairs (any orientation). Deterministic
-    for a fixed seed; raises :class:`SamplingError` on exhaustion.
+
+def sample_negatives(g: Graph, count: int, seed: int, exclude=()) -> PairBatch:
+    """``count`` distinct non-adjacent pairs (u < v), uniform over the
+    non-edges of ``g`` outside ``exclude`` (an (m, 2) array or a sequence of
+    pairs, either orientation), in the order they were first drawn.
+
+    Deterministic for a fixed seed. Raises :class:`SamplingError` when fewer
+    pairs are available than requested, :class:`InputError` when an
+    ``exclude`` endpoint lies outside [0, n).
     """
     n = g.n
-    total_pairs = n * (n - 1) // 2
-    excl = {(min(u, v), max(u, v)) for u, v in exclude}
-    rng = np.random.default_rng(seed)
-    # Small graphs: enumerate every candidate; large graphs: rejection sample.
-    if total_pairs <= 1_000_000:
-        iu, iv = np.triu_indices(n, k=1)
-        adj = g.to_scipy()
-        nonedge = np.asarray(adj[iu, iv]).ravel() == 0
-        cand = np.stack([iu[nonedge], iv[nonedge]], axis=1)
-        if excl:
-            mask = np.array([(int(u), int(v)) not in excl for u, v in cand])
-            cand = cand[mask]
-        if count > cand.shape[0]:
-            raise SamplingError(
-                f"requested {count} negatives, only {cand.shape[0]} available")
-        pick = rng.choice(cand.shape[0], size=count, replace=False)
-        chosen = cand[np.sort(pick)]
-    else:
-        chosen_set: set[tuple[int, int]] = set()
-        chosen_list = []
-        attempts = 0
-        max_attempts = 100 * count + 10_000
-        while len(chosen_list) < count:
-            attempts += 1
-            if attempts > max_attempts:
-                raise SamplingError("negative sampling did not converge; "
-                                    "non-edge pool may be exhausted")
-            u = int(rng.integers(0, n))
-            v = int(rng.integers(0, n))
-            if u == v:
-                continue
-            key = (min(u, v), max(u, v))
-            if key in chosen_set or key in excl or g.has_edge(u, v):
-                continue
-            chosen_set.add(key)
-            chosen_list.append(key)
-        chosen = np.array(chosen_list, dtype=np.int64)
-    return PairBatch(chosen)
+    exclude = np.asarray(exclude, dtype=np.int64).reshape(-1, 2)
+    if exclude.size and (exclude.min() < 0 or exclude.max() >= n):
+        raise InputError("exclude endpoint out of range")
+    pairs = np.concatenate([g.edge_array(), exclude[exclude[:, 0] != exclude[:, 1]]])
+    forbidden = _sorted_unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+    return PairBatch(_draw_distinct_pairs(n, count, seed, forbidden))

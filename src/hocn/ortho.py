@@ -72,22 +72,26 @@ class RunningState:
     @classmethod
     def load(cls, stream) -> "RunningState":
         reader = csv.reader(stream)
-        header = next(reader)
-        if header != ["kind", "k", "i", "value"]:
+        if next(reader, None) != ["kind", "k", "i", "value"]:
             raise ConfigError("unrecognized checkpoint header")
         state = cls()
         psi_rows: dict[int, dict[int, float]] = {}
-        for kind, k, i, value in reader:
-            if kind == "t":
-                state.t = int(value)
-            elif kind == "xi":
-                state.xi_hat[(int(k), int(i))] = float(value)
-            elif kind == "psi_t":
-                state.psi_t[int(k)] = int(value)
-            elif kind == "psi":
-                psi_rows.setdefault(int(k), {})[int(i)] = float(value)
-            else:
-                raise ConfigError(f"unknown checkpoint row kind {kind!r}")
+        for rowno, row in enumerate(reader, start=2):
+            try:
+                kind, k, i, value = row
+                if kind == "t":
+                    state.t = int(value)
+                elif kind == "xi":
+                    state.xi_hat[(int(k), int(i))] = float(value)
+                elif kind == "psi_t":
+                    state.psi_t[int(k)] = int(value)
+                elif kind == "psi" and int(i) >= 0:
+                    psi_rows.setdefault(int(k), {})[int(i)] = float(value)
+                else:
+                    raise ConfigError(f"checkpoint row {rowno}: unknown kind or negative "
+                                      f"node: {row!r}")
+            except ValueError:
+                raise ConfigError(f"checkpoint row {rowno} is malformed: {row!r}") from None
         for k, row in psi_rows.items():
             vec = np.zeros(max(row) + 1)
             for node, value in row.items():

@@ -149,15 +149,18 @@ class ScoreModel:
         for ln in lines[1:]:
             key, _, rest = ln.partition(" ")
             fields[key] = rest
-        return cls(
-            k_max=int(fields["k_max"]),
-            alpha=np.array([float(v) for v in fields["alpha"].split()]),
-            depth=int(fields["depth"]),
-            head_w=np.array([float(v) for v in fields["head_w"].split()]),
-            head_b=float(fields["head_b"]),
-            variant=fields.get("variant", "ocn"),
-            exclude_endpoints=bool(int(fields.get("exclude_endpoints", 0))),
-        )
+        try:
+            return cls(
+                k_max=int(fields["k_max"]),
+                alpha=np.array([float(v) for v in fields["alpha"].split()]),
+                depth=int(fields["depth"]),
+                head_w=np.array([float(v) for v in fields["head_w"].split()]),
+                head_b=float(fields["head_b"]),
+                variant=fields.get("variant", "ocn"),
+                exclude_endpoints=bool(int(fields.get("exclude_endpoints", 0))),
+            )
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"model file: missing or malformed field: {exc}") from None
 
 
 @dataclass
@@ -298,8 +301,7 @@ def train_model(split: SplitResult, config: TrainConfig) -> TrainResult:
     head_b = 0.0
     losses = []
     pos = split.train.pairs
-    exclude = [tuple(p) for p in np.concatenate(
-        [split.train.pairs, split.valid.pairs, split.test.pairs], axis=0)]
+    exclude = np.concatenate([split.train.pairs, split.valid.pairs, split.test.pairs])
     for epoch in range(config.epochs):
         neg_seed = int(rng.integers(0, 2**31 - 1))
         neg = sample_negatives(g, len(split.train), neg_seed, exclude=exclude)

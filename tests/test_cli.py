@@ -338,6 +338,34 @@ def test_ocn_score_does_not_shrink_with_batch_size(large_edge_file, capsys):
     assert 1 / 3 < small / large < 3, (large, small)
 
 
+def _diagnose_pairs_per_draw(n, count, seed):
+    """Reference oracle for the pairs diagnose scores: one (u, v) draw at a
+    time, self-pairs and repeats in either orientation rejected."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        u, v = (int(x) for x in rng.integers(0, n, size=2))
+        if u != v and (u, v) not in pairs and (v, u) not in pairs:
+            pairs.append((u, v))
+    return np.array(pairs)
+
+
+@pytest.mark.parametrize("n,count,seed", [(200, 256, 0), (120, 64, 4), (30, 400, 1)])
+def test_diagnose_pairs_match_per_draw_oracle(n, count, seed):
+    # The same pairs as the per-draw loop, up to orientation, which no
+    # diagnose quantity depends on; (30, 400) leaves 35 of 435 pairs undrawn.
+    expected = np.sort(_diagnose_pairs_per_draw(n, count, seed), axis=1)
+    assert np.array_equal(hocn.graph._draw_distinct_pairs(n, count, seed), expected)
+
+
+def test_diagnose_more_pairs_than_exist_is_an_error(capsys):
+    code = main(["diagnose", "--synthetic", "10,2", "--pairs", "100"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: SamplingError") and "45 available" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("exclude", [False, True])
 def test_diagnose_rows_equal_exact_pipeline(exclude, capsys):
     argv = ["diagnose", "--synthetic", "120,3", "--pairs", "64", "--k-max", "3",
@@ -346,13 +374,8 @@ def test_diagnose_rows_equal_exact_pipeline(exclude, capsys):
     assert code == 0
     _, rows = parse_csv(out)
     g = sample_ba_graph(120, 3, seed=4)
-    rng = np.random.default_rng(4)
-    pairs = []
-    while len(pairs) < 64:
-        u, v = (int(x) for x in rng.integers(0, g.n, size=2))
-        if u != v and (u, v) not in pairs and (v, u) not in pairs:
-            pairs.append((u, v))
-    feats = cn_order_features_all(g, PairBatch(np.array(pairs)), 3, exclude_endpoints=exclude)
+    pairs = _diagnose_pairs_per_draw(g.n, 64, seed=4)
+    feats = cn_order_features_all(g, PairBatch(pairs), 3, exclude_endpoints=exclude)
     raw = [f.combined for f in feats]
     normalized = [apply_normalization(f, exact_walk_participation(
         g, f.order, exclude_endpoints=exclude)).combined for f in feats]
@@ -419,6 +442,58 @@ def test_eval_model_requires_state(edge_file, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "InputError" in captured.err and "--state" in captured.err
+    assert captured.out == ""
+
+
+_MODEL = ScoreModel(k_max=2, alpha=np.array([0.1, 0.2]), depth=2,
+                    head_w=np.full(16, 0.1), head_b=0.0)
+
+
+def _model_text(drop=None):
+    buf = io.StringIO()
+    _MODEL.save(buf)
+    return "".join(ln for ln in buf.getvalue().splitlines(True)
+                   if drop is None or not ln.startswith(drop + " "))
+
+
+@pytest.mark.parametrize("model_text,state_text,names", [
+    (_model_text(drop="alpha"), "kind,k,i,value\nt,,,0\n", "alpha"),
+    (_model_text(), "kind,k,i,value\nt,,,0\nxi,1\n", "row 3"),
+    (_model_text(), "kind,k,i,value\npsi,1,x,0.5\n", "row 2"),
+    (_model_text(), "kind,k,i,value\npsi,1,3,0.5\npsi,1,-1,0.7\n", "row 3"),
+    (_model_text(), "", "header"),
+], ids=["no-alpha", "short-row", "bad-node", "negative-node", "empty-state"])
+def test_eval_malformed_model_or_state_is_a_config_error(edge_file, tmp_path, capsys,
+                                                         model_text, state_text, names):
+    (tmp_path / "model.txt").write_text(model_text)
+    (tmp_path / "state.csv").write_text(state_text)
+    code = main(["eval", "--input", edge_file, "--kind", "model",
+                 "--model", str(tmp_path / "model.txt"), "--state", str(tmp_path / "state.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ConfigError") and names in err
+
+
+@pytest.mark.parametrize("argv,config,error", [
+    (["prepare", "--ratios", "a,b,c"], None, "InputError"),
+    (["eval", "--ks", "20,x"], None, "InputError"),
+    (["score"], "k_max=abc\n", "ConfigError"),
+    (["eval"], "negatives=many\n", "ConfigError"),
+    (["diagnose", "--synthetic", "x,3"], None, "InputError"),
+    (["diagnose", "--synthetic", "200"], None, "InputError"),
+    (["bench", "--batch-sizes", "64,1k"], None, "InputError"),
+], ids=["ratios", "ks", "config-k-max", "config-negatives", "synthetic", "synthetic-count",
+        "batch-sizes"])
+def test_malformed_number_is_an_error_line(edge_file, tmp_path, capsys, argv, config, error):
+    if argv[0] in ("prepare", "score", "eval"):
+        argv = [*argv, "--input", edge_file]
+    if config:
+        (tmp_path / "run.cfg").write_text(config)
+        argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: {error}")
     assert captured.out == ""
 
 

@@ -10,6 +10,7 @@ import hocn.graph
 from hocn import (EdgeListParseError, Graph, InputError, PairBatch,
                   SamplingError, ScaleError, SplitError, load_edge_list, merged_graph,
                   sample_negatives, split_edges)
+from hocn.theory import sample_ba_graph
 
 from conftest import G4_EDGES, random_graph
 
@@ -176,6 +177,65 @@ def test_sample_negatives_exhaustion():
     g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(SamplingError):
         sample_negatives(g, 1, seed=0)
+
+
+def _per_draw_negatives(g, count, seed, exclude=()):
+    """Reference oracle: one (u, v) draw at a time, rejecting self-pairs,
+    edges, exclusions and repeats, keeping (min, max) in draw order."""
+    excl = {(min(u, v), max(u, v)) for u, v in exclude}
+    rng = np.random.default_rng(seed)
+    chosen, seen = [], set()
+    while len(chosen) < count:
+        u = int(rng.integers(0, g.n))
+        v = int(rng.integers(0, g.n))
+        key = (min(u, v), max(u, v))
+        if u == v or key in seen or key in excl or g.has_edge(u, v):
+            continue
+        seen.add(key)
+        chosen.append(key)
+    return np.array(chosen, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n,m", [(1500, 3), (2708, 2)])
+def test_sample_negatives_match_per_draw_oracle(n, m):
+    g = sample_ba_graph(n, m, seed=n)
+    assert n * (n - 1) // 2 > 1_000_000
+    exclude = [tuple(p) for p in g.edge_array()[::3][:, ::-1]] + [(0, 5), (7, 3)]
+    for seed in range(3):
+        for excl in ((), exclude, np.array(exclude)):
+            got = sample_negatives(g, 2000, seed, exclude=excl).pairs
+            assert np.array_equal(got, _per_draw_negatives(g, 2000, seed, excl))
+
+
+def test_sample_negatives_uniform(witness):
+    nonedges = [(u, v) for u in range(6) for v in range(u + 1, 6) if not witness.has_edge(u, v)]
+    assert len(nonedges) == 9
+    counts = dict.fromkeys(nonedges, 0)
+    for seed in range(9000):
+        (u, v), = sample_negatives(witness, 1, seed).pairs
+        counts[(int(u), int(v))] += 1
+    assert sum(counts.values()) == 9000
+    assert all(850 <= c <= 1150 for c in counts.values()), counts
+
+
+def test_sample_negatives_every_available_pair_exactly_once():
+    g = random_graph(40, 0.3, seed=2)
+    exclude = [(3, 1), (5, 9), (1, 3)]
+    available = {(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                 if not g.has_edge(u, v)} - {(1, 3), (5, 9)}
+    got = sample_negatives(g, len(available), seed=4, exclude=exclude).pairs
+    assert len(got) == len(available)
+    assert {(int(u), int(v)) for u, v in got} == available
+    with pytest.raises(SamplingError):
+        sample_negatives(g, len(available) + 1, seed=4, exclude=exclude)
+
+
+@pytest.mark.parametrize("bad", [(0, 15), (-1, 3), (10, 10)])
+def test_sample_negatives_rejects_out_of_range_exclusion(bad):
+    # Unchecked, (0, 15) in a 10-node graph has key 0*10+15, that of (1, 5).
+    g = Graph.from_edges(10, [(0, 1)])
+    with pytest.raises(InputError):
+        sample_negatives(g, 5, seed=0, exclude=[(2, 3), bad])
 
 
 def test_edge_list_round_trip(g4):
