@@ -1,9 +1,9 @@
 """Walk-count features and the classical neighborhood heuristics.
 
 Builds a small citation-style graph, scores a few candidate links with
-CN / AA / RA, then shows the order-k feature slices that generalize them:
-entry (x, c) of slice (k1, k2) counts walks u -> c of length k1 times walks
-c -> v of length k2.
+CN / AA / RA, then shows the order-k features that generalize them and the
+walk-length slices they sum: entry (x, c) of slice (k1, k2) counts walks
+u -> c of length k1 times walks c -> v of length k2.
 """
 
 import numpy as np
@@ -34,6 +34,10 @@ def main():
     for pair, row in zip(PAIRS, order2.combined.toarray()):
         print(f"  pair {pair}: {row.astype(int)}")
     print("the rows differ, so the order-2 features distinguish the pairs.")
+
+    print(f"\nthe order-2 slices of pair {PAIRS[1]}, built when first read; they sum to its row:")
+    for (k1, k2), mat in order2.slices.items():
+        print(f"  slice ({k1}, {k2}): {mat.toarray()[1].astype(int)}")
 
 
 if __name__ == "__main__":

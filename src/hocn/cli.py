@@ -18,8 +18,10 @@ file that train wrote, and the frozen running statistics from ``--state``.
 
 Outputs are CSV with a commented header carrying version, seed, and the
 effective configuration; ``--json`` mirrors the same rows as a JSON array.
-Config files are plain key=value lines naming flags of the subcommand;
-explicit flags win. Exit codes: 0 ok, 1 runtime failure, 2 usage error.
+Config files are plain key=value lines naming flags of the subcommand, each
+value parsed with its flag's type; a flag given on the command line wins
+over the config file, which wins over the flag's default. Exit codes: 0 ok,
+1 runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -59,9 +61,6 @@ DEFAULTS = {
     "ratios": "0.7,0.1,0.2",
 }
 
-_BOOL_KEYS = ("exclude_endpoints", "use_valid_as_input", "json")
-
-
 def _parse_bool(text: str) -> bool:
     low = str(text).strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -86,27 +85,38 @@ def load_config(path: str) -> dict:
     return out
 
 
-def resolve(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset options from the config file, then built-in defaults."""
-    cfg = load_config(args.config) if getattr(args, "config", None) else {}
-    for key, raw in cfg.items():
-        if not hasattr(args, key):
-            raise ConfigError(f"unknown config key: {key}")
-        if getattr(args, key) is None:
-            value = _parse_bool(raw) if key in _BOOL_KEYS else raw
-            setattr(args, key, value)
+def resolve(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse ``argv``: options given on the command line win, then the config
+    file, then the defaults. A config value is parsed with its option's type
+    and choices; a key that names no option of the subcommand is an error."""
+    args = parser.parse_args(argv)
+    if args.config:
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices[args.command]
+        options = {a.dest: a for a in sub._actions if a.default is not argparse.SUPPRESS}
+        values = {}
+        for key, raw in load_config(args.config).items():
+            if key not in options:
+                raise ConfigError(f"unknown config key: {key}")
+            values[key] = _config_value(options[key], key, raw)
+        sub.set_defaults(**values)
+        args = parser.parse_args(argv)
     for key, value in DEFAULTS.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, value)
-    for key in ("seed", "k_max", "threads", "negatives"):
-        if getattr(args, key, None) is not None:
-            setattr(args, key, _numbers(getattr(args, key), key, 1, error=ConfigError)[0])
-    for key in _BOOL_KEYS:
-        if hasattr(args, key) and not isinstance(getattr(args, key), bool):
-            setattr(args, key, _parse_bool(getattr(args, key)))
-    if getattr(args, "variant", "ocn") not in ("ocn", "ocnp"):
-        raise ConfigError(f"variant must be ocn or ocnp, got {args.variant!r}")
     return args
+
+
+def _config_value(option: argparse.Action, key: str, raw: str):
+    if option.nargs == 0:
+        value = _parse_bool(raw)
+    elif option.type is not None:
+        value = _numbers(raw, key, 1, kind=option.type, error=ConfigError)[0]
+    else:
+        value = raw
+    if option.choices is not None and value not in option.choices:
+        raise ConfigError(f"{key}: expected one of {', '.join(option.choices)}, got {raw!r}")
+    return value
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
@@ -508,9 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        resolve(args)
+        args = resolve(parser, argv)
         return args.func(args)
     except HocnError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -1,30 +1,42 @@
-"""High-order common-neighbor count matrices and their walk-length slices.
+"""High-order common-neighbor count matrices, with their walk-length slices
+on request.
 
 For a pair (u, v) and order k, entry c of slice (k1, k2) counts walks of
 length k1 from u to c times walks of length k2 from c to v, i.e. the number
 of (k1 + k2)-length u-v walks through c. The three slices (k, k), (k-1, k)
 and (k, k-1) cover lengths 2k and 2k-1; their sum is the combined count
-vector for the pair.
+CN^k(u, v), the feature the model reads.
+
+The combined count takes one elementwise product. With R_l the rows A^l[u]
+and S_k = R_{k-1}(A + I) = R_k + R_{k-1},
+
+    CN^k = S_k[u] * S_k[v] - R_{k-1}[u] * R_{k-1}[v],
+
+and every term is an integer walk count, exact in float64, so the result
+equals the sum of the three slices bit for bit. A batch's features
+therefore never form a slice; ``OrderFeatures.slices`` builds them on first
+access, by three explicit products each.
 
 Every matrix is a (batch, n) scipy CSR matrix in canonical format: each
 row's column indices are sorted and unique. So a pair's row, stored order
-included, is the same whichever other pairs share its batch. Walk rows
-A^l[u] come from repeated sparse row-times-adjacency products and are
-computed once per sub-chunk of the batch for all orders, so computing
-features allocates no batch x n dense storage. They are left unsorted; each
-slice product is sorted instead, since it is far smaller than the A^k rows
-it comes from. Row A^l[u] stores at most min((A^l 1)[u], n)
-entries; summed over l = 0..K and both endpoints, that bound sizes each
-sub-chunk's walk rows. Sub-chunks run on ``_WORKERS`` threads (scipy's
-sparse kernels release the GIL) and share ``_NNZ_BUDGET`` entries between
-them.
+included, is the same whichever other pairs share its batch. Walk rows come
+from repeated sparse row-times-matrix products, so computing features
+allocates no batch x n dense storage. They are left unsorted; each product
+is sorted instead, since it is far smaller than the rows it comes from.
+
+A batch is walked in sub-chunks of pairs, sized by the per-node bound
+``_walk_nnz_bound`` of the walk rows a sub-chunk holds at once: for the
+features, R_{k-1} and S_k of the order k in progress (and R_k while it is
+formed), for the slices the chain R_0..R_k. Sub-chunks run on ``_WORKERS``
+threads (scipy's sparse kernels release the GIL) and share ``_NNZ_BUDGET``
+entries between them.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,29 +59,43 @@ _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 
 @dataclass
 class OrderFeatures:
-    """Per-order count matrices for one batch of pairs.
+    """Per-order count matrices for one batch of pairs of ``graph``.
 
-    ``slices`` maps (k1, k2) -> (h, n) CSR matrix, ``combined`` is their
-    elementwise sum, also CSR. Every matrix is canonical (sorted, unique
-    column indices per row), and ``scale_columns`` keeps it so.
+    ``combined`` is the (h, n) CSR matrix of combined counts, with column c
+    multiplied by w[c] for each array w of ``weights`` in turn. ``slices``
+    maps (k1, k2) -> (h, n) CSR matrix, whose sum is ``combined``; it is
+    built on first access, not from the walk rows that formed ``combined``,
+    and then kept. Every matrix is canonical (sorted, unique column indices
+    per row), and ``scale_columns`` keeps it so.
     """
 
     order: int
     pairs: np.ndarray
-    slices: dict
     combined: sp.csr_matrix
+    graph: Graph = field(repr=False)
+    exclude_endpoints: bool = False
+    weights: tuple = ()
+    _slices: dict | None = field(default=None, init=False, repr=False)
 
     @property
     def batch_size(self) -> int:
         return self.pairs.shape[0]
 
+    @property
+    def slices(self) -> dict:
+        if self._slices is None:
+            slices = _explicit_slices(self.graph, self.pairs, self.order, self.exclude_endpoints)
+            for weights in self.weights:
+                slices = {key: _scale_columns(m, weights) for key, m in slices.items()}
+            self._slices = slices
+        return self._slices
+
     def scale_columns(self, weights: np.ndarray) -> "OrderFeatures":
         """Copy with column c of every matrix multiplied by weights[c];
-        entries whose weight is 0 are dropped."""
-        return OrderFeatures(order=self.order, pairs=self.pairs,
-                             slices={key: _scale_columns(m, weights)
-                                     for key, m in self.slices.items()},
-                             combined=_scale_columns(self.combined, weights))
+        entries whose weight is 0 are dropped. The slices of the copy are
+        scaled when they are built."""
+        return replace(self, combined=_scale_columns(self.combined, weights),
+                       weights=self.weights + (weights,))
 
 
 def _scale_columns(mat: sp.csr_matrix, weights: np.ndarray) -> sp.csr_matrix:
@@ -87,11 +113,13 @@ def as_dense(m) -> np.ndarray:
 
 
 class WalkRows:
-    """Rows A^0, A^1, ... of the adjacency for a list of nodes.
+    """Rows A^0, A^1, ... of the adjacency for a list of nodes, all kept.
 
     Each power is one sparse product with the adjacency away from the
-    previous one and is kept, so asking for orders 1..K in turn costs K
-    products rather than K(K+1)/2.
+    previous one, so asking for lengths 1..K in turn costs K products
+    rather than K(K+1)/2. The slices, ``adj_power_row`` and the
+    participation diagonals read this chain; the combined counts read
+    ``_OrderRows``, which keeps two rows per node at a time.
     """
 
     def __init__(self, adj: sp.csr_matrix, nodes: np.ndarray):
@@ -106,16 +134,60 @@ class WalkRows:
         return self.rows[length]
 
 
-def _endpoint_walks(adj: sp.csr_matrix, pairs: np.ndarray) -> tuple[WalkRows, WalkRows]:
-    """Walk rows of the source and of the target endpoints of a batch."""
-    return WalkRows(adj, pairs[:, 0]), WalkRows(adj, pairs[:, 1])
+class _OrderRows:
+    """Rows R_{k-1} = A^{k-1} and S_k = A^{k-1}(A + I) for a list of nodes,
+    for one order k at a time, moving forward.
+
+    ``loops`` is A + I. S_1 is the nodes' rows of A + I, and R_1 is S_1
+    without its loop entries. Then R_{k-1} = S_{k-1} - R_{k-2} and
+    S_k = R_{k-1}(A + I), one product per order. Only the current R_{k-1}
+    and S_k are kept; R_0, the identity rows, is never stored.
+    """
+
+    def __init__(self, loops: sp.csr_matrix, nodes: np.ndarray):
+        self.loops = loops
+        self.nodes = nodes
+        self.order = 0
+        self.prev = None
+        self.step = None
+
+    def at(self, k: int) -> tuple[sp.csr_matrix | None, sp.csr_matrix]:
+        """(R_{k-1}, S_k); R_0 is returned as None."""
+        if k < max(self.order, 1):
+            raise ConfigError(f"walk rows are at order {self.order}, cannot serve order {k}")
+        while self.order < k:
+            if self.order == 0:
+                self.step = self.loops[self.nodes]
+            else:
+                if self.prev is None:
+                    rows = self.step
+                    _drop_row_columns(rows, self.nodes[:, None])
+                else:
+                    rows = self.step - self.prev
+                self.prev = self.step = None  # released before the product
+                self.prev, self.step = rows, rows @ self.loops
+            self.order += 1
+        return self.prev, self.step
+
+
+def _loop_adjacency(adj: sp.csr_matrix) -> sp.csr_matrix:
+    """A + I, the step of ``_OrderRows``."""
+    return adj + sp.identity(adj.shape[0], format="csr")
 
 
 def _walk_nnz_bound(adj: sp.csr_matrix, k_max: int) -> np.ndarray:
-    """Per node u, sum over l = 0..k_max of min((A^l 1)[u], n).
+    """Per node u, sum over l = 0..k_max of min(w_l, n), with w_l = (A^l 1)[u].
 
     Row A^l[u] has one stored entry per node an l-walk from u reaches, so
-    at most the number of such walks and at most n.
+    at most min(w_l, n): the bound covers the chain R_0..R_k_max. Row
+    S_k[u] = A^{k-1}(A + I)[u] has one entry per node of X or N(X), X the
+    nodes that (k-1)-walks from u reach. The edges at X connect those
+    nodes (a walk to x, bounced back and forth along its own edges, shows
+    each of its nodes is in X or N(X)), so there are at most one more of
+    them than edges at X, sum over x in X of deg(x) <= w_k. With w_l not
+    falling for l >= 1, the rows the features hold at once, R_{k-1} and
+    S_k and, while it is formed, R_k, stay within the bound too; R_0 is
+    never stored.
     """
     n = adj.shape[0]
     walks = np.ones(n)
@@ -130,10 +202,10 @@ def _sub_chunks(adj: sp.csr_matrix, pairs: np.ndarray, k_max: int) -> np.ndarray
     """Start offsets (and the end) of consecutive sub-chunks of ``pairs``.
 
     Each sub-chunk is the longest run from its start whose endpoints' walk
-    rows 0..k_max stay within ``_NNZ_BUDGET // _WORKERS`` entries by the
-    bound of ``_walk_nnz_bound``; a pair above that share sits alone.
-    Raises ScaleError before any walk row is built when a single pair
-    exceeds ``_NNZ_BUDGET``.
+    rows for orders up to k_max stay within ``_NNZ_BUDGET // _WORKERS``
+    entries by the bound of ``_walk_nnz_bound``; a pair above that share
+    sits alone. Raises ScaleError before any walk row is built when a single
+    pair exceeds ``_NNZ_BUDGET``.
     """
     bound = _walk_nnz_bound(adj, k_max)
     cost = bound[pairs[:, 0]] + bound[pairs[:, 1]]
@@ -158,10 +230,10 @@ def adj_power_row(g: Graph, u: int, l: int, max_order: int = DEFAULT_MAX_ORDER) 
     return WalkRows(g.to_scipy(), np.array([u], dtype=np.int64)).power(l).toarray()[0]
 
 
-def _zero_endpoint_columns(mat: sp.csr_matrix, pairs: np.ndarray) -> None:
-    """Drop the stored entries of row x that sit in column pairs[x, 0] or pairs[x, 1]."""
+def _drop_row_columns(mat: sp.csr_matrix, columns: np.ndarray) -> None:
+    """Drop, in place, the stored entries of row x that sit in a column of columns[x]."""
     row = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    mat.data[(mat.indices == pairs[row, 0]) | (mat.indices == pairs[row, 1])] = 0.0
+    mat.data[(mat.indices[:, None] == columns[row]).any(axis=1)] = 0.0
     mat.eliminate_zeros()
 
 
@@ -169,28 +241,58 @@ def _slice_keys(k: int) -> tuple[tuple[int, int], ...]:
     return (k, k), (k - 1, k), (k, k - 1)
 
 
+def _explicit_slices(g: Graph, pairs: np.ndarray, k: int, exclude_endpoints: bool) -> dict:
+    """The three order-k slices of ``pairs``, one elementwise product of
+    A^k1 and A^k2 rows each, walked in the sub-chunks of ``_sub_chunks``."""
+    adj = g.to_scipy()
+    cuts = _sub_chunks(adj, pairs, k)
+    parts = {key: [] for key in _slice_keys(k)}
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        chunk = pairs[start:stop]
+        ru, rv = WalkRows(adj, chunk[:, 0]), WalkRows(adj, chunk[:, 1])
+        for (k1, k2), mats in parts.items():
+            mat = ru.power(k1).multiply(rv.power(k2)).tocsr()
+            mat.sort_indices()
+            if exclude_endpoints:
+                _drop_row_columns(mat, chunk)
+            mats.append(mat)
+    return {key: sp.vstack(mats, format="csr") for key, mats in parts.items()}
+
+
+def _endpoint_walks(loops: sp.csr_matrix, pairs: np.ndarray) -> tuple[_OrderRows, _OrderRows]:
+    """Walk rows of the source and of the target endpoints of a batch."""
+    return _OrderRows(loops, pairs[:, 0]), _OrderRows(loops, pairs[:, 1])
+
+
 def cn_order_features(g: Graph, batch: PairBatch, k: int,
                       exclude_endpoints: bool = False,
-                      walks: tuple[WalkRows, WalkRows] | None = None) -> OrderFeatures:
-    """Compute the three order-k slices and their sum for a batch of pairs.
+                      walks: tuple[_OrderRows, _OrderRows] | None = None) -> OrderFeatures:
+    """Compute the order-k combined counts for a batch of pairs.
 
-    Never materializes A^k; each slice comes from k repeated sparse
-    mat-vec products per endpoint. ``walks`` holds the source and target
-    rows that ``cn_order_features_all`` shares across orders.
-    ``exclude_endpoints`` zeroes the two endpoint columns of each batch row
-    (classic-CN convention). Each slice is sorted as it is formed, so every
-    returned matrix is canonical CSR and ``combined`` is their sorted merge.
+    Never materializes A^k; the rows come from k repeated sparse products
+    per endpoint. ``walks`` holds the source and target rows that
+    ``cn_order_features_all`` shares across orders, asked for in increasing
+    order. ``exclude_endpoints`` zeroes the two endpoint columns of each
+    batch row (classic-CN convention). The product is sorted as it is
+    formed, so the returned matrix is canonical CSR; the slices are built
+    only when read.
     """
     if k < 1:
         raise ConfigError(f"order must be >= 1, got {k}")
-    ru, rv = _endpoint_walks(g.to_scipy(), batch.pairs) if walks is None else walks
-    slices = {(k1, k2): ru.power(k1).multiply(rv.power(k2)).tocsr() for k1, k2 in _slice_keys(k)}
-    for mat in slices.values():
-        mat.sort_indices()
-        if exclude_endpoints:
-            _zero_endpoint_columns(mat, batch.pairs)
-    combined = slices[(k, k)] + slices[(k - 1, k)] + slices[(k, k - 1)]
-    return OrderFeatures(order=k, pairs=batch.pairs, slices=slices, combined=combined)
+    if walks is None:
+        walks = _endpoint_walks(_loop_adjacency(g.to_scipy()), batch.pairs)
+    (prev_u, step_u), (prev_v, step_v) = (rows.at(k) for rows in walks)
+    combined = step_u.multiply(step_v).tocsr()
+    combined.sort_indices()
+    if prev_u is not None:  # at k = 1 the term is e_u * e_v, zero since u != v
+        overlap = prev_u.multiply(prev_v).tocsr()
+        overlap.sort_indices()
+        # The difference stores no entry it cancels to zero.
+        combined = combined - overlap
+    if exclude_endpoints:
+        _drop_row_columns(combined, batch.pairs)
+    return OrderFeatures(order=k, pairs=batch.pairs, combined=combined, graph=g,
+                         exclude_endpoints=exclude_endpoints)
 
 
 def cn_order_features_all(g: Graph, batch: PairBatch, k_max: int,
@@ -206,11 +308,13 @@ def cn_order_features_all(g: Graph, batch: PairBatch, k_max: int,
     """
     adj = g.to_scipy()
     cuts = _sub_chunks(adj, batch.pairs, k_max)
+    loops = _loop_adjacency(adj)
+    del adj  # the walk rows step with A + I alone
     if len(cuts) == 2:
-        return _orders(g, adj, batch, k_max, exclude_endpoints)
+        return _orders(g, loops, batch, k_max, exclude_endpoints)
 
     def chunk(start: int, stop: int) -> list[OrderFeatures]:
-        return _orders(g, adj, PairBatch(batch.pairs[start:stop]), k_max, exclude_endpoints)
+        return _orders(g, loops, PairBatch(batch.pairs[start:stop]), k_max, exclude_endpoints)
 
     with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
         # The parts are stacked where the workers built them. Copying them
@@ -221,18 +325,20 @@ def cn_order_features_all(g: Graph, batch: PairBatch, k_max: int,
     feats = []
     for k in range(1, k_max + 1):
         # Popping each sub-chunk's order k frees it once it is stacked.
-        parts = [chunk_feats.pop(0) for chunk_feats in chunks]
-        slices = {key: sp.vstack([p.slices[key] for p in parts], format="csr")
-                  for key in _slice_keys(k)}
-        feats.append(OrderFeatures(order=k, pairs=batch.pairs, slices=slices,
-                                   combined=sp.vstack([p.combined for p in parts],
-                                                      format="csr")))
+        parts = [chunk_feats.pop(0).combined for chunk_feats in chunks]
+        feats.append(OrderFeatures(order=k, pairs=batch.pairs,
+                                   combined=sp.vstack(parts, format="csr"), graph=g,
+                                   exclude_endpoints=exclude_endpoints))
     return feats
 
 
 def _orders(g: Graph, adj: sp.csr_matrix, batch: PairBatch, k_max: int,
             exclude_endpoints: bool) -> list[OrderFeatures]:
-    """Orders 1..k_max from one set of walk rows, released on return."""
+    """Orders 1..k_max from one set of walk rows, released on return.
+
+    ``adj`` is the adjacency with a loop at every node, A + I, that the
+    walk rows step with (``_loop_adjacency``).
+    """
     walks = _endpoint_walks(adj, batch.pairs)
     return [cn_order_features(g, batch, k, exclude_endpoints, walks)
             for k in range(1, k_max + 1)]

@@ -433,6 +433,39 @@ def test_config_key_a_subcommand_does_not_read_is_an_error(edge_file, tmp_path, 
     assert "unknown config key: threads" in capsys.readouterr().err
 
 
+def test_config_value_overrides_an_option_default(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("pairs=5000\n")
+    code = main(["diagnose", "--synthetic", "30,2", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: SamplingError")
+
+
+def test_command_line_overrides_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("pairs=5000\n")
+    code, out = run_cli(["diagnose", "--synthetic", "30,2", "--config", str(cfg),
+                         "--pairs", "64", "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["pairs"] == 64
+
+
+@pytest.mark.parametrize("argv,config,error", [
+    (["score"], "kind=xyz\n", "kind: expected one of"),
+    (["train", "--model-out", "unused"], "learning_rate=fast\n", "learning_rate: expected"),
+    (["train", "--model-out", "unused"], "exclude_endpoints=maybe\n", "not a boolean"),
+])
+def test_config_value_is_parsed_with_its_option_type(edge_file, tmp_path, capsys,
+                                                     argv, config, error):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    code = main([*argv, "--input", edge_file, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ConfigError") and error in captured.err
+
+
 def test_eval_model_requires_state(edge_file, tmp_path, capsys):
     model_path = str(tmp_path / "model.txt")
     assert main(["train", "--input", edge_file, "--epochs", "1",

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import hocn.features
-from hocn import (ConfigError, Graph, ScaleError, adj_power_row, cn_order_features,
-                  cn_order_features_all, cn_set, sample_ba_graph)
+from hocn import (ConfigError, FeatureConfig, Graph, RunningState, ScaleError, adj_power_row,
+                  cn_order_features, cn_order_features_all, cn_set, sample_ba_graph)
 from hocn.features import _sub_chunks, _walk_nnz_bound, as_dense
+from hocn.scoring import basis_matrices, batch_features
 
 from conftest import batch_of, random_graph
 
@@ -135,6 +136,34 @@ def test_walk_nnz_bound_covers_walk_rows():
         stored = sum(np.count_nonzero(p, axis=1) for p in powers[:k_max + 1])
         assert (_walk_nnz_bound(g.to_scipy(), k_max) >= stored).all()
     assert np.array_equal(_walk_nnz_bound(g.to_scipy(), 1), 1 + g.degrees)
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, i) for i in range(1, 6)],
+    [(i, i + 1) for i in range(6)],
+    [(i, (i + 1) % 8) for i in range(8)],
+    [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 3), (6, 6)],
+], ids=["star", "path", "even-cycle", "triangles-and-isolated"])
+def test_order_rows_are_powers_held_within_the_bound(edges):
+    g = Graph.from_edges(1 + max(max(e) for e in edges), edges)
+    adj = g.to_scipy()
+    a = adj.toarray()
+    loops = a + np.eye(g.n)
+    rows = hocn.features._OrderRows(hocn.features._loop_adjacency(adj), np.arange(g.n))
+    prev_held = 0
+    for k in range(1, 5):
+        prev, step = rows.at(k)
+        power = np.linalg.matrix_power(a, k - 1)
+        assert prev is None if k == 1 else np.array_equal(prev.toarray(), power)
+        assert np.array_equal(step.toarray(), power @ loops)
+        held = np.diff(step.indptr) + (0 if prev is None else np.diff(prev.indptr))
+        assert (held <= _walk_nnz_bound(adj, k)).all()
+        if k >= 3:
+            # Moving to order k held R_{k-2}, S_{k-1} and R_{k-1} = S_{k-1} - R_{k-2}.
+            assert (prev_held + np.diff(prev.indptr) <= _walk_nnz_bound(adj, k)).all()
+        prev_held = held
+    with pytest.raises(ConfigError):
+        rows.at(3)
 
 
 def _chunked_and_whole(monkeypatch, g: Graph, pairs: np.ndarray, k_max: int, exclude: bool,
@@ -311,6 +340,63 @@ def test_worker_exception_reaches_caller_and_threads_end(monkeypatch):
     with pytest.raises(RuntimeError, match="sub-chunk 1 failed"):
         cn_order_features_all(g, batch_of(pairs), 3)
     assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 3])
+@pytest.mark.parametrize("exclude", [False, True])
+def test_combined_is_the_sum_of_slices_built_on_request(monkeypatch, k_max, exclude):
+    g, pairs = _hub_batch(k_max)
+    monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", int(_pair_costs(g, pairs, k_max).max()))
+    assert len(_sub_chunks(g.to_scipy(), pairs, k_max)) > 3
+    for f in cn_order_features_all(g, batch_of(pairs), k_max, exclude_endpoints=exclude):
+        k = f.order
+        assert f._slices is None
+        want = f.slices[(k, k)] + f.slices[(k - 1, k)] + f.slices[(k, k - 1)]
+        for attr in ("data", "indices", "indptr"):
+            got = getattr(f.combined, attr)
+            assert got.dtype == getattr(want, attr).dtype
+            assert np.array_equal(got, getattr(want, attr)), (k, attr)
+
+
+@pytest.mark.parametrize("variant", ["ocn", "ocnp"])
+def test_feature_pipeline_builds_no_slice(monkeypatch, variant):
+    def refuse(*args):
+        raise AssertionError("a slice was built")
+
+    g, pairs = _hub_batch(0)
+    monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", int(_pair_costs(g, pairs, 3).max()))
+    monkeypatch.setattr(hocn.features, "_explicit_slices", refuse)
+    cfg = FeatureConfig(k_max=3, variant=variant)
+    state = RunningState()
+    for training in (True, False):
+        raw, normalized = batch_features(g, batch_of(pairs), cfg, state, training=training)
+        basis_matrices(g, normalized, cfg, state, training=training)
+    with pytest.raises(AssertionError, match="a slice was built"):
+        normalized[0].slices
+
+
+def test_features_without_slices_hold_and_peak_less(monkeypatch):
+    g = sample_ba_graph(20000, 3, seed=0)
+    rng = np.random.default_rng(0)
+    pairs = rng.integers(0, g.n, size=(3000, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", 1 << 20)
+    assert len(_sub_chunks(g.to_scipy(), pairs, 3)) > 5
+    held, peak = {}, {}
+    for with_slices in (False, True):
+        tracemalloc.start()
+        try:
+            feats = cn_order_features_all(g, batch_of(pairs), 3)
+            if with_slices:
+                for f in feats:
+                    f.slices
+            held[with_slices], peak[with_slices] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del feats
+    assert peak[False] < peak[True], peak
+    # One matrix per order instead of four.
+    assert held[False] < 0.6 * held[True], held
 
 
 def test_adj_power_row_matches_matrix_power():
