@@ -22,7 +22,7 @@ from .graph import (Graph, LoadReport, PairBatch, SplitResult, load_edge_list,
 from .metrics import EvalReport, evaluate, hits_at_k, mrr
 from .normalize import (ParticipationCounts, apply_normalization,
                         exact_walk_participation, normalized_cn_score,
-                        running_counts, update_running_participation)
+                        normalized_cn_scores, running_counts, update_running_participation)
 from .ortho import (ExactOrthoBasis, OrthoBasis, RunningState,
                     apply_polynomial_filter, degree_filter_argument,
                     frobenius_inner, frobenius_norm,

@@ -13,8 +13,9 @@ the polynomial filter).
 
 Every subcommand takes ``--seed``, ``--config``, ``--json`` and ``--output``;
 any other flag belongs only to the subcommands that read it. eval takes the
-feature settings (orders, depth, variant, endpoint exclusion) from the model
-file that train wrote, and the frozen running statistics from ``--state``.
+feature settings (the whole ``FeatureConfig`` train used, its node-feature
+seed included) and the frozen running statistics from the one model file
+that train wrote; eval's own ``--seed`` draws the split and the negatives.
 
 Outputs are CSV with a commented header carrying version, seed, and the
 effective configuration; ``--json`` mirrors the same rows as a JSON array.
@@ -40,7 +41,7 @@ from .errors import ConfigError, HocnError, InputError
 from .graph import (Graph, PairBatch, _draw_distinct_pairs, load_edge_list,
                     merged_graph, sample_negatives, split_edges)
 from .metrics import evaluate
-from .normalize import exact_walk_participation, normalized_cn_score
+from .normalize import exact_walk_participation, normalized_cn_scores
 from .ortho import RunningState
 from .scoring import (FeatureConfig, ScoreModel, TrainConfig, basis_matrices,
                       batch_features, default_node_features, heuristic_scores,
@@ -48,18 +49,6 @@ from .scoring import (FeatureConfig, ScoreModel, TrainConfig, basis_matrices,
 from .theory import (BoundInputs, LatentModelParams, ba_bound_normalized,
                      ba_bound_unnormalized, bound_normalized,
                      bound_unnormalized, sample_ba_graph, validate_bound)
-
-DEFAULTS = {
-    "seed": 0,
-    "k_max": 2,
-    "variant": "ocn",
-    "exclude_endpoints": False,
-    "use_valid_as_input": False,
-    "threads": 1,
-    "json": False,
-    "format": "tsv",
-    "ratios": "0.7,0.1,0.2",
-}
 
 def _parse_bool(text: str) -> bool:
     low = str(text).strip().lower()
@@ -101,9 +90,6 @@ def resolve(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
             values[key] = _config_value(options[key], key, raw)
         sub.set_defaults(**values)
         args = parser.parse_args(argv)
-    for key, value in DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
     return args
 
 
@@ -217,9 +203,7 @@ def cmd_score(args) -> int:
         scores = heuristic_scores(base, batch.pairs, args.kind)
     elif args.kind == "normalized-cn":
         part = exact_walk_participation(base, args.k_max, exclude_endpoints=True)
-        scores = np.array([normalized_cn_score(base, int(u), int(v), args.k_max,
-                                               participation=part)
-                           for u, v in batch.pairs])
+        scores = normalized_cn_scores(base, batch.pairs, args.k_max, participation=part)
     elif args.kind in ("ocn", "ocnp"):
         scores = _structural_scores(base, batch.pairs,
                                     _feature_config(args, variant=args.kind))
@@ -238,19 +222,13 @@ def cmd_train(args) -> int:
                      epochs=int(args.epochs), seed=args.seed)
     result = train_model(split, tc)
     with open(args.model_out, "w") as fh:
-        result.model.save(fh)
-    if args.state_out:
-        with open(args.state_out, "w") as fh:
-            result.state.save(fh)
+        result.model.save(fh, result.state)
     rows = [(i, repr(loss)) for i, loss in enumerate(result.losses)]
     emit(args, ("step", "loss"), rows)
     return 0
 
 
 def cmd_eval(args) -> int:
-    if args.kind == "model" and not (args.model and args.state):
-        raise InputError("--kind model needs --model and --state, the files that "
-                         "train writes with --model-out and --state-out")
     g, split = _load_split(args)
     base = merged_graph(split, args.use_valid_as_input)
     batch = getattr(split, args.split)
@@ -261,12 +239,11 @@ def cmd_eval(args) -> int:
     if args.kind in ("cn", "aa", "ra"):
         score_fn = lambda pairs: heuristic_scores(base, pairs, args.kind)
     elif args.kind == "model":
+        if args.model is None:
+            raise InputError("--kind model needs --model, the file train --model-out wrote")
         with open(args.model) as fh:
-            model = ScoreModel.load(fh)
-        with open(args.state) as fh:
-            state = RunningState.load(fh)
-        fc = FeatureConfig(k_max=model.k_max, depth=model.depth, variant=model.variant,
-                           exclude_endpoints=model.exclude_endpoints, seed=args.seed)
+            model, state = ScoreModel.load(fh)
+        fc = model.features
         x = default_node_features(base, dim=fc.feature_dim, seed=fc.seed)
         h = propagate_features(base, x, fc.depth)
         score_fn = lambda pairs: model_scores(base, pairs, model, state, h, fc)
@@ -426,24 +403,24 @@ def cmd_bench(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--config", default=None)
-    common.add_argument("--json", action="store_const", const=True, default=None)
+    common.add_argument("--json", action="store_true")
     common.add_argument("--output", default=None)
 
     edges = argparse.ArgumentParser(add_help=False)
     edges.add_argument("--input", required=True)
-    edges.add_argument("--format", default=None)
-    edges.add_argument("--ratios", default=None)
+    edges.add_argument("--format", default="tsv")
+    edges.add_argument("--ratios", default="0.7,0.1,0.2")
 
     features = argparse.ArgumentParser(add_help=False)
-    features.add_argument("--k-max", dest="k_max", type=int, default=None)
+    features.add_argument("--k-max", dest="k_max", type=int, default=2)
     features.add_argument("--exclude-endpoints", dest="exclude_endpoints",
-                          action="store_const", const=True, default=None)
+                          action="store_true")
 
     valid_input = argparse.ArgumentParser(add_help=False)
     valid_input.add_argument("--use-valid-as-input", dest="use_valid_as_input",
-                             action="store_const", const=True, default=None)
+                             action="store_true")
 
     parser = argparse.ArgumentParser(prog="hocn")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -458,33 +435,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("train", parents=[common, edges, features])
-    p.add_argument("--variant", choices=("ocn", "ocnp"), default=None)
+    p.add_argument("--variant", choices=("ocn", "ocnp"), default="ocn")
     p.add_argument("--epochs", type=int, default=4)
     p.add_argument("--learning-rate", dest="learning_rate", type=float,
                    default=0.5)
     p.add_argument("--model-out", dest="model_out", required=True)
-    p.add_argument("--state-out", dest="state_out", default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", parents=[common, edges, valid_input])
     p.add_argument("--split", choices=("train", "valid", "test"), default="test")
     p.add_argument("--kind", default="cn", choices=("cn", "aa", "ra", "model"))
     p.add_argument("--model", default=None)
-    p.add_argument("--state", default=None)
     p.add_argument("--negatives", type=int, default=None)
     p.add_argument("--ks", default="20,50,100")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("diagnose", parents=[common, features])
     p.add_argument("--input", default=None)
-    p.add_argument("--format", default=None)
+    p.add_argument("--format", default="tsv")
     p.add_argument("--synthetic", default="200,3",
                    help="n,m for a preferential-attachment graph")
     p.add_argument("--pairs", type=int, default=256)
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("theory", parents=[common])
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--mode", choices=("validate", "grid"), default="validate")
     p.add_argument("--model", choices=("latent", "ba"), default="latent")
     p.add_argument("--bound", choices=("unnormalized", "normalized"),

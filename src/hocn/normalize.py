@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ScaleError
-from .features import OrderFeatures, WalkRows, cn_set
-from .graph import Graph
+from .features import OrderFeatures, WalkRows, cn_order_features_all
+from .graph import Graph, PairBatch
 from .ortho import RunningState
 
 EXACT_NODE_LIMIT = 5000
@@ -128,31 +128,39 @@ def apply_normalization(feats: OrderFeatures, counts: ParticipationCounts) -> Or
     """
     if counts.order != feats.order:
         raise ConfigError(f"counts order {counts.order} != feature order {feats.order}")
+    if counts.counts.shape[0] != feats.combined.shape[1]:
+        raise ConfigError(f"participation counts of {counts.counts.shape[0]} nodes for "
+                          f"features of {feats.combined.shape[1]}")
     return feats.scale_columns(1.0 / np.maximum(counts.counts, DIVISION_EPSILON))
+
+
+def normalized_cn_scores(g: Graph, pairs: np.ndarray, k: int,
+                         participation: ParticipationCounts | None = None,
+                         degree_corrected: bool = False) -> np.ndarray:
+    """Per pair (i, j), the sum over the members c of CN^k(i, j), endpoints
+    excluded, of 2/participation[c]: reciprocal participation counted over
+    unordered pairs (ordered totals halved).
+
+    With ``degree_corrected`` each term is multiplied by the ratio of the
+    node's unordered pair count to its degree, which leaves 1/d(c); at k=1
+    the score is then the resource-allocation value exactly.
+    """
+    feats = cn_order_features_all(g, PairBatch(pairs), k, exclude_endpoints=True)
+    members = (feats[-1].combined > 0).astype(np.float64)
+    if members.nnz == 0:
+        return np.zeros(members.shape[0])
+    if participation is None:
+        participation = exact_walk_participation(g, k, exclude_endpoints=True)
+    counts = participation.counts[members.indices]
+    if not (counts > 0).all():
+        raise ConfigError(f"a CN^{k} member has no positive participation")
+    members.data = 1.0 / g.degrees[members.indices] if degree_corrected else 2.0 / counts
+    return np.asarray(members.sum(axis=1)).ravel()
 
 
 def normalized_cn_score(g: Graph, i: int, j: int, k: int,
                         participation: ParticipationCounts | None = None,
                         degree_corrected: bool = False) -> float:
-    """Sum of reciprocal unordered-pair walk-participation counts over CN^k(i, j).
-
-    Participation is counted over unordered pairs (ordered totals halved).
-    With ``degree_corrected`` each term is multiplied by the ratio of the
-    node's unordered pair count to its degree; at k=1 that ratio is
-    C(d(c), 2)/d(c), turning the term into the resource-allocation value
-    1/d(c) exactly.
-    """
-    members = cn_set(g, i, j, k, exclude_endpoints=True)
-    if not members:
-        return 0.0
-    if participation is None:
-        participation = exact_walk_participation(g, k, exclude_endpoints=True)
-    score = 0.0
-    for c in members:
-        ordered = participation.counts[c]
-        assert ordered > 0, "a CN member must have positive participation"
-        term = 2.0 / ordered
-        if degree_corrected:
-            term *= (ordered / 2.0) / g.degrees[c]
-        score += term
-    return score
+    """``normalized_cn_scores`` of the one pair (i, j)."""
+    return float(normalized_cn_scores(g, np.array([[i, j]]), k, participation,
+                                      degree_corrected)[0])

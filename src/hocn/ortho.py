@@ -8,7 +8,6 @@ orthogonality for a per-node diagonal rescaling.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,56 +47,14 @@ class RunningState:
     running inner product of CN^k with OCN^i; ``psi_hat[k]`` the running
     per-node walk-participation column sums with its own batch counter
     ``psi_t[k]``. With the 1/(t+1) gains both runs equal the arithmetic mean
-    of the per-batch values.
+    of the per-batch values. ``ScoreModel.save`` writes them to the model
+    file with the coefficients they were trained with.
     """
 
     t: int = 0
     xi_hat: dict = field(default_factory=dict)
     psi_hat: dict = field(default_factory=dict)
     psi_t: dict = field(default_factory=dict)
-
-    def save(self, stream) -> None:
-        """Checkpoint to CSV; floats are written exactly (repr round-trips)."""
-        writer = csv.writer(stream)
-        writer.writerow(["kind", "k", "i", "value"])
-        writer.writerow(["t", "", "", repr(self.t)])
-        for (k, i), value in sorted(self.xi_hat.items()):
-            writer.writerow(["xi", k, i, repr(value)])
-        for k, count in sorted(self.psi_t.items()):
-            writer.writerow(["psi_t", k, "", repr(count)])
-        for k, vec in sorted(self.psi_hat.items()):
-            for node, value in enumerate(vec):
-                writer.writerow(["psi", k, node, repr(float(value))])
-
-    @classmethod
-    def load(cls, stream) -> "RunningState":
-        reader = csv.reader(stream)
-        if next(reader, None) != ["kind", "k", "i", "value"]:
-            raise ConfigError("unrecognized checkpoint header")
-        state = cls()
-        psi_rows: dict[int, dict[int, float]] = {}
-        for rowno, row in enumerate(reader, start=2):
-            try:
-                kind, k, i, value = row
-                if kind == "t":
-                    state.t = int(value)
-                elif kind == "xi":
-                    state.xi_hat[(int(k), int(i))] = float(value)
-                elif kind == "psi_t":
-                    state.psi_t[int(k)] = int(value)
-                elif kind == "psi" and int(i) >= 0:
-                    psi_rows.setdefault(int(k), {})[int(i)] = float(value)
-                else:
-                    raise ConfigError(f"checkpoint row {rowno}: unknown kind or negative "
-                                      f"node: {row!r}")
-            except ValueError:
-                raise ConfigError(f"checkpoint row {rowno} is malformed: {row!r}") from None
-        for k, row in psi_rows.items():
-            vec = np.zeros(max(row) + 1)
-            for node, value in row.items():
-                vec[node] = value
-            state.psi_hat[k] = vec
-        return state
 
 
 @dataclass

@@ -10,7 +10,7 @@ pipeline is exercised end to end with manually derived gradients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,7 +23,7 @@ from .normalize import (apply_normalization, normalized_cn_score, running_counts
 from .ortho import (RunningState, apply_polynomial_filter,
                     degree_filter_argument, gram_schmidt_batch, polynomial_weights)
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 MAX_PROPAGATION_DEPTH = 8
 
@@ -118,52 +118,6 @@ def propagate_features(g: Graph, x, depth: int) -> np.ndarray:
 
 
 @dataclass
-class ScoreModel:
-    """Learned coefficients of the orthogonal-CN scoring form, with the
-    feature settings they were trained on."""
-
-    k_max: int
-    alpha: np.ndarray
-    depth: int
-    head_w: np.ndarray
-    head_b: float
-    variant: str = "ocn"
-    exclude_endpoints: bool = False
-
-    def save(self, stream) -> None:
-        stream.write(f"hocn-model v{MODEL_FORMAT_VERSION}\n")
-        stream.write(f"variant {self.variant}\n")
-        stream.write(f"exclude_endpoints {int(self.exclude_endpoints)}\n")
-        stream.write(f"k_max {self.k_max}\n")
-        stream.write(f"depth {self.depth}\n")
-        stream.write("alpha " + " ".join(repr(float(a)) for a in self.alpha) + "\n")
-        stream.write("head_w " + " ".join(repr(float(w)) for w in self.head_w) + "\n")
-        stream.write(f"head_b {self.head_b!r}\n")
-
-    @classmethod
-    def load(cls, stream) -> "ScoreModel":
-        lines = [ln.strip() for ln in stream if ln.strip()]
-        if not lines or not lines[0].startswith("hocn-model"):
-            raise ConfigError("not a model file")
-        fields = {}
-        for ln in lines[1:]:
-            key, _, rest = ln.partition(" ")
-            fields[key] = rest
-        try:
-            return cls(
-                k_max=int(fields["k_max"]),
-                alpha=np.array([float(v) for v in fields["alpha"].split()]),
-                depth=int(fields["depth"]),
-                head_w=np.array([float(v) for v in fields["head_w"].split()]),
-                head_b=float(fields["head_b"]),
-                variant=fields.get("variant", "ocn"),
-                exclude_endpoints=bool(int(fields.get("exclude_endpoints", 0))),
-            )
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"model file: missing or malformed field: {exc}") from None
-
-
-@dataclass
 class FeatureConfig:
     """Settings for the structural-feature pipeline feeding the model."""
 
@@ -175,6 +129,98 @@ class FeatureConfig:
     batch_size: int = 2048
     exclude_endpoints: bool = False
     seed: int = 0
+
+
+def _setting(default):
+    """Parser of a FeatureConfig field, by the type of its default; a bool
+    is written as str() gives it."""
+    if isinstance(default, bool):
+        return {"True": True, "False": False}.__getitem__
+    return type(default)
+
+
+# Parsers of the one-value lines of a model file, by their first word.
+_SCALARS = {**{f.name: _setting(f.default) for f in fields(FeatureConfig)},
+            "head_b": float, "t": int}
+
+
+def _float_words(values) -> str:
+    return " ".join(map(repr, np.asarray(values, dtype=np.float64).tolist()))
+
+
+@dataclass
+class ScoreModel:
+    """Learned coefficients of the orthogonal-CN scoring form, with the
+    ``FeatureConfig`` they were trained with.
+
+    ``save`` writes them and the running statistics of training as one
+    file of ``key value...`` lines after a ``hocn-model v2`` header: one
+    line per ``FeatureConfig`` field; ``alpha``, ``head_w``, ``head_b``;
+    ``t``, one ``xi k i value`` line per running inner product and one
+    ``psi k psi_t v0 v1 ...`` line per order. Floats are written with
+    ``repr``, so they read back bit for bit. ``load`` returns the model and
+    the statistics, which inference keeps frozen.
+    """
+
+    features: FeatureConfig
+    alpha: np.ndarray
+    head_w: np.ndarray
+    head_b: float
+
+    def save(self, stream, state: RunningState) -> None:
+        lines = [f"hocn-model v{MODEL_FORMAT_VERSION}"]
+        lines += [f"{f.name} {getattr(self.features, f.name)}" for f in fields(FeatureConfig)]
+        lines += [f"alpha {_float_words(self.alpha)}", f"head_w {_float_words(self.head_w)}",
+                  f"head_b {float(self.head_b)!r}", f"t {state.t}"]
+        lines += [f"xi {k} {i} {float(v)!r}" for (k, i), v in sorted(state.xi_hat.items())]
+        lines += [f"psi {k} {state.psi_t[k]} {_float_words(vec)}"
+                  for k, vec in sorted(state.psi_hat.items())]
+        stream.write("\n".join(lines) + "\n")
+
+    @classmethod
+    def load(cls, stream) -> tuple["ScoreModel", RunningState]:
+        """(model, running statistics) from a file that ``save`` wrote.
+        Anything malformed is a ConfigError that names its line."""
+        header = stream.readline().strip()
+        if header != f"hocn-model v{MODEL_FORMAT_VERSION}":
+            raise ConfigError(f"model file line 1: expected 'hocn-model "
+                              f"v{MODEL_FORMAT_VERSION}', got {header[:40]!r}")
+        state = RunningState()
+        found, where = {}, {}  # the lines that appear once: value, line
+        for lineno, line in enumerate(stream, start=2):
+            if not line.strip():
+                continue
+            key, *words = line.split()
+            where[key] = f"model file line {lineno}"
+            if key in found:
+                raise ConfigError(f"{where[key]}: a second {key} line")
+            try:
+                if key == "xi":
+                    k, i, value = words
+                    state.xi_hat[(int(k), int(i))] = float(value)
+                elif key == "psi":
+                    k = int(words[0])
+                    state.psi_t[k] = int(words[1])
+                    state.psi_hat[k] = np.array(words[2:], dtype=np.float64)
+                elif key in ("alpha", "head_w"):
+                    found[key] = np.array(words, dtype=np.float64)
+                elif key in _SCALARS:
+                    (word,) = words
+                    found[key] = _SCALARS[key](word)
+                else:
+                    raise ConfigError(f"{where[key]}: unknown key {key!r}")
+            except (ValueError, KeyError, IndexError):
+                raise ConfigError(f"{where[key]}: malformed {key} line") from None
+        missing = [key for key in (*_SCALARS, "alpha", "head_w") if key not in found]
+        if missing:
+            raise ConfigError(f"model file: no {', '.join(missing)} line")
+        features = FeatureConfig(**{f.name: found[f.name] for f in fields(FeatureConfig)})
+        for key, length in (("alpha", features.k_max), ("head_w", features.feature_dim + 1)):
+            if len(found[key]) != length:
+                raise ConfigError(f"{where[key]}: {key} has {len(found[key])} values, "
+                                  f"expected {length}")
+        state.t = found["t"]
+        return cls(features, found["alpha"], found["head_w"], found["head_b"]), state
 
 
 def batch_features(g: Graph, batch: PairBatch, cfg: FeatureConfig,
@@ -314,15 +360,12 @@ def train_model(split: SplitResult, config: TrainConfig) -> TrainResult:
             if not math.isfinite(loss):
                 raise TrainingError(
                     "training loss diverged",
-                    last_state=ScoreModel(cfg.k_max, alpha, cfg.depth, head_w, head_b,
-                                          cfg.variant, cfg.exclude_endpoints))
+                    last_state=ScoreModel(cfg, alpha, head_w, head_b))
             losses.append(loss)
             alpha = alpha - config.learning_rate * g_alpha
             head_w = head_w - config.learning_rate * g_w
             head_b = head_b - config.learning_rate * g_b
-    model = ScoreModel(k_max=cfg.k_max, alpha=alpha, depth=cfg.depth,
-                       head_w=head_w, head_b=float(head_b), variant=cfg.variant,
-                       exclude_endpoints=cfg.exclude_endpoints)
+    model = ScoreModel(features=cfg, alpha=alpha, head_w=head_w, head_b=float(head_b))
     return TrainResult(model=model, state=state, h=h, losses=losses)
 
 

@@ -8,8 +8,10 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -124,21 +126,16 @@ def test_score_kinds_run(edge_file, kind, capsys):
 
 def test_train_then_eval_model(edge_file, tmp_path, capsys):
     model_path = str(tmp_path / "model.json")
-    state_path = str(tmp_path / "state.json")
     code, out = run_cli(["train", "--input", edge_file, "--epochs", "2",
-                         "--model-out", model_path,
-                         "--state-out", state_path, "--seed", "1"], capsys)
+                         "--model-out", model_path, "--seed", "1"], capsys)
     assert code == 0
     _, rows = parse_csv(out)
     losses = [float(r["loss"]) for r in rows]
     assert losses and all(np.isfinite(losses))
     with open(model_path) as fh:
         ScoreModel.load(fh)
-    with open(state_path) as fh:
-        RunningState.load(fh)
     code, out = run_cli(["eval", "--input", edge_file, "--kind", "model",
-                         "--model", model_path, "--state", state_path,
-                         "--seed", "1", "--ks", "10,50"], capsys)
+                         "--model", model_path, "--seed", "1", "--ks", "10,50"], capsys)
     assert code == 0
     _, rows = parse_csv(out)
     metrics = {(r["metric"], r["K"]) for r in rows}
@@ -466,42 +463,49 @@ def test_config_value_is_parsed_with_its_option_type(edge_file, tmp_path, capsys
     assert captured.err.startswith("error: ConfigError") and error in captured.err
 
 
-def test_eval_model_requires_state(edge_file, tmp_path, capsys):
+def test_eval_model_reads_only_the_model_file(edge_file, tmp_path, capsys):
     model_path = str(tmp_path / "model.txt")
     assert main(["train", "--input", edge_file, "--epochs", "1",
                  "--model-out", model_path]) == 0
     capsys.readouterr()
-    code = main(["eval", "--input", edge_file, "--kind", "model", "--model", model_path])
+    assert main(["eval", "--input", edge_file, "--kind", "model", "--model", model_path]) == 0
+    capsys.readouterr()
+    code = main(["eval", "--input", edge_file, "--kind", "model"])
     captured = capsys.readouterr()
     assert code == 1
-    assert "InputError" in captured.err and "--state" in captured.err
+    assert "InputError" in captured.err and "--model" in captured.err
     assert captured.out == ""
 
 
-_MODEL = ScoreModel(k_max=2, alpha=np.array([0.1, 0.2]), depth=2,
-                    head_w=np.full(16, 0.1), head_b=0.0)
+_MODEL = ScoreModel(FeatureConfig(), alpha=np.array([0.1, 0.2]),
+                    head_w=np.full(17, 0.1), head_b=0.0)
 
 
-def _model_text(drop=None):
+def _model_text(drop=(), add=""):
     buf = io.StringIO()
-    _MODEL.save(buf)
+    _MODEL.save(buf, RunningState(t=1, xi_hat={(2, 1): 0.5}, psi_hat={1: np.ones(80)},
+                                  psi_t={1: 1}))
     return "".join(ln for ln in buf.getvalue().splitlines(True)
-                   if drop is None or not ln.startswith(drop + " "))
+                   if ln.split()[0] not in drop) + add
 
 
-@pytest.mark.parametrize("model_text,state_text,names", [
-    (_model_text(drop="alpha"), "kind,k,i,value\nt,,,0\n", "alpha"),
-    (_model_text(), "kind,k,i,value\nt,,,0\nxi,1\n", "row 3"),
-    (_model_text(), "kind,k,i,value\npsi,1,x,0.5\n", "row 2"),
-    (_model_text(), "kind,k,i,value\npsi,1,3,0.5\npsi,1,-1,0.7\n", "row 3"),
-    (_model_text(), "", "header"),
-], ids=["no-alpha", "short-row", "bad-node", "negative-node", "empty-state"])
+@pytest.mark.parametrize("model_text,names", [
+    (_model_text(drop=("alpha",)), "no alpha line"),
+    (_model_text(add="xi 1\n"), "line 16: malformed xi line"),
+    (_model_text(drop=("t", "xi", "psi")), "no t line"),
+    (_model_text(add="alpha 0.1 0.2 0.3\n"), "second alpha line"),
+    (_model_text(drop=("alpha",), add="alpha 0.1 0.2 0.3\n"),
+     "alpha has 3 values, expected 2"),
+    (_model_text(drop=("head_w",), add="head_w 0.1 0.2\n"),
+     "head_w has 2 values, expected 17"),
+    ("kind,k,i,value\nt,,,0\n", "line 1: expected 'hocn-model v2'"),
+], ids=["no-alpha", "short-row", "empty-state", "second-alpha", "alpha-length",
+        "head-w-length", "state-csv"])
 def test_eval_malformed_model_or_state_is_a_config_error(edge_file, tmp_path, capsys,
-                                                         model_text, state_text, names):
+                                                         model_text, names):
     (tmp_path / "model.txt").write_text(model_text)
-    (tmp_path / "state.csv").write_text(state_text)
     code = main(["eval", "--input", edge_file, "--kind", "model",
-                 "--model", str(tmp_path / "model.txt"), "--state", str(tmp_path / "state.csv")])
+                 "--model", str(tmp_path / "model.txt")])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ConfigError") and names in err
@@ -532,14 +536,12 @@ def test_malformed_number_is_an_error_line(edge_file, tmp_path, capsys, argv, co
 
 def test_eval_builds_features_the_model_was_trained_on(edge_file, tmp_path, capsys):
     model_path = str(tmp_path / "model.txt")
-    state_path = str(tmp_path / "state.csv")
     seed = 1
     assert main(["train", "--input", edge_file, "--epochs", "2", "--exclude-endpoints",
-                 "--model-out", model_path, "--state-out", state_path,
-                 "--seed", str(seed)]) == 0
+                 "--model-out", model_path, "--seed", str(seed)]) == 0
     capsys.readouterr()
     code, out = run_cli(["eval", "--input", edge_file, "--kind", "model", "--model", model_path,
-                         "--state", state_path, "--seed", str(seed)], capsys)
+                         "--seed", str(seed)], capsys)
     assert code == 0
     _, rows = parse_csv(out)
 
@@ -551,14 +553,13 @@ def test_eval_builds_features_the_model_was_trained_on(edge_file, tmp_path, caps
         [split.train.pairs, split.valid.pairs, split.test.pairs], axis=0)]
     negatives = sample_negatives(base, max(len(split.test), 200), seed + 7, exclude=exclude)
     with open(model_path) as fh:
-        model = ScoreModel.load(fh)
-    assert model.exclude_endpoints
+        model, _ = ScoreModel.load(fh)
+    assert model.features.exclude_endpoints
 
     def expected_rows(exclude_endpoints):
-        with open(state_path) as fh:
-            state = RunningState.load(fh)
-        cfg = FeatureConfig(k_max=model.k_max, depth=model.depth, variant=model.variant,
-                            exclude_endpoints=exclude_endpoints, seed=seed)
+        with open(model_path) as fh:
+            _, state = ScoreModel.load(fh)
+        cfg = replace(model.features, exclude_endpoints=exclude_endpoints)
         h = propagate_features(base, default_node_features(base, dim=cfg.feature_dim,
                                                            seed=seed), cfg.depth)
         report = evaluate(lambda pairs: model_scores(base, pairs, model, state, h, cfg),
@@ -569,6 +570,62 @@ def test_eval_builds_features_the_model_was_trained_on(edge_file, tmp_path, caps
     got = [(r["metric"], r["K"], r["value"]) for r in rows]
     assert got == expected_rows(True)
     assert got != expected_rows(False)
+
+
+def test_eval_model_of_another_graph_is_a_config_error(edge_file, tmp_path, capsys):
+    model_path = str(tmp_path / "model.txt")
+    assert main(["train", "--input", edge_file, "--epochs", "1", "--model-out", model_path]) == 0
+    capsys.readouterr()
+    larger = write_edges(tmp_path / "larger.tsv", ba_edges(120, 3, seed=11))
+    code = main(["eval", "--input", larger, "--kind", "model", "--model", model_path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ConfigError") and "of 80 nodes" in captured.err
+
+
+def test_eval_takes_the_node_feature_seed_from_the_model_file(edge_file, tmp_path, capsys):
+    # eval's --seed draws the split and the negatives and nothing else.
+    model_path = str(tmp_path / "model.txt")
+    assert main(["train", "--input", edge_file, "--epochs", "2", "--model-out", model_path,
+                 "--seed", "1"]) == 0
+    capsys.readouterr()
+    code, out = run_cli(["eval", "--input", edge_file, "--kind", "model", "--model", model_path,
+                         "--seed", "2"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+
+    with open(edge_file) as fh:
+        g, _ = load_edge_list(fh)
+    split = split_edges(g, (0.7, 0.1, 0.2), 2)
+    base = split.train_graph
+    exclude = np.concatenate([split.train.pairs, split.valid.pairs, split.test.pairs])
+    negatives = sample_negatives(base, max(len(split.test), 200), 2 + 7, exclude=exclude)
+
+    def expected_rows(feature_seed):
+        with open(model_path) as fh:
+            model, state = ScoreModel.load(fh)
+        cfg = model.features
+        h = propagate_features(base, default_node_features(base, dim=cfg.feature_dim,
+                                                           seed=feature_seed), cfg.depth)
+        report = evaluate(lambda pairs: model_scores(base, pairs, model, state, h, cfg),
+                          split.test, negatives, ks=(20, 50, 100), seed=2)
+        return ([("hits", str(k), repr(report.hits[k])) for k in sorted(report.hits)]
+                + [("mrr", "", repr(report.mrr))])
+
+    got = [(r["metric"], r["K"], r["value"]) for r in rows]
+    assert got == expected_rows(1)
+    assert got != expected_rows(2)
+
+
+def test_readme_train_and_eval_commands_run(edge_file, tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [shlex.split(line.split("#")[0]) for line in readme.splitlines()
+                if line.startswith(("hocn train", "hocn eval"))]
+    assert [argv[:2] for argv in commands] == [["hocn", "train"], ["hocn", "eval"]]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main([edge_file if word == "edges.tsv" else word for word in argv[1:]]) == 0
+    capsys.readouterr()
 
 
 def test_python_dash_m_runs_the_cli():

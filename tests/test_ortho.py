@@ -8,7 +8,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hocn import (Graph, RunningState, ScaleError, apply_polynomial_filter,
+from hocn import (FeatureConfig, Graph, RunningState, ScaleError, ScoreModel,
+                  apply_polynomial_filter,
                   cn_order_features, cn_order_features_all, degree_filter_argument,
                   frobenius_inner, frobenius_norm, full_graph_orthogonalize,
                   gram_schmidt_batch, polynomial_weights, sample_ba_graph)
@@ -98,16 +99,20 @@ def test_state_checkpoint_round_trip():
     state = RunningState(t=5,
                          xi_hat={(2, 1): 1.2345678901234567, (3, 1): -0.25,
                                  (3, 2): 1e-17},
-                         psi_hat={1: np.array([0.5, 0.0, 7.25])},
-                         psi_t={1: 4})
+                         psi_hat={1: np.array([0.5, 0.0, 7.25]),
+                                  2: np.array([1 / 3, 0.1 + 0.2, 0.0])},
+                         psi_t={1: 4, 2: 3})
+    model = ScoreModel(FeatureConfig(k_max=3), alpha=np.zeros(3), head_w=np.zeros(17),
+                       head_b=0.0)
     buf = io.StringIO()
-    state.save(buf)
+    model.save(buf, state)
     buf.seek(0)
-    loaded = RunningState.load(buf)
+    _, loaded = ScoreModel.load(buf)
     assert loaded.t == state.t
     assert loaded.xi_hat == state.xi_hat
     assert loaded.psi_t == state.psi_t
-    assert np.array_equal(loaded.psi_hat[1], state.psi_hat[1])
+    assert loaded.psi_hat.keys() == state.psi_hat.keys()
+    assert all(np.array_equal(loaded.psi_hat[k], state.psi_hat[k]) for k in state.psi_hat)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -98,32 +98,29 @@ def test_default_node_features_deterministic(g4):
 
 
 def test_model_file_round_trip():
-    model = ScoreModel(k_max=2, alpha=np.array([0.125, -3.5e-7]), depth=3,
-                       head_w=np.array([1.0, -2.0, 0.5]), head_b=-0.75,
-                       variant="ocnp")
+    features = FeatureConfig(k_max=2, depth=3, feature_dim=2, variant="ocnp",
+                             poly_basis="legendre", batch_size=64, exclude_endpoints=True,
+                             seed=7)
+    model = ScoreModel(features, alpha=np.array([0.125, -3.5e-7]),
+                       head_w=np.array([1.0, -2.0, 0.1 + 0.2]), head_b=-0.75)
     buf = io.StringIO()
-    model.save(buf)
+    model.save(buf, RunningState())
     buf.seek(0)
-    loaded = ScoreModel.load(buf)
-    assert loaded.k_max == 2 and loaded.depth == 3
-    assert loaded.variant == "ocnp"
+    loaded, state = ScoreModel.load(buf)
+    assert loaded.features == features
     assert np.array_equal(loaded.alpha, model.alpha)
     assert np.array_equal(loaded.head_w, model.head_w)
     assert loaded.head_b == model.head_b
+    assert state == RunningState()
 
 
 def test_model_file_records_exclude_endpoints():
-    model = ScoreModel(k_max=1, alpha=np.array([0.5]), depth=2, head_w=np.array([1.0]),
-                       head_b=0.0, exclude_endpoints=True)
+    model = ScoreModel(FeatureConfig(k_max=1, feature_dim=0, exclude_endpoints=True),
+                       alpha=np.array([0.5]), head_w=np.array([1.0]), head_b=0.0)
     buf = io.StringIO()
-    model.save(buf)
+    model.save(buf, RunningState())
     buf.seek(0)
-    assert ScoreModel.load(buf).exclude_endpoints is True
-    # a file written before the setting was recorded: the old default
-    older = "".join(line for line in buf.getvalue().splitlines(keepends=True)
-                    if not line.startswith("exclude_endpoints"))
-    assert older != buf.getvalue()
-    assert ScoreModel.load(io.StringIO(older)).exclude_endpoints is False
+    assert ScoreModel.load(buf)[0].features.exclude_endpoints is True
 
 
 def test_model_load_rejects_garbage():
