@@ -143,17 +143,22 @@ def normalized_cn_scores(g: Graph, pairs: np.ndarray, k: int,
 
     With ``degree_corrected`` each term is multiplied by the ratio of the
     node's unordered pair count to its degree, which leaves 1/d(c); at k=1
-    the score is then the resource-allocation value exactly.
+    the score is then the resource-allocation value exactly. No
+    participation is computed for it, so it also runs above
+    ``EXACT_NODE_LIMIT``; one passed in is still checked.
     """
     feats = cn_order_features_all(g, PairBatch(pairs), k, exclude_endpoints=True)
     members = (feats[-1].combined > 0).astype(np.float64)
     if members.nnz == 0:
         return np.zeros(members.shape[0])
-    if participation is None:
+    # A member's exact participation counts the pair itself, so it is
+    # positive; the degree-corrected terms 1/d(c) never read it.
+    if participation is None and not degree_corrected:
         participation = exact_walk_participation(g, k, exclude_endpoints=True)
-    counts = participation.counts[members.indices]
-    if not (counts > 0).all():
-        raise ConfigError(f"a CN^{k} member has no positive participation")
+    if participation is not None:
+        counts = participation.counts[members.indices]
+        if not (counts > 0).all():
+            raise ConfigError(f"a CN^{k} member has no positive participation")
     members.data = 1.0 / g.degrees[members.indices] if degree_corrected else 2.0 / counts
     return np.asarray(members.sum(axis=1)).ravel()
 

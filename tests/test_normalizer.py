@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hocn.normalize
-from hocn import (Graph, RunningState, ScaleError, apply_normalization,
+from hocn import (ConfigError, Graph, RunningState, ScaleError, apply_normalization,
                   cn_order_features, exact_walk_participation,
                   heuristic_score, normalized_cn_score, running_counts,
                   update_running_participation)
@@ -156,6 +156,31 @@ def test_g4_degeneracy_hand_value(g4):
     # single common neighbor of degree 2: corrected term is 1/2
     assert normalized_cn_score(g4, 0, 2, 1, degree_corrected=True) == 0.5
     assert heuristic_score(g4, (0, 2), "ra") == 0.5
+
+
+def test_degree_corrected_score_reads_no_participation(monkeypatch, g4):
+    calls = []
+    real = hocn.normalize.exact_walk_participation
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hocn.normalize, "exact_walk_participation", counted)
+    # Above the exact-participation guard, which the 1/d(c) terms never reach.
+    g = sample_ba_graph(hocn.normalize.EXACT_NODE_LIMIT + 1, 2, seed=3)
+    adj = g.to_scipy()
+    for c in (0, 1, 2, 3):
+        u, v = (int(x) for x in adj[c].indices[:2])
+        got = normalized_cn_score(g, u, v, 1, degree_corrected=True)
+        assert abs(got - heuristic_score(g, (u, v), "ra")) <= 1e-12
+    assert calls == []
+    part = real(g4, 1, exclude_endpoints=True)
+    part.counts[1] = 0.0
+    with pytest.raises(ConfigError):  # a passed participation is still checked
+        normalized_cn_score(g4, 0, 2, 1, participation=part, degree_corrected=True)
+    normalized_cn_score(g4, 0, 2, 1)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("seed", range(5))
