@@ -24,17 +24,19 @@ from repeated sparse row-times-matrix products, so computing features
 allocates no batch x n dense storage. They are left unsorted; each product
 is sorted instead, since it is far smaller than the rows it comes from.
 
-A batch is walked in sub-chunks of pairs, sized by the per-node bound
-``_walk_nnz_bound`` of the walk rows a sub-chunk holds at once: for the
-features, R_{k-1} and S_k of the order k in progress (and R_k while it is
-formed), for the slices the chain R_0..R_k. Sub-chunks run on ``_WORKERS``
-threads (scipy's sparse kernels release the GIL) and share ``_NNZ_BUDGET``
-entries between them.
+One walk-row class, ``_OrderRows``, serves the features, the slices and
+``adj_power_row`` (R_k = S_k - R_{k-1}) and the participation diagonals
+(``order_row_diagonals``). A batch is walked in sub-chunks of pairs, and
+participation in blocks of nodes, sized by the per-node bound
+``_walk_nnz_bound`` of the walk rows they hold. Sub-chunks run on
+``_WORKERS`` threads (scipy's sparse kernels release the GIL) and share
+``_NNZ_BUDGET`` entries between them; a block has the budget to itself.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -46,9 +48,9 @@ from .graph import Graph, PairBatch, hop_distances
 
 DEFAULT_MAX_ORDER = 3
 
-# Walk-row entries the sub-chunks of cn_order_features_all in flight at once
-# may hold, by the per-node bound of _walk_nnz_bound (about 50 MB of CSR data
-# and indices). Each of the _WORKERS threads gets an equal share.
+# Walk-row entries the sub-chunks of cn_order_features_all in flight at once,
+# or a block of order_row_diagonals, may hold, by the per-node bound of
+# _walk_nnz_bound (about 50 MB of CSR data and indices).
 _NNZ_BUDGET = 1 << 22
 
 # Threads that build sub-chunks: two at most, since the walk rows of every
@@ -112,28 +114,6 @@ def as_dense(m) -> np.ndarray:
     return m.toarray() if sp.issparse(m) else np.asarray(m)
 
 
-class WalkRows:
-    """Rows A^0, A^1, ... of the adjacency for a list of nodes, all kept.
-
-    Each power is one sparse product with the adjacency away from the
-    previous one, so asking for lengths 1..K in turn costs K products
-    rather than K(K+1)/2. The slices, ``adj_power_row`` and the
-    participation diagonals read this chain; the combined counts read
-    ``_OrderRows``, which keeps two rows per node at a time.
-    """
-
-    def __init__(self, adj: sp.csr_matrix, nodes: np.ndarray):
-        h = nodes.shape[0]
-        self.adj = adj
-        self.rows = [sp.csr_matrix((np.ones(h), nodes, np.arange(h + 1)),
-                                   shape=(h, adj.shape[0]))]
-
-    def power(self, length: int) -> sp.csr_matrix:
-        while len(self.rows) <= length:
-            self.rows.append(self.rows[-1] @ self.adj)
-        return self.rows[length]
-
-
 class _OrderRows:
     """Rows R_{k-1} = A^{k-1} and S_k = A^{k-1}(A + I) for a list of nodes,
     for one order k at a time, moving forward.
@@ -141,7 +121,8 @@ class _OrderRows:
     ``loops`` is A + I. S_1 is the nodes' rows of A + I, and R_1 is S_1
     without its loop entries. Then R_{k-1} = S_{k-1} - R_{k-2} and
     S_k = R_{k-1}(A + I), one product per order. Only the current R_{k-1}
-    and S_k are kept; R_0, the identity rows, is never stored.
+    and S_k are kept; R_0, the identity rows, is stored only when
+    ``powers`` returns it.
     """
 
     def __init__(self, loops: sp.csr_matrix, nodes: np.ndarray):
@@ -159,15 +140,27 @@ class _OrderRows:
             if self.order == 0:
                 self.step = self.loops[self.nodes]
             else:
-                if self.prev is None:
-                    rows = self.step
-                    _drop_row_columns(rows, self.nodes[:, None])
-                else:
-                    rows = self.step - self.prev
+                rows = self._power()
                 self.prev = self.step = None  # released before the product
                 self.prev, self.step = rows, rows @ self.loops
             self.order += 1
         return self.prev, self.step
+
+    def powers(self, k: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """(R_{k-1}, R_k), the rows of A^{k-1} and A^k; R_0 is the identity
+        rows. The last call on these rows: at k = 1 it turns S_1 into R_1."""
+        prev, _ = self.at(k)
+        if prev is None:
+            prev = sp.identity(self.loops.shape[0], format="csr")[self.nodes]
+        return prev, self._power()
+
+    def _power(self) -> sp.csr_matrix:
+        """R_k = S_k - R_{k-1} at the current order k; R_1 is S_1 with its
+        loop entries dropped in place."""
+        if self.prev is None:
+            _drop_row_columns(self.step, self.nodes[:, None])
+            return self.step
+        return self.step - self.prev
 
 
 def _loop_adjacency(adj: sp.csr_matrix) -> sp.csr_matrix:
@@ -186,8 +179,8 @@ def _walk_nnz_bound(adj: sp.csr_matrix, k_max: int) -> np.ndarray:
     each of its nodes is in X or N(X)), so there are at most one more of
     them than edges at X, sum over x in X of deg(x) <= w_k. With w_l not
     falling for l >= 1, the rows the features hold at once, R_{k-1} and
-    S_k and, while it is formed, R_k, stay within the bound too; R_0 is
-    never stored.
+    S_k and, while it is formed, R_k, stay within the bound too. The
+    slices of order k hold R_k as well: up to |R_{k-1}| + |R_k| more.
     """
     n = adj.shape[0]
     walks = np.ones(n)
@@ -198,36 +191,62 @@ def _walk_nnz_bound(adj: sp.csr_matrix, k_max: int) -> np.ndarray:
     return bound
 
 
-def _sub_chunks(adj: sp.csr_matrix, pairs: np.ndarray, k_max: int) -> np.ndarray:
-    """Start offsets (and the end) of consecutive sub-chunks of ``pairs``.
-
-    Each sub-chunk is the longest run from its start whose endpoints' walk
-    rows for orders up to k_max stay within ``_NNZ_BUDGET // _WORKERS``
-    entries by the bound of ``_walk_nnz_bound``; a pair above that share
-    sits alone. Raises ScaleError before any walk row is built when a single
-    pair exceeds ``_NNZ_BUDGET``.
-    """
-    bound = _walk_nnz_bound(adj, k_max)
-    cost = bound[pairs[:, 0]] + bound[pairs[:, 1]]
-    worst = int(cost.argmax())
-    if cost[worst] > _NNZ_BUDGET:
-        u, v = (int(x) for x in pairs[worst])
-        raise ScaleError(f"walk rows 0..{k_max} of pair ({u}, {v}) may hold {int(cost[worst])} "
-                         f"entries, above the sub-chunk budget of {_NNZ_BUDGET}")
-    share = _NNZ_BUDGET // _WORKERS
+def _budget_cuts(cost: np.ndarray, share: int, item: Callable[[int], str]) -> np.ndarray:
+    """Start offsets (and the end) of consecutive runs of items, each the
+    longest from its start whose walk-row entries ``cost`` stay within
+    ``share``; an item above the share sits alone. Raises ScaleError,
+    naming ``item(i)``, when a single item exceeds ``_NNZ_BUDGET``."""
+    if len(cost) and cost.max() > _NNZ_BUDGET:
+        worst = int(cost.argmax())
+        raise ScaleError(f"walk rows of {item(worst)} may hold {int(cost[worst])} "
+                         f"entries, above the walk-row budget of {_NNZ_BUDGET}")
     total = np.concatenate([[0], np.cumsum(cost)])
     cuts = [0]
-    while cuts[-1] < len(pairs):
+    while cuts[-1] < len(cost):
         end = int(np.searchsorted(total, total[cuts[-1]] + share, side="right")) - 1
         cuts.append(max(end, cuts[-1] + 1))
     return np.array(cuts)
+
+
+def _sub_chunks(adj: sp.csr_matrix, pairs: np.ndarray, k_max: int) -> np.ndarray:
+    """``_budget_cuts`` of ``pairs`` by their endpoints' walk rows for orders
+    up to k_max, by the bound of ``_walk_nnz_bound``, with a share of
+    ``_NNZ_BUDGET // _WORKERS`` per sub-chunk."""
+    bound = _walk_nnz_bound(adj, k_max)
+    cost = bound[pairs[:, 0]] + bound[pairs[:, 1]]
+    return _budget_cuts(cost, _NNZ_BUDGET // _WORKERS,
+                        lambda x: f"pair ({pairs[x, 0]}, {pairs[x, 1]}) at orders 1..{k_max}")
+
+
+def order_row_diagonals(adj: sp.csr_matrix, k: int) -> np.ndarray:
+    """(4, n) array: per node c, R_{k-1}[c, c], S_k[c, c], ||R_{k-1}[c]||^2
+    and ||S_k[c]||^2 of the walk rows of ``_OrderRows`` at order k; R_0 is
+    the identity rows, so at k = 1 both of its figures are 1. The rows are
+    built for one block of consecutive nodes at a time, cut by
+    ``_budget_cuts`` with the whole budget."""
+    cuts = _budget_cuts(_walk_nnz_bound(adj, k), _NNZ_BUDGET,
+                        lambda c: f"node {c} at orders 1..{k}")
+    loops = _loop_adjacency(adj)
+    out = np.ones((4, adj.shape[0]))
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        nodes = np.arange(start, stop)
+        for i, rows in enumerate(_OrderRows(loops, nodes).at(k)):
+            if rows is not None:
+                out[i, nodes] = rows[nodes - start, nodes]
+                # Not rows.power(2), which sorts the rows' indices first.
+                squares = sp.csr_matrix((rows.data ** 2, rows.indices, rows.indptr),
+                                        shape=rows.shape)
+                out[i + 2, nodes] = squares.sum(axis=1).ravel()
+        del rows  # released before the next block is built
+    return out
 
 
 def adj_power_row(g: Graph, u: int, l: int, max_order: int = DEFAULT_MAX_ORDER) -> np.ndarray:
     """Dense row u of A^l: exact counts of l-length walks from u to every node."""
     if l < 0 or l > max_order:
         raise ConfigError(f"walk length {l} outside [0, {max_order}]")
-    return WalkRows(g.to_scipy(), np.array([u], dtype=np.int64)).power(l).toarray()[0]
+    rows = _OrderRows(_loop_adjacency(g.to_scipy()), np.array([u], dtype=np.int64))
+    return rows.powers(max(l, 1))[min(l, 1)].toarray()[0]
 
 
 def _drop_row_columns(mat: sp.csr_matrix, columns: np.ndarray) -> None:
@@ -243,15 +262,19 @@ def _slice_keys(k: int) -> tuple[tuple[int, int], ...]:
 
 def _explicit_slices(g: Graph, pairs: np.ndarray, k: int, exclude_endpoints: bool) -> dict:
     """The three order-k slices of ``pairs``, one elementwise product of
-    A^k1 and A^k2 rows each, walked in the sub-chunks of ``_sub_chunks``."""
+    A^k1 and A^k2 rows (``_OrderRows.powers``) each, walked in the
+    sub-chunks of ``_sub_chunks``."""
     adj = g.to_scipy()
     cuts = _sub_chunks(adj, pairs, k)
+    loops = _loop_adjacency(adj)
     parts = {key: [] for key in _slice_keys(k)}
     for start, stop in zip(cuts[:-1], cuts[1:]):
         chunk = pairs[start:stop]
-        ru, rv = WalkRows(adj, chunk[:, 0]), WalkRows(adj, chunk[:, 1])
+        # (R_{k-1}, R_k) of each endpoint, whose S_k is dropped before the
+        # other's rows are built: R_l sits at position l - k + 1.
+        ru, rv = (_OrderRows(loops, nodes).powers(k) for nodes in chunk.T)
         for (k1, k2), mats in parts.items():
-            mat = ru.power(k1).multiply(rv.power(k2)).tocsr()
+            mat = ru[k1 - k + 1].multiply(rv[k2 - k + 1]).tocsr()
             mat.sort_indices()
             if exclude_endpoints:
                 _drop_row_columns(mat, chunk)

@@ -3,9 +3,10 @@
 A node that serves as a k-hop common neighbor for many pairs carries little
 information about any one of them, so each feature column is divided by the
 node's walk-participation count: exactly, over all ordered pairs, from a
-closed form in the walk totals A^l·1 and the diagonals of A^p (sparse
-mat-vecs and walk-row inner products over blocks of nodes), or by the
-streaming column-sum estimate during training.
+closed form in the walk totals A^l·1 and the (c, c) entries and row norms
+of the order-k walk rows that the features step (``order_row_diagonals``,
+over node blocks cut by the walk-row budget), or by the streaming
+column-sum estimate during training.
 """
 
 from __future__ import annotations
@@ -14,18 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ScaleError
-from .features import OrderFeatures, WalkRows, cn_order_features_all
+from .errors import ConfigError
+from .features import OrderFeatures, cn_order_features_all, order_row_diagonals
 from .graph import Graph, PairBatch
 from .ortho import RunningState
 
-EXACT_NODE_LIMIT = 5000
-
 DIVISION_EPSILON = 1e-12
-
-# Nodes per block of walk rows when computing diag(A^p); bounds the memory
-# held at once to one block's rows A^0..A^k.
-_NODE_BLOCK = 1024
 
 
 @dataclass
@@ -41,25 +36,8 @@ class ParticipationCounts:
     mode: str
 
 
-def _walk_diagonals(adj, max_power: int) -> np.ndarray:
-    """diag(A^p) for p = 0..max_power, one row per p, from the walk rows of
-    one block of nodes at a time (identities in ``exact_walk_participation``).
-    """
-    n = adj.shape[0]
-    diags = np.zeros((max_power + 1, n))
-    for start in range(0, n, _NODE_BLOCK):
-        nodes = np.arange(start, min(start + _NODE_BLOCK, n))
-        walks = WalkRows(adj, nodes)
-        for p in range(max_power + 1):
-            m = p // 2
-            diags[p, nodes] = np.asarray(
-                walks.power(m).multiply(walks.power(p - m)).sum(axis=1)).ravel()
-    return diags
-
-
 def exact_walk_participation(g: Graph, k: int,
-                             exclude_endpoints: bool = True,
-                             node_limit: int = EXACT_NODE_LIMIT) -> ParticipationCounts:
+                             exclude_endpoints: bool = True) -> ParticipationCounts:
     """counts[c] = sum over ordered pairs (i, j), i != j, of combined(i, j)[c].
 
     Uses the closed form
@@ -70,29 +48,26 @@ def exact_walk_participation(g: Graph, k: int,
     endpoints are excluded. For k=1 with endpoints excluded this is
     d(c)(d(c) - 1).
 
-    The diagonals come from walk rows, never from an n x n power. Since A
-    is symmetric, diag(A^{2m})[c] = ||(A^m)_c||^2 and diag(A^{2m+1})[c] =
-    <(A^m)_c, (A^{m+1})_c>. Every term is an integer walk count, so the
-    result is exact.
+    The diagonals come from each node's walk rows R_{k-1} = A^{k-1} and
+    S_k = R_{k-1}(A + I) (``order_row_diagonals``, which raises ScaleError
+    for a node above the walk-row budget), never from an n x n power. As A
+    is symmetric, diag(A^{2k}) + 2 diag(A^{2k-1}) = ||S_k[c]||^2 -
+    ||R_{k-1}[c]||^2, diag(A^{k-1}) = R_{k-1}[c, c] and diag(A^k) = S_k[c, c]
+    - R_{k-1}[c, c]. Every term is an integer walk count, so the result is
+    exact.
     """
     if k < 1:
         raise ConfigError(f"order must be >= 1, got {k}")
-    if g.n > node_limit:
-        raise ScaleError(f"n={g.n} exceeds the exact-participation guard "
-                         f"{node_limit}; use the running estimator")
     adj = g.to_scipy()
-    sums = [np.ones(g.n)]
+    diag_prev, diag_step, norm_prev, norm_step = order_row_diagonals(adj, k)
+    s_k = np.ones(g.n)  # s_l = A^l·1 for l = k - 1, k
     for _ in range(k):
-        sums.append(adj @ sums[-1])
-    diags = _walk_diagonals(adj, 2 * k)
-    counts = np.zeros(g.n)
-    for k1, k2 in ((k, k), (k - 1, k), (k, k - 1)):
-        counts += sums[k1] * sums[k2] - diags[k1 + k2]
-        if exclude_endpoints:
-            d1 = diags[k1]
-            d2 = diags[k2]
-            counts -= d1 * (sums[k2] - d2)  # c == i terms
-            counts -= d2 * (sums[k1] - d1)  # c == j terms
+        s_prev, s_k = s_k, adj @ s_k
+    counts = s_k * s_k + 2.0 * s_prev * s_k - (norm_step - norm_prev)
+    if exclude_endpoints:
+        # c == i and c == j terms of the slices (k, k), (k-1, k) and (k, k-1).
+        d_k = diag_step - diag_prev
+        counts -= 2.0 * (diag_step * (s_k - d_k) + d_k * (s_prev - diag_prev))
     counts[np.abs(counts) < 1e-9] = 0.0
     return ParticipationCounts(order=k, counts=counts, mode="exact")
 
@@ -144,8 +119,7 @@ def normalized_cn_scores(g: Graph, pairs: np.ndarray, k: int,
     With ``degree_corrected`` each term is multiplied by the ratio of the
     node's unordered pair count to its degree, which leaves 1/d(c); at k=1
     the score is then the resource-allocation value exactly. No
-    participation is computed for it, so it also runs above
-    ``EXACT_NODE_LIMIT``; one passed in is still checked.
+    participation is computed for it; one passed in is still checked.
     """
     feats = cn_order_features_all(g, PairBatch(pairs), k, exclude_endpoints=True)
     members = (feats[-1].combined > 0).astype(np.float64)

@@ -393,6 +393,26 @@ def test_diagnose_rows_equal_exact_pipeline(exclude, capsys):
         for q, a, b, v in expected]
 
 
+def test_exact_participation_commands_run_above_old_node_guard(tmp_path, capsys):
+    # 6,000 nodes, more than exact participation used to accept.
+    code, out = run_cli(["diagnose", "--synthetic", "6000,2", "--k-max", "2", "--pairs", "64",
+                         "--exclude-endpoints"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    cv = {q: np.array([float(r["value"]) for r in rows if r["quantity"] == q])
+          for q in ("cv_raw", "cv_normalized")}
+    # The spread is NaN only for an order where no pair has two members,
+    # which normalization does not change: here order 1 of 64 random pairs.
+    assert len(cv["cv_normalized"]) == 2 and np.isfinite(cv["cv_normalized"][1])
+    assert np.array_equal(np.isnan(cv["cv_normalized"]), np.isnan(cv["cv_raw"]))
+    edges = write_edges(tmp_path / "g6000.tsv", ba_edges(6000, 2, seed=5))
+    code, out = run_cli(["score", "--input", edges, "--kind", "normalized-cn"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    scores = [float(r["score"]) for r in rows]
+    assert scores and np.isfinite(scores).all() and max(scores) > 0
+
+
 # Each (subcommand, flag) below was accepted and then ignored: the flag now
 # belongs only to the subcommands that read it.
 _REQUIRED = {"prepare": ["--input", "g.tsv"], "score": ["--input", "g.tsv"],

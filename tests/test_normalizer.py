@@ -7,12 +7,13 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hocn.features
 import hocn.normalize
 from hocn import (ConfigError, Graph, RunningState, ScaleError, apply_normalization,
                   cn_order_features, exact_walk_participation,
                   heuristic_score, normalized_cn_score, running_counts,
                   update_running_participation)
-from hocn.features import as_dense
+from hocn.features import _walk_nnz_bound, as_dense
 from hocn.theory import sample_ba_graph
 
 from conftest import batch_of, nonadjacent_pairs, random_graph
@@ -61,22 +62,36 @@ def matrix_power_participation(g: Graph, k: int, exclude_endpoints: bool) -> np.
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("exclude", [False, True])
 def test_exact_participation_equals_matrix_power_closed_form(monkeypatch, k, exclude):
-    # a small odd block leaves a partial last block (250 = 6 * 37 + 28)
-    monkeypatch.setattr(hocn.normalize, "_NODE_BLOCK", 37)
+    blocks = []
+    order_rows = hocn.features._OrderRows
+
+    def recorded(loops, nodes):
+        blocks.append(len(nodes))
+        return order_rows(loops, nodes)
+
+    monkeypatch.setattr(hocn.features, "_OrderRows", recorded)
     for g in (sample_ba_graph(250, 3, seed=4), random_graph(40, 0.2, seed=1)):
+        # Three times the costliest node's bound cuts several blocks of
+        # unequal size.
+        bound = _walk_nnz_bound(g.to_scipy(), k)
+        monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", 3 * int(bound.max()))
+        blocks.clear()
         got = exact_walk_participation(g, k, exclude_endpoints=exclude).counts
+        assert len(blocks) > 2 and len(set(blocks)) > 1 and sum(blocks) == g.n, blocks
         assert np.array_equal(got, matrix_power_participation(g, k, exclude)), (g.n, k, exclude)
 
 
 def test_exact_participation_allocates_no_dense_square():
-    g = sample_ba_graph(4000, 2, seed=0)
-    tracemalloc.start()
-    try:
-        exact_walk_participation(g, 2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.1 * g.n * g.n * 8, peak
+    # The second graph is above the node count a guard used to refuse.
+    for n, m, k in ((4000, 2, 2), (20000, 3, 2)):
+        g = sample_ba_graph(n, m, seed=0)
+        tracemalloc.start()
+        try:
+            exact_walk_participation(g, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * g.n * g.n * 8, (n, peak)
 
 
 def test_participation_order_one_is_degree_pairs(g4):
@@ -86,10 +101,15 @@ def test_participation_order_one_is_degree_pairs(g4):
     assert list(got) == [2.0, 2.0, 6.0, 0.0]
 
 
-def test_participation_node_limit():
+def test_participation_node_above_budget_raises_before_walk_rows(monkeypatch):
     g = random_graph(12, 0.3, seed=0)
-    with pytest.raises(ScaleError):
-        exact_walk_participation(g, 2, node_limit=10)
+    bound = _walk_nnz_bound(g.to_scipy(), 2)
+    built = []
+    monkeypatch.setattr(hocn.features, "_OrderRows", lambda *args: built.append(args))
+    monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", int(bound.max()) - 1)
+    with pytest.raises(ScaleError, match=f"node {int(bound.argmax())} "):
+        exact_walk_participation(g, 2)
+    assert built == []
 
 
 def test_running_estimate_is_batch_mean(g4):
@@ -167,8 +187,7 @@ def test_degree_corrected_score_reads_no_participation(monkeypatch, g4):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(hocn.normalize, "exact_walk_participation", counted)
-    # Above the exact-participation guard, which the 1/d(c) terms never reach.
-    g = sample_ba_graph(hocn.normalize.EXACT_NODE_LIMIT + 1, 2, seed=3)
+    g = sample_ba_graph(500, 2, seed=3)
     adj = g.to_scipy()
     for c in (0, 1, 2, 3):
         u, v = (int(x) for x in adj[c].indices[:2])
