@@ -6,10 +6,11 @@ pair-scoring model), eval (ranking metrics), diagnose (redundancy and
 concentration reports), theory (closed-form bounds and their Monte-Carlo
 validation), bench (timing sweep with a linear fit).
 
-score, eval, diagnose and bench all build structural features through the
-two stages in ``hocn.scoring``: ``batch_features`` (per-order CN features
-normalized by walk participation) and ``basis_matrices`` (Gram-Schmidt or
-the polynomial filter).
+score, eval and bench build structural features through the two stages in
+``hocn.scoring``: ``batch_features`` (per-order CN features normalized by
+the running walk-participation estimate) and ``basis_matrices``
+(Gram-Schmidt or the polynomial filter). diagnose normalizes by the exact
+participation instead, then calls ``basis_matrices``.
 
 Every subcommand takes ``--seed``, ``--config``, ``--json`` and ``--output``;
 any other flag belongs only to the subcommands that read it. eval takes the
@@ -38,10 +39,11 @@ import numpy as np
 from . import __version__
 from .diagnostics import coefficient_of_variation, edge_jsd, order_correlation
 from .errors import ConfigError, HocnError, InputError
+from .features import cn_order_features_all
 from .graph import (Graph, PairBatch, _draw_distinct_pairs, load_edge_list,
                     merged_graph, sample_negatives, split_edges)
 from .metrics import evaluate
-from .normalize import exact_walk_participation, normalized_cn_scores
+from .normalize import apply_normalization, exact_walk_participation, normalized_cn_scores
 from .ortho import RunningState
 from .scoring import (FeatureConfig, ScoreModel, TrainConfig, basis_matrices,
                       batch_features, default_node_features, heuristic_scores,
@@ -202,8 +204,7 @@ def cmd_score(args) -> int:
     if args.kind in ("cn", "aa", "ra"):
         scores = heuristic_scores(base, batch.pairs, args.kind)
     elif args.kind == "normalized-cn":
-        part = exact_walk_participation(base, args.k_max, exclude_endpoints=True)
-        scores = normalized_cn_scores(base, batch.pairs, args.k_max, participation=part)
+        scores = normalized_cn_scores(base, batch.pairs, args.k_max)
     elif args.kind in ("ocn", "ocnp"):
         scores = _structural_scores(base, batch.pairs,
                                     _feature_config(args, variant=args.kind))
@@ -270,13 +271,12 @@ def cmd_diagnose(args) -> int:
     g = _diagnose_graph(args)
     batch = PairBatch(_draw_distinct_pairs(g.n, args.pairs, args.seed))
     cfg = _feature_config(args, variant="ocn")
-    participation = [exact_walk_participation(g, k, exclude_endpoints=args.exclude_endpoints)
-                     for k in range(1, args.k_max + 1)]
-    state = RunningState()
-    feats, normalized = batch_features(g, batch, cfg, state, training=True,
-                                       participation=participation)
+    feats = cn_order_features_all(g, batch, cfg.k_max, exclude_endpoints=cfg.exclude_endpoints)
+    normalized = [apply_normalization(f, exact_walk_participation(g, f.order,
+                                                                  cfg.exclude_endpoints))
+                  for f in feats]
     raw = [f.combined for f in feats]
-    ortho = basis_matrices(g, normalized, cfg, state, training=True)
+    ortho = basis_matrices(g, normalized, cfg, RunningState(), training=True)
     corr_raw = order_correlation(raw)
     corr_ortho = order_correlation(ortho)
     jsd = edge_jsd(raw[0], raw[-1])

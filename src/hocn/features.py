@@ -28,9 +28,11 @@ One walk-row class, ``_OrderRows``, serves the features, the slices and
 ``adj_power_row`` (R_k = S_k - R_{k-1}) and the participation diagonals
 (``order_row_diagonals``). A batch is walked in sub-chunks of pairs, and
 participation in blocks of nodes, sized by the per-node bound
-``_walk_nnz_bound`` of the walk rows they hold. Sub-chunks run on
-``_WORKERS`` threads (scipy's sparse kernels release the GIL) and share
-``_NNZ_BUDGET`` entries between them; a block has the budget to itself.
+``_walk_nnz_bound`` of the walk rows they hold; that bound depends on the
+graph alone, so it is built once per graph and order (``Graph.memoized``),
+in the calling thread. Sub-chunks run on ``_WORKERS`` threads (scipy's
+sparse kernels release the GIL) and share ``_NNZ_BUDGET`` entries between
+them; a block has the budget to itself.
 """
 
 from __future__ import annotations
@@ -168,7 +170,7 @@ def _loop_adjacency(adj: sp.csr_matrix) -> sp.csr_matrix:
     return adj + sp.identity(adj.shape[0], format="csr")
 
 
-def _walk_nnz_bound(adj: sp.csr_matrix, k_max: int) -> np.ndarray:
+def _walk_nnz_bound(g: Graph, k_max: int) -> np.ndarray:
     """Per node u, sum over l = 0..k_max of min(w_l, n), with w_l = (A^l 1)[u].
 
     Row A^l[u] has one stored entry per node an l-walk from u reaches, so
@@ -181,14 +183,20 @@ def _walk_nnz_bound(adj: sp.csr_matrix, k_max: int) -> np.ndarray:
     falling for l >= 1, the rows the features hold at once, R_{k-1} and
     S_k and, while it is formed, R_k, stay within the bound too. The
     slices of order k hold R_k as well: up to |R_{k-1}| + |R_k| more.
+
+    Built once per graph and k_max; the array is read-only.
     """
-    n = adj.shape[0]
-    walks = np.ones(n)
-    bound = np.ones(n, dtype=np.int64)
-    for _ in range(k_max):
-        walks = adj @ walks
-        bound += np.minimum(walks, n).astype(np.int64)
-    return bound
+    def build() -> np.ndarray:
+        adj = g.to_scipy()
+        walks = np.ones(g.n)
+        bound = np.ones(g.n, dtype=np.int64)
+        for _ in range(k_max):
+            walks = adj @ walks
+            bound += np.minimum(walks, g.n).astype(np.int64)
+        bound.flags.writeable = False
+        return bound
+
+    return g.memoized(("walk_nnz_bound", k_max), build)
 
 
 def _budget_cuts(cost: np.ndarray, share: int, item: Callable[[int], str]) -> np.ndarray:
@@ -208,26 +216,26 @@ def _budget_cuts(cost: np.ndarray, share: int, item: Callable[[int], str]) -> np
     return np.array(cuts)
 
 
-def _sub_chunks(adj: sp.csr_matrix, pairs: np.ndarray, k_max: int) -> np.ndarray:
+def _sub_chunks(g: Graph, pairs: np.ndarray, k_max: int) -> np.ndarray:
     """``_budget_cuts`` of ``pairs`` by their endpoints' walk rows for orders
     up to k_max, by the bound of ``_walk_nnz_bound``, with a share of
     ``_NNZ_BUDGET // _WORKERS`` per sub-chunk."""
-    bound = _walk_nnz_bound(adj, k_max)
+    bound = _walk_nnz_bound(g, k_max)
     cost = bound[pairs[:, 0]] + bound[pairs[:, 1]]
     return _budget_cuts(cost, _NNZ_BUDGET // _WORKERS,
                         lambda x: f"pair ({pairs[x, 0]}, {pairs[x, 1]}) at orders 1..{k_max}")
 
 
-def order_row_diagonals(adj: sp.csr_matrix, k: int) -> np.ndarray:
+def order_row_diagonals(g: Graph, k: int) -> np.ndarray:
     """(4, n) array: per node c, R_{k-1}[c, c], S_k[c, c], ||R_{k-1}[c]||^2
     and ||S_k[c]||^2 of the walk rows of ``_OrderRows`` at order k; R_0 is
     the identity rows, so at k = 1 both of its figures are 1. The rows are
     built for one block of consecutive nodes at a time, cut by
     ``_budget_cuts`` with the whole budget."""
-    cuts = _budget_cuts(_walk_nnz_bound(adj, k), _NNZ_BUDGET,
+    cuts = _budget_cuts(_walk_nnz_bound(g, k), _NNZ_BUDGET,
                         lambda c: f"node {c} at orders 1..{k}")
-    loops = _loop_adjacency(adj)
-    out = np.ones((4, adj.shape[0]))
+    loops = _loop_adjacency(g.to_scipy())
+    out = np.ones((4, g.n))
     for start, stop in zip(cuts[:-1], cuts[1:]):
         nodes = np.arange(start, stop)
         for i, rows in enumerate(_OrderRows(loops, nodes).at(k)):
@@ -264,9 +272,8 @@ def _explicit_slices(g: Graph, pairs: np.ndarray, k: int, exclude_endpoints: boo
     """The three order-k slices of ``pairs``, one elementwise product of
     A^k1 and A^k2 rows (``_OrderRows.powers``) each, walked in the
     sub-chunks of ``_sub_chunks``."""
-    adj = g.to_scipy()
-    cuts = _sub_chunks(adj, pairs, k)
-    loops = _loop_adjacency(adj)
+    cuts = _sub_chunks(g, pairs, k)
+    loops = _loop_adjacency(g.to_scipy())
     parts = {key: [] for key in _slice_keys(k)}
     for start, stop in zip(cuts[:-1], cuts[1:]):
         chunk = pairs[start:stop]
@@ -329,10 +336,10 @@ def cn_order_features_all(g: Graph, batch: PairBatch, k_max: int,
     included, does not depend on the other pairs of its batch and the
     sub-chunks' matrices are stacked as they are.
     """
-    adj = g.to_scipy()
-    cuts = _sub_chunks(adj, batch.pairs, k_max)
-    loops = _loop_adjacency(adj)
-    del adj  # the walk rows step with A + I alone
+    if k_max < 1:
+        raise ConfigError(f"k_max must be >= 1, got {k_max}")
+    cuts = _sub_chunks(g, batch.pairs, k_max)
+    loops = _loop_adjacency(g.to_scipy())
     if len(cuts) == 2:
         return _orders(g, loops, batch, k_max, exclude_endpoints)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import io
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,13 +26,15 @@ class Graph:
     """Undirected simple graph, neighbors sorted ascending per row.
 
     ``indptr``/``indices`` follow the usual CSR convention; ``degrees[u]``
-    equals the length of row ``u``.
+    equals the length of row ``u``. ``memoized`` keeps arrays derived from
+    the graph alone, built once per instance.
     """
 
     n: int
     indptr: np.ndarray
     indices: np.ndarray
     degrees: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -54,6 +56,16 @@ class Graph:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         return cls(n=n, indptr=indptr, indices=dst, degrees=np.diff(indptr))
+
+    def memoized(self, key, build):
+        """``build()`` on the first request for ``key``, the same object on
+        every later one. A build that raises stores nothing; threads that
+        build at once all get the object stored first. Meant for n-length
+        arrays that depend on the graph alone, not for matrices."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            return self._memo.setdefault(key, build())
 
     @property
     def num_edges(self) -> int:

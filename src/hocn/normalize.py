@@ -6,7 +6,10 @@ node's walk-participation count: exactly, over all ordered pairs, from a
 closed form in the walk totals A^l·1 and the (c, c) entries and row norms
 of the order-k walk rows that the features step (``order_row_diagonals``,
 over node blocks cut by the walk-row budget), or by the streaming
-column-sum estimate during training.
+column-sum estimate during training. The exact counts depend on the graph
+alone: each graph builds them once per order and endpoint setting and
+hands out the same read-only array after that, so the normalized CN
+scores read them without any caller passing them in.
 """
 
 from __future__ import annotations
@@ -23,17 +26,23 @@ from .ortho import RunningState
 DIVISION_EPSILON = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParticipationCounts:
     """Per-node walk-participation totals for one order.
 
     In ``exact`` mode, counts[c] sums combined(i, j)[c] over all ordered
     pairs i != j; ``running`` mode holds the streaming column-sum estimate.
+    ``counts`` is a read-only view, so writing into it raises ValueError.
     """
 
     order: int
     counts: np.ndarray
     mode: str
+
+    def __post_init__(self):
+        counts = np.asarray(self.counts).view()
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
 
 
 def exact_walk_participation(g: Graph, k: int,
@@ -55,21 +64,29 @@ def exact_walk_participation(g: Graph, k: int,
     ||R_{k-1}[c]||^2, diag(A^{k-1}) = R_{k-1}[c, c] and diag(A^k) = S_k[c, c]
     - R_{k-1}[c, c]. Every term is an integer walk count, so the result is
     exact.
+
+    Built once per graph, k and ``exclude_endpoints``; every later call
+    returns the same object, whose counts are read-only. A build that
+    raises stores nothing, so the next call tries again.
     """
     if k < 1:
         raise ConfigError(f"order must be >= 1, got {k}")
-    adj = g.to_scipy()
-    diag_prev, diag_step, norm_prev, norm_step = order_row_diagonals(adj, k)
-    s_k = np.ones(g.n)  # s_l = A^l·1 for l = k - 1, k
-    for _ in range(k):
-        s_prev, s_k = s_k, adj @ s_k
-    counts = s_k * s_k + 2.0 * s_prev * s_k - (norm_step - norm_prev)
-    if exclude_endpoints:
-        # c == i and c == j terms of the slices (k, k), (k-1, k) and (k, k-1).
-        d_k = diag_step - diag_prev
-        counts -= 2.0 * (diag_step * (s_k - d_k) + d_k * (s_prev - diag_prev))
-    counts[np.abs(counts) < 1e-9] = 0.0
-    return ParticipationCounts(order=k, counts=counts, mode="exact")
+
+    def build() -> ParticipationCounts:
+        diag_prev, diag_step, norm_prev, norm_step = order_row_diagonals(g, k)
+        adj = g.to_scipy()
+        s_k = np.ones(g.n)  # s_l = A^l·1 for l = k - 1, k
+        for _ in range(k):
+            s_prev, s_k = s_k, adj @ s_k
+        counts = s_k * s_k + 2.0 * s_prev * s_k - (norm_step - norm_prev)
+        if exclude_endpoints:
+            # c == i and c == j terms of the slices (k, k), (k-1, k) and (k, k-1).
+            d_k = diag_step - diag_prev
+            counts -= 2.0 * (diag_step * (s_k - d_k) + d_k * (s_prev - diag_prev))
+        counts[np.abs(counts) < 1e-9] = 0.0
+        return ParticipationCounts(order=k, counts=counts, mode="exact")
+
+    return g.memoized(("exact_walk_participation", k, bool(exclude_endpoints)), build)
 
 
 def update_running_participation(state: RunningState, feats: OrderFeatures) -> RunningState:
@@ -110,36 +127,31 @@ def apply_normalization(feats: OrderFeatures, counts: ParticipationCounts) -> Or
 
 
 def normalized_cn_scores(g: Graph, pairs: np.ndarray, k: int,
-                         participation: ParticipationCounts | None = None,
                          degree_corrected: bool = False) -> np.ndarray:
     """Per pair (i, j), the sum over the members c of CN^k(i, j), endpoints
-    excluded, of 2/participation[c]: reciprocal participation counted over
-    unordered pairs (ordered totals halved).
+    excluded, of 2/participation[c]: reciprocal exact participation
+    (``exact_walk_participation`` with endpoints excluded, built once per
+    graph) counted over unordered pairs (ordered totals halved). A member's
+    participation counts the pair itself, so it is positive.
 
     With ``degree_corrected`` each term is multiplied by the ratio of the
     node's unordered pair count to its degree, which leaves 1/d(c); at k=1
-    the score is then the resource-allocation value exactly. No
-    participation is computed for it; one passed in is still checked.
+    the score is then the resource-allocation value exactly, and no
+    participation is read.
     """
     feats = cn_order_features_all(g, PairBatch(pairs), k, exclude_endpoints=True)
     members = (feats[-1].combined > 0).astype(np.float64)
     if members.nnz == 0:
         return np.zeros(members.shape[0])
-    # A member's exact participation counts the pair itself, so it is
-    # positive; the degree-corrected terms 1/d(c) never read it.
-    if participation is None and not degree_corrected:
-        participation = exact_walk_participation(g, k, exclude_endpoints=True)
-    if participation is not None:
-        counts = participation.counts[members.indices]
-        if not (counts > 0).all():
-            raise ConfigError(f"a CN^{k} member has no positive participation")
-    members.data = 1.0 / g.degrees[members.indices] if degree_corrected else 2.0 / counts
+    if degree_corrected:
+        members.data = 1.0 / g.degrees[members.indices]
+    else:
+        counts = exact_walk_participation(g, k, exclude_endpoints=True).counts
+        members.data = 2.0 / counts[members.indices]
     return np.asarray(members.sum(axis=1)).ravel()
 
 
 def normalized_cn_score(g: Graph, i: int, j: int, k: int,
-                        participation: ParticipationCounts | None = None,
                         degree_corrected: bool = False) -> float:
     """``normalized_cn_scores`` of the one pair (i, j)."""
-    return float(normalized_cn_scores(g, np.array([[i, j]]), k, participation,
-                                      degree_corrected)[0])
+    return float(normalized_cn_scores(g, np.array([[i, j]]), k, degree_corrected)[0])

@@ -10,6 +10,7 @@ pipeline is exercised end to end with manually derived gradients.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -37,14 +38,16 @@ def _common_neighbors(g: Graph, i: int, j: int) -> np.ndarray:
 
 
 def heuristic_score(g: Graph, pair, kind: str, order: int = 1) -> float:
-    """Classic CN / AA / RA scores, or the path-normalized CN at a given order."""
+    """Classic CN / AA / RA scores, or the path-normalized CN at a given
+    order: ``order`` for kind "normalized_cn", k for "normalized_cn_<k>"."""
     i, j = int(pair[0]), int(pair[1])
     if i == j:
         raise InputError("pair with identical endpoints")
-    if kind == "normalized_cn" or kind.startswith("normalized_cn_"):
-        if kind.startswith("normalized_cn_"):
-            order = int(kind.rsplit("_", 1)[1])
-        return normalized_cn_score(g, i, j, order)
+    if kind.startswith("normalized_cn"):
+        named = re.fullmatch(r"normalized_cn(?:_(-?[0-9]+))?", kind)
+        if named is None:
+            raise ConfigError(f"malformed order in heuristic kind {kind!r}")
+        return normalized_cn_score(g, i, j, order if named[1] is None else int(named[1]))
     cn = _common_neighbors(g, i, j)
     if kind == "cn":
         return float(cn.size)
@@ -224,26 +227,21 @@ class ScoreModel:
 
 
 def batch_features(g: Graph, batch: PairBatch, cfg: FeatureConfig,
-                   state: RunningState, training: bool,
-                   participation: list | None = None) -> tuple[list, list]:
+                   state: RunningState, training: bool) -> tuple[list, list]:
     """Stage 1 of the feature pipeline: (raw, normalized) CN features of
     orders 1..K for one batch.
 
-    Column c of order k is divided by the walk participation of node c:
-    ``participation[k-1]`` when given (the exact counts), otherwise the
-    running estimate in ``state``, which training mode first updates with
-    this batch's column sums.
+    Column c of order k is divided by the running estimate of node c's walk
+    participation in ``state``, which training mode first updates with this
+    batch's column sums. (``hocn diagnose`` divides by the exact counts
+    instead, with ``apply_normalization`` and ``exact_walk_participation``.)
     """
     raw = cn_order_features_all(g, batch, cfg.k_max, exclude_endpoints=cfg.exclude_endpoints)
     normalized = []
     for f in raw:
-        if participation is not None:
-            counts = participation[f.order - 1]
-        else:
-            if training:
-                update_running_participation(state, f)
-            counts = running_counts(state, f.order)
-        normalized.append(apply_normalization(f, counts))
+        if training:
+            update_running_participation(state, f)
+        normalized.append(apply_normalization(f, running_counts(state, f.order)))
     return raw, normalized
 
 
@@ -292,18 +290,23 @@ def _logits(alpha, head_w, head_b, m, q):
 
 
 def logistic_loss_and_grads(alpha, head_w, head_b, m, q, y):
-    """Mean logistic loss and analytic gradients for (alpha, head_w, head_b)."""
-    z = m + np.tensordot(alpha, q, axes=(0, 0))
-    logits = z @ head_w + head_b
+    """Mean logistic loss and analytic gradients for (alpha, head_w, head_b).
+
+    The pair representation z = m + sum_k alpha_k q_k is never formed: with
+    pq = q @ head_w, the logits are m @ head_w + alpha @ pq + head_b, and
+    z.T @ delta = m.T @ delta + sum_k alpha_k q_k.T @ delta.
+    """
+    pq = q @ head_w
+    logits = m @ head_w + alpha @ pq + head_b
     # stable log(1 + exp(-s*logit)) with s = +-1
     s = 2.0 * y - 1.0
     margin = s * logits
     loss = float(np.mean(np.logaddexp(0.0, -margin)))
     p = 1.0 / (1.0 + np.exp(-logits))
     delta = (p - y) / y.shape[0]
-    grad_w = z.T @ delta
+    grad_w = m.T @ delta + alpha @ (q.transpose(0, 2, 1) @ delta)
     grad_b = float(delta.sum())
-    grad_alpha = np.array([(q[k] @ head_w) @ delta for k in range(q.shape[0])])
+    grad_alpha = pq @ delta
     return loss, grad_alpha, grad_w, grad_b
 
 

@@ -11,6 +11,7 @@ import os
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,9 +19,10 @@ import numpy as np
 import pytest
 
 import hocn.cli
+import hocn.normalize
 from hocn import (Graph, RunningState, ScoreModel, ba_bound_unnormalized,
                   default_node_features, evaluate, exact_walk_participation,
-                  heuristic_scores, load_edge_list, merged_graph, model_scores,
+                  heuristic_score, heuristic_scores, load_edge_list, merged_graph, model_scores,
                   normalized_cn_score, propagate_features, sample_negatives, split_edges)
 from hocn import (FeatureConfig, PairBatch, apply_normalization, apply_polynomial_filter,
                   cn_order_features_all, coefficient_of_variation, degree_filter_argument,
@@ -90,25 +92,83 @@ def test_score_ra_matches_library(edge_file, capsys):
     assert np.allclose(got, expected)
 
 
-def test_score_normalized_cn_shares_one_participation(edge_file, capsys, monkeypatch):
-    calls = []
+@pytest.fixture
+def memo_counts(monkeypatch):
+    """Requests and builds of each graph's memo entries, by (graph number,
+    key), and the walk-row passes behind exact participation, by graph
+    number. Every graph seen is kept alive, so no id is reused."""
+    graphs, requests, builds, passes = [], Counter(), Counter(), Counter()
 
-    def counting(*args, **kwargs):
-        calls.append((args, kwargs))
-        return exact_walk_participation(*args, **kwargs)
+    def number(g):
+        if not any(g is h for h in graphs):
+            graphs.append(g)
+        return next(i for i, h in enumerate(graphs) if h is g)
 
-    monkeypatch.setattr(hocn.cli, "exact_walk_participation", counting)
+    memoized, diagonals = Graph.memoized, hocn.normalize.order_row_diagonals
+
+    def counting(g, key, build):
+        requests[(number(g), key)] += 1
+
+        def counted():
+            builds[(number(g), key)] += 1
+            return build()
+
+        return memoized(g, key, counted)
+
+    def counted_diagonals(g, k):
+        passes[number(g)] += 1
+        return diagonals(g, k)
+
+    monkeypatch.setattr(Graph, "memoized", counting)
+    monkeypatch.setattr(hocn.normalize, "order_row_diagonals", counted_diagonals)
+    return requests, builds, passes
+
+
+def _built_once(counts) -> set:
+    """Asserts one build per graph and key, and one walk-row pass per
+    participation built; returns the keys built."""
+    requests, builds, passes = counts
+    assert set(requests) == set(builds) and set(builds.values()) == {1}, (requests, builds)
+    assert passes == Counter(i for i, key in builds if key[0] == "exact_walk_participation")
+    return {key for _, key in builds}
+
+
+def test_graph_memo_builds_each_array_once_per_graph(edge_file, tmp_path, capsys, memo_counts):
+    requests = memo_counts[0]
+    model_path = str(tmp_path / "model.txt")
+    assert main(["train", "--input", edge_file, "--epochs", "2", "--model-out", model_path,
+                 "--seed", "1"]) == 0
+    assert main(["eval", "--input", edge_file, "--kind", "model", "--model", model_path,
+                 "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert _built_once(memo_counts) == {("walk_nnz_bound", 2)}
+    assert max(requests.values()) > 1  # each feature batch reads the bound
+
+    for counter in memo_counts:
+        counter.clear()
+    g = sample_ba_graph(300, 2, seed=5)
+    hub = int(np.argmax(g.degrees))
+    pairs = [(int(u), int(v)) for u, v in zip(g.neighbors(hub)[:10], g.neighbors(hub)[1:11])]
+    scores = [heuristic_score(g, pair, "normalized_cn_2") for pair in pairs]
+    assert all(s > 0 for s in scores)
+    assert _built_once(memo_counts) == {("walk_nnz_bound", 2),
+                                        ("exact_walk_participation", 2, True)}
+    # One request of each per pair; building the participation reads the bound once more.
+    assert sorted(requests.values()) == [len(pairs), len(pairs) + 1]
+
+    for counter in memo_counts:
+        counter.clear()
     code, out = run_cli(["score", "--input", edge_file, "--kind", "normalized-cn",
                          "--seed", "3", "--split", "test", "--k-max", "2"], capsys)
     assert code == 0
-    assert len(calls) == 1
+    assert _built_once(memo_counts) == {("walk_nnz_bound", 2),
+                                        ("exact_walk_participation", 2, True)}
     _, rows = parse_csv(out)
     with open(edge_file) as fh:
         g, _ = load_edge_list(fh)
     split = split_edges(g, (0.7, 0.1, 0.2), 3)
     base = merged_graph(split, False)
-    part = exact_walk_participation(base, 2, exclude_endpoints=True)
-    expected = np.array([normalized_cn_score(base, int(u), int(v), 2, participation=part)
+    expected = np.array([normalized_cn_score(base, int(u), int(v), 2)
                          for u, v in split.test.pairs])
     assert (expected > 0).any()
     got = np.array([float(r["score"]) for r in rows])

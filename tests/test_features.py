@@ -117,7 +117,7 @@ def test_all_orders_shares_pair_layout():
 
 
 def _pair_costs(g: Graph, pairs: np.ndarray, k_max: int) -> np.ndarray:
-    bound = _walk_nnz_bound(g.to_scipy(), k_max)
+    bound = _walk_nnz_bound(g, k_max)
     return bound[pairs[:, 0]] + bound[pairs[:, 1]]
 
 
@@ -134,8 +134,8 @@ def test_walk_nnz_bound_covers_walk_rows():
     powers = [np.linalg.matrix_power(adj, l) for l in range(4)]
     for k_max in range(4):
         stored = sum(np.count_nonzero(p, axis=1) for p in powers[:k_max + 1])
-        assert (_walk_nnz_bound(g.to_scipy(), k_max) >= stored).all()
-    assert np.array_equal(_walk_nnz_bound(g.to_scipy(), 1), 1 + g.degrees)
+        assert (_walk_nnz_bound(g, k_max) >= stored).all()
+    assert np.array_equal(_walk_nnz_bound(g, 1), 1 + g.degrees)
 
 
 @pytest.mark.parametrize("edges", [
@@ -157,10 +157,10 @@ def test_order_rows_are_powers_held_within_the_bound(edges):
         assert prev is None if k == 1 else np.array_equal(prev.toarray(), power)
         assert np.array_equal(step.toarray(), power @ loops)
         held = np.diff(step.indptr) + (0 if prev is None else np.diff(prev.indptr))
-        assert (held <= _walk_nnz_bound(adj, k)).all()
+        assert (held <= _walk_nnz_bound(g, k)).all()
         if k >= 3:
             # Moving to order k held R_{k-2}, S_{k-1} and R_{k-1} = S_{k-1} - R_{k-2}.
-            assert (prev_held + np.diff(prev.indptr) <= _walk_nnz_bound(adj, k)).all()
+            assert (prev_held + np.diff(prev.indptr) <= _walk_nnz_bound(g, k)).all()
         prev_held = held
     with pytest.raises(ConfigError):
         rows.at(3)
@@ -175,7 +175,7 @@ def _chunked_and_whole(monkeypatch, g: Graph, pairs: np.ndarray, k_max: int, exc
     whole = cn_order_features_all(g, batch, k_max, exclude_endpoints=exclude)
     monkeypatch.setattr(hocn.features, "_NNZ_BUDGET",
                         scale * int(_pair_costs(g, pairs, k_max).max()))
-    sizes = np.diff(_sub_chunks(g.to_scipy(), batch.pairs, k_max))
+    sizes = np.diff(_sub_chunks(g, batch.pairs, k_max))
     chunked = cn_order_features_all(g, batch, k_max, exclude_endpoints=exclude)
     return chunked, sizes, whole
 
@@ -248,7 +248,7 @@ def test_sub_chunks_bound_peak_memory_on_hub_batch(monkeypatch):
     pairs = _hub_pairs(g, 800)
     budget = 1 << 20
     monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", budget)
-    assert len(_sub_chunks(g.to_scipy(), pairs, 3)) > 5
+    assert len(_sub_chunks(g, pairs, 3)) > 5
     # CSR data plus int32 indices of the whole batch's walk rows, by the bound.
     whole_rows_bytes = 12 * int(_pair_costs(g, pairs, 3).sum())
     assert whole_rows_bytes > 8 * 12 * budget
@@ -298,7 +298,7 @@ def test_worker_count_does_not_change_features(monkeypatch, k_max, exclude):
         for workers in (1, 2, 4):
             monkeypatch.setattr(hocn.features, "_WORKERS", workers)
             sys.setswitchinterval(1e-6 if workers == 4 else switch)
-            assert len(_sub_chunks(g.to_scipy(), pairs, k_max)) > 2
+            assert len(_sub_chunks(g, pairs, k_max)) > 2
             results[workers] = cn_order_features_all(g, batch_of(pairs), k_max,
                                                      exclude_endpoints=exclude)
     finally:
@@ -313,7 +313,7 @@ def test_pair_costing_exactly_the_budget_is_accepted(monkeypatch, workers):
     costs = _pair_costs(g, pairs, 3)
     monkeypatch.setattr(hocn.features, "_WORKERS", workers)
     monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", int(costs.max()))
-    cuts = _sub_chunks(g.to_scipy(), pairs, 3)
+    cuts = _sub_chunks(g, pairs, 3)
     hub = int(costs.argmax())
     assert hub in cuts and hub + 1 in cuts  # the costliest pair sits alone
     assert len(cn_order_features_all(g, batch_of(pairs), 3)) == 3
@@ -326,7 +326,7 @@ def test_worker_exception_reaches_caller_and_threads_end(monkeypatch):
     g, pairs = _hub_batch(0)
     monkeypatch.setattr(hocn.features, "_WORKERS", 2)
     monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", int(_pair_costs(g, pairs, 3).max()))
-    cuts = _sub_chunks(g.to_scipy(), pairs, 3)
+    cuts = _sub_chunks(g, pairs, 3)
     assert len(cuts) > 3
     orders = hocn.features._orders
 
@@ -347,7 +347,7 @@ def test_worker_exception_reaches_caller_and_threads_end(monkeypatch):
 def test_combined_is_the_sum_of_slices_built_on_request(monkeypatch, k_max, exclude):
     g, pairs = _hub_batch(k_max)
     monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", int(_pair_costs(g, pairs, k_max).max()))
-    assert len(_sub_chunks(g.to_scipy(), pairs, k_max)) > 3
+    assert len(_sub_chunks(g, pairs, k_max)) > 3
     for f in cn_order_features_all(g, batch_of(pairs), k_max, exclude_endpoints=exclude):
         k = f.order
         assert f._slices is None
@@ -381,7 +381,7 @@ def test_features_without_slices_hold_and_peak_less(monkeypatch):
     pairs = rng.integers(0, g.n, size=(3000, 2))
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", 1 << 20)
-    assert len(_sub_chunks(g.to_scipy(), pairs, 3)) > 5
+    assert len(_sub_chunks(g, pairs, 3)) > 5
     held, peak = {}, {}
     for with_slices in (False, True):
         tracemalloc.start()

@@ -1,4 +1,7 @@
+import re
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
@@ -10,9 +13,9 @@ from hypothesis import strategies as st
 import hocn.features
 import hocn.normalize
 from hocn import (ConfigError, Graph, RunningState, ScaleError, apply_normalization,
-                  cn_order_features, exact_walk_participation,
-                  heuristic_score, normalized_cn_score, running_counts,
-                  update_running_participation)
+                  cn_order_features, cn_order_features_all, exact_walk_participation,
+                  heuristic_score, normalized_cn_score, normalized_cn_scores,
+                  running_counts, update_running_participation)
 from hocn.features import _walk_nnz_bound, as_dense
 from hocn.theory import sample_ba_graph
 
@@ -73,7 +76,7 @@ def test_exact_participation_equals_matrix_power_closed_form(monkeypatch, k, exc
     for g in (sample_ba_graph(250, 3, seed=4), random_graph(40, 0.2, seed=1)):
         # Three times the costliest node's bound cuts several blocks of
         # unequal size.
-        bound = _walk_nnz_bound(g.to_scipy(), k)
+        bound = _walk_nnz_bound(g, k)
         monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", 3 * int(bound.max()))
         blocks.clear()
         got = exact_walk_participation(g, k, exclude_endpoints=exclude).counts
@@ -103,13 +106,80 @@ def test_participation_order_one_is_degree_pairs(g4):
 
 def test_participation_node_above_budget_raises_before_walk_rows(monkeypatch):
     g = random_graph(12, 0.3, seed=0)
-    bound = _walk_nnz_bound(g.to_scipy(), 2)
+    bound = _walk_nnz_bound(g, 2)
     built = []
     monkeypatch.setattr(hocn.features, "_OrderRows", lambda *args: built.append(args))
     monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", int(bound.max()) - 1)
     with pytest.raises(ScaleError, match=f"node {int(bound.argmax())} "):
         exact_walk_participation(g, 2)
     assert built == []
+
+
+def test_participation_is_built_once_and_read_only():
+    g = random_graph(12, 0.4, seed=2)
+    first = exact_walk_participation(g, 2, exclude_endpoints=True)
+    assert exact_walk_participation(g, 2, exclude_endpoints=True) is first
+    assert exact_walk_participation(g, 2, exclude_endpoints=False) is not first
+    with pytest.raises(ValueError):
+        first.counts[0] = 1.0
+    with pytest.raises(ValueError):
+        first.counts += 1.0
+    fresh = random_graph(12, 0.4, seed=2)
+    assert np.array_equal(first.counts, exact_walk_participation(fresh, 2).counts)
+
+
+def test_threads_building_at_once_share_one_participation():
+    g = random_graph(60, 0.2, seed=3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda _: exact_walk_participation(g, 3), range(8),
+                                timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(part is got[0] for part in got)
+    assert np.allclose(got[0].counts, brute_force_participation(g, 3, True))
+
+
+def test_participation_above_budget_stores_nothing(monkeypatch):
+    g = random_graph(12, 0.3, seed=0)
+    budget = hocn.features._NNZ_BUDGET
+    monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", int(_walk_nnz_bound(g, 2).max()) - 1)
+    for _ in range(2):  # the failed build is tried again, and fails again
+        with pytest.raises(ScaleError):
+            exact_walk_participation(g, 2)
+    monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", budget)
+    got = exact_walk_participation(g, 2).counts
+    assert np.array_equal(got, exact_walk_participation(random_graph(12, 0.3, seed=0), 2).counts)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_both_endpoint_settings_on_one_graph_match_brute_force(seed):
+    g = random_graph(7 + seed, 0.45, seed=seed)
+    for k in (1, 2, 3):
+        for exclude in (True, False, True, False):
+            got = exact_walk_participation(g, k, exclude_endpoints=exclude).counts
+            assert np.allclose(got, brute_force_participation(g, k, exclude)), (seed, k, exclude)
+
+
+def test_order_below_one_is_a_config_error(g4):
+    with pytest.raises(ConfigError, match="k_max must be >= 1, got 0"):
+        cn_order_features_all(g4, batch_of([(0, 3)]), 0)
+    with pytest.raises(ConfigError, match="got 0"):
+        normalized_cn_scores(g4, np.array([[0, 3]]), 0)
+    for kind, k in (("normalized_cn_0", 0), ("normalized_cn_-1", -1)):
+        with pytest.raises(ConfigError, match=f"got {k}"):
+            heuristic_score(g4, (0, 3), kind)
+    with pytest.raises(ConfigError, match="got 0"):
+        heuristic_score(g4, (0, 3), "normalized_cn", order=0)
+
+
+@pytest.mark.parametrize("kind", ["normalized_cn_x", "normalized_cn_", "normalized_cn_1_2",
+                                  "normalized_cn_ 2", "normalized_cn_2.0"])
+def test_malformed_normalized_cn_kind_is_a_config_error(g4, kind):
+    with pytest.raises(ConfigError, match=re.escape(repr(kind))):
+        heuristic_score(g4, (0, 3), kind)
 
 
 def test_running_estimate_is_batch_mean(g4):
@@ -194,10 +264,6 @@ def test_degree_corrected_score_reads_no_participation(monkeypatch, g4):
         got = normalized_cn_score(g, u, v, 1, degree_corrected=True)
         assert abs(got - heuristic_score(g, (u, v), "ra")) <= 1e-12
     assert calls == []
-    part = real(g4, 1, exclude_endpoints=True)
-    part.counts[1] = 0.0
-    with pytest.raises(ConfigError):  # a passed participation is still checked
-        normalized_cn_score(g4, 0, 2, 1, participation=part, degree_corrected=True)
     normalized_cn_score(g4, 0, 2, 1)
     assert len(calls) == 1
 
@@ -205,11 +271,9 @@ def test_degree_corrected_score_reads_no_participation(monkeypatch, g4):
 @pytest.mark.parametrize("seed", range(5))
 def test_ra_degeneracy_on_random_graphs(seed):
     g = random_graph(10 + 8 * seed, 0.15, seed=seed)
-    part = exact_walk_participation(g, 1, exclude_endpoints=True)
     for u, v in nonadjacent_pairs(g):
         ra = heuristic_score(g, (u, v), "ra")
-        corrected = normalized_cn_score(g, u, v, 1, participation=part,
-                                        degree_corrected=True)
+        corrected = normalized_cn_score(g, u, v, 1, degree_corrected=True)
         assert abs(ra - corrected) <= 1e-12
 
 

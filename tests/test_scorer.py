@@ -169,6 +169,34 @@ def test_gradients_match_finite_differences(seed):
     assert abs(fd - g_b) <= 1e-5 * max(1.0, abs(fd))
 
 
+def _z_reference(alpha, head_w, head_b, m, q, y):
+    """Loss, gradients and logits from the pair representation z itself."""
+    z = m + np.tensordot(alpha, q, axes=(0, 0))
+    logits = z @ head_w + head_b
+    loss = float(np.mean(np.logaddexp(0.0, -(2.0 * y - 1.0) * logits)))
+    delta = (1.0 / (1.0 + np.exp(-logits)) - y) / y.shape[0]
+    grad_alpha = np.array([(q[k] @ head_w) @ delta for k in range(q.shape[0])])
+    return loss, grad_alpha, z.T @ delta, float(delta.sum()), logits
+
+
+@pytest.mark.parametrize("kmax", [1, 2, 3])
+def test_loss_and_grads_match_z_reference(kmax):
+    rng = np.random.default_rng(kmax)
+    b, f = 300, 17
+    m = rng.normal(size=(b, f))
+    q = rng.normal(size=(kmax, b, f))
+    y = (rng.random(b) < 0.5).astype(float)
+    alpha = rng.normal(size=kmax)
+    w = rng.normal(size=f)
+    bias = float(rng.normal())
+    *want, want_logits = _z_reference(alpha, w, bias, m, q, y)
+    got = logistic_loss_and_grads(alpha, w, bias, m, q, y)
+    for a, e in zip((*got, _logits(alpha, w, bias, m, q)), (*want, want_logits)):
+        a, e = np.atleast_1d(a), np.atleast_1d(e)
+        assert a.shape == e.shape
+        assert np.abs(a - e).max() <= 1e-12 * np.abs(e).max()
+
+
 def test_training_reduces_loss_and_is_deterministic():
     g = sample_ba_graph(80, 3, seed=1)
     split = split_edges(g, (0.7, 0.1, 0.2), seed=0)
