@@ -234,7 +234,7 @@ def cmd_eval(args) -> int:
     base = merged_graph(split, args.use_valid_as_input)
     batch = getattr(split, args.split)
     exclude = np.concatenate([split.train.pairs, split.valid.pairs, split.test.pairs])
-    n_neg = args.negatives or max(len(batch), 200)
+    n_neg = max(len(batch), 200) if args.negatives is None else args.negatives
     negatives = sample_negatives(base, n_neg, args.seed + 7, exclude=exclude)
     ks = tuple(_numbers(args.ks, "--ks"))
     if args.kind in ("cn", "aa", "ra"):

@@ -48,8 +48,6 @@ import scipy.sparse as sp
 from .errors import ConfigError, ScaleError
 from .graph import Graph, PairBatch, hop_distances
 
-DEFAULT_MAX_ORDER = 3
-
 # Walk-row entries the sub-chunks of cn_order_features_all in flight at once,
 # or a block of order_row_diagonals, may hold, by the per-node bound of
 # _walk_nnz_bound (about 50 MB of CSR data and indices).
@@ -110,10 +108,6 @@ def _scale_columns(mat: sp.csr_matrix, weights: np.ndarray) -> sp.csr_matrix:
                          mat.indptr.copy()), shape=mat.shape)
     out.eliminate_zeros()
     return out
-
-
-def as_dense(m) -> np.ndarray:
-    return m.toarray() if sp.issparse(m) else np.asarray(m)
 
 
 class _OrderRows:
@@ -249,10 +243,11 @@ def order_row_diagonals(g: Graph, k: int) -> np.ndarray:
     return out
 
 
-def adj_power_row(g: Graph, u: int, l: int, max_order: int = DEFAULT_MAX_ORDER) -> np.ndarray:
-    """Dense row u of A^l: exact counts of l-length walks from u to every node."""
-    if l < 0 or l > max_order:
-        raise ConfigError(f"walk length {l} outside [0, {max_order}]")
+def adj_power_row(g: Graph, u: int, l: int) -> np.ndarray:
+    """Dense row u of A^l: exact counts of l-length walks from u to every
+    node, for any l >= 0."""
+    if l < 0:
+        raise ConfigError(f"walk length must be >= 0, got {l}")
     rows = _OrderRows(_loop_adjacency(g.to_scipy()), np.array([u], dtype=np.int64))
     return rows.powers(max(l, 1))[min(l, 1)].toarray()[0]
 

@@ -276,6 +276,8 @@ def _draw_distinct_pairs(n: int, count: int, seed: int, forbidden=()) -> np.ndar
     whose key u*n+v is not in the sorted ``forbidden``, in first-draw order.
     Draws come in blocks, which take the same stream from
     ``default_rng(seed)`` as one ``integers(0, n)`` call per endpoint."""
+    if count < 1:
+        raise InputError(f"requested {count} distinct pairs, need at least 1")
     taken = np.asarray(forbidden, dtype=np.int64)
     available = n * (n - 1) // 2 - taken.size
     if count > available:

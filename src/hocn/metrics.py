@@ -26,6 +26,8 @@ def hits_at_k(pos_scores, neg_scores, k: int) -> float:
     """Fraction of positives strictly above the K-th highest negative score."""
     pos = np.asarray(pos_scores, dtype=np.float64)
     neg = np.asarray(neg_scores, dtype=np.float64)
+    if k < 1:
+        raise MetricError(f"K must be >= 1, got {k}")
     if neg.size < k:
         raise MetricError(f"need at least K={k} negatives, got {neg.size}")
     if pos.size == 0:

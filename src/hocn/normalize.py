@@ -28,16 +28,15 @@ DIVISION_EPSILON = 1e-12
 
 @dataclass(frozen=True)
 class ParticipationCounts:
-    """Per-node walk-participation totals for one order.
-
-    In ``exact`` mode, counts[c] sums combined(i, j)[c] over all ordered
-    pairs i != j; ``running`` mode holds the streaming column-sum estimate.
-    ``counts`` is a read-only view, so writing into it raises ValueError.
+    """Per-node walk-participation totals for one order: the exact counts of
+    ``exact_walk_participation`` (counts[c] sums combined(i, j)[c] over all
+    ordered pairs i != j) or the streaming column-sum estimate of
+    ``running_counts``. ``counts`` is a read-only view, so writing into it
+    raises ValueError.
     """
 
     order: int
     counts: np.ndarray
-    mode: str
 
     def __post_init__(self):
         counts = np.asarray(self.counts).view()
@@ -84,7 +83,7 @@ def exact_walk_participation(g: Graph, k: int,
             d_k = diag_step - diag_prev
             counts -= 2.0 * (diag_step * (s_k - d_k) + d_k * (s_prev - diag_prev))
         counts[np.abs(counts) < 1e-9] = 0.0
-        return ParticipationCounts(order=k, counts=counts, mode="exact")
+        return ParticipationCounts(order=k, counts=counts)
 
     return g.memoized(("exact_walk_participation", k, bool(exclude_endpoints)), build)
 
@@ -109,7 +108,7 @@ def update_running_participation(state: RunningState, feats: OrderFeatures) -> R
 def running_counts(state: RunningState, k: int) -> ParticipationCounts:
     if k not in state.psi_hat:
         raise ConfigError(f"no running participation for order {k}")
-    return ParticipationCounts(order=k, counts=state.psi_hat[k], mode="running")
+    return ParticipationCounts(order=k, counts=state.psi_hat[k])
 
 
 def apply_normalization(feats: OrderFeatures, counts: ParticipationCounts) -> OrderFeatures:

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, ScaleError
-from .features import OrderFeatures, as_dense, cn_order_features_all
+from .features import OrderFeatures, cn_order_features_all
 from .graph import Graph, PairBatch
 
 DEGENERATE_NORM = 1e-12
@@ -28,7 +28,7 @@ _FULL_GRAPH_ROWS = 4096
 def frobenius_inner(a, b) -> float:
     if sp.issparse(a) and sp.issparse(b):
         return float(a.multiply(b).sum())
-    return float(np.vdot(as_dense(a), as_dense(b)))
+    return float(np.vdot(a, b))
 
 
 def frobenius_norm(a) -> float:
@@ -164,17 +164,17 @@ class ExactOrthoBasis:
 
 
 def full_graph_orthogonalize(g: Graph, k_max: int,
-                             exclude_endpoints: bool = False,
-                             node_limit: int = FULL_GRAPH_NODE_LIMIT) -> ExactOrthoBasis:
+                             exclude_endpoints: bool = False) -> ExactOrthoBasis:
     """Exact Gram-Schmidt over the batch of all unordered pairs.
 
     The K x K Gram matrix of the CN^k matrices is accumulated in streamed
     row blocks (never holding a (P, n) matrix), then the orthogonal basis is
-    derived in coefficient space. Guarded to small graphs; this is the
-    convergence oracle for the streaming mode.
+    derived in coefficient space. Graphs above ``FULL_GRAPH_NODE_LIMIT``
+    nodes raise ScaleError; this is the convergence oracle for the
+    streaming mode.
     """
-    if g.n > node_limit:
-        raise ScaleError(f"n={g.n} exceeds the full-graph guard {node_limit}; "
+    if g.n > FULL_GRAPH_NODE_LIMIT:
+        raise ScaleError(f"n={g.n} exceeds the full-graph guard {FULL_GRAPH_NODE_LIMIT}; "
                          "use the streaming orthogonalizer")
     pairs = all_pairs_batch(g.n).pairs
     gram = np.zeros((k_max, k_max))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, InputError, ScaleError, TrainingError
+from .errors import ConfigError, InputError, TrainingError
 from .features import cn_order_features_all
 from .graph import Graph, PairBatch, SplitResult, sample_negatives
 from .normalize import (apply_normalization, normalized_cn_score, running_counts,
@@ -28,26 +28,22 @@ MODEL_FORMAT_VERSION = 2
 
 MAX_PROPAGATION_DEPTH = 8
 
-# The "identity" feature preset is a dense n x n matrix, as is H built from
-# it: 128 MiB each at this node count.
-IDENTITY_NODE_LIMIT = 4096
-
 
 def _common_neighbors(g: Graph, i: int, j: int) -> np.ndarray:
     return np.intersect1d(g.neighbors(i), g.neighbors(j), assume_unique=True)
 
 
-def heuristic_score(g: Graph, pair, kind: str, order: int = 1) -> float:
-    """Classic CN / AA / RA scores, or the path-normalized CN at a given
-    order: ``order`` for kind "normalized_cn", k for "normalized_cn_<k>"."""
+def heuristic_score(g: Graph, pair, kind: str) -> float:
+    """Classic CN / AA / RA scores, or for kind "normalized_cn_<k>" the
+    path-normalized CN at order k."""
     i, j = int(pair[0]), int(pair[1])
     if i == j:
         raise InputError("pair with identical endpoints")
     if kind.startswith("normalized_cn"):
-        named = re.fullmatch(r"normalized_cn(?:_(-?[0-9]+))?", kind)
+        named = re.fullmatch(r"normalized_cn_(-?[0-9]+)", kind)
         if named is None:
             raise ConfigError(f"malformed order in heuristic kind {kind!r}")
-        return normalized_cn_score(g, i, j, order if named[1] is None else int(named[1]))
+        return normalized_cn_score(g, i, j, int(named[1]))
     cn = _common_neighbors(g, i, j)
     if kind == "cn":
         return float(cn.size)
@@ -94,20 +90,12 @@ def default_node_features(g: Graph, dim: int = 16, seed: int = 0) -> np.ndarray:
     return np.concatenate([np.log1p(g.degrees)[:, None], adj @ proj], axis=1)
 
 
-def propagate_features(g: Graph, x, depth: int) -> np.ndarray:
-    """H = A_hat^depth X with A_hat the normalized self-loop adjacency."""
+def propagate_features(g: Graph, x: np.ndarray, depth: int) -> np.ndarray:
+    """H = A_hat^depth X for an (n, d) node-feature matrix X (such as
+    ``default_node_features``), with A_hat the normalized self-loop
+    adjacency."""
     if depth < 0 or depth > MAX_PROPAGATION_DEPTH:
         raise InputError(f"propagation depth {depth} outside [0, {MAX_PROPAGATION_DEPTH}]")
-    if isinstance(x, str):
-        if x == "identity":
-            if g.n > IDENTITY_NODE_LIMIT:
-                raise ScaleError(f"n={g.n} exceeds the identity-feature guard "
-                                 f"{IDENTITY_NODE_LIMIT}; pass a (n, d) feature matrix")
-            x = np.eye(g.n)
-        elif x == "degree-log":
-            x = np.log1p(g.degrees.astype(np.float64))[:, None]
-        else:
-            raise InputError(f"unknown feature preset {x!r}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != g.n:
         raise InputError(f"feature matrix shape {x.shape} does not match n={g.n}")
@@ -337,6 +325,8 @@ def train_model(split: SplitResult, config: TrainConfig) -> TrainResult:
     descent steps run on fixed arrays (the feature pipeline has no trainable
     parameters).
     """
+    if config.epochs < 1:
+        raise ConfigError(f"epochs must be >= 1, got {config.epochs}")
     g = split.train_graph
     cfg = config.features
     if len(split.train) < 16:
@@ -373,9 +363,9 @@ def train_model(split: SplitResult, config: TrainConfig) -> TrainResult:
 
 
 def model_scores(g: Graph, pairs: np.ndarray, model: ScoreModel,
-                 state: RunningState, h: np.ndarray,
-                 cfg: FeatureConfig, training: bool = False) -> np.ndarray:
-    """Logits for a pair array. Running statistics stay frozen unless
-    ``training``, which accumulates them over the scored pairs."""
-    m, q = pair_features(g, pairs, h, cfg, state, training=training)
+                 state: RunningState, h: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
+    """Logits for a pair array, with the running statistics in ``state``
+    frozen. (``pair_features`` with ``training=True`` accumulates them over
+    a pair array instead.)"""
+    m, q = pair_features(g, pairs, h, cfg, state, training=False)
     return _logits(model.alpha, model.head_w, model.head_b, m, q)

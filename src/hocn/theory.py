@@ -161,10 +161,6 @@ def sample_latent_model(params: LatentModelParams) -> LatentSample:
     return LatentSample(graph=g, positions=positions, distances=dist, params=params)
 
 
-def sample_latent_graph(params: LatentModelParams) -> Graph:
-    return sample_latent_model(params).graph
-
-
 def sample_ba_graph(n: int, m: int, seed: int = 0) -> Graph:
     """Preferential attachment with replacement; duplicate draws collapse."""
     if not n > m >= 1:
@@ -179,18 +175,6 @@ def sample_ba_graph(n: int, m: int, seed: int = 0) -> Graph:
             edges.append((v, w))
             targets.extend((v, w))
     return Graph.from_edges(n, edges)
-
-
-def count_paths(g: Graph, i: int, j: int, length: int) -> int:
-    """(A^length)_{ij}: the number of walks of that exact length."""
-    if length == 0:
-        return int(i == j)
-    adj = g.to_scipy()
-    vec = np.zeros(g.n)
-    vec[i] = 1.0
-    for _ in range(length):
-        vec = adj.T @ vec
-    return int(round(vec[j]))
 
 
 def degree_expectation_ba(gap: int, m: int) -> float:
@@ -447,6 +431,8 @@ def validate_bound(model: str, params, bound_kind: str, k: int, delta: float,
     """
     if trials < 100:
         raise InputError("need at least 100 trials")
+    if k < 1:
+        raise InputError(f"k must be >= 1, got {k}")
     seeds = [seed + 1000 * t for t in range(trials)]
     if model == "latent":
         work = lambda s: _latent_trial(params, bound_kind, k, delta, s)

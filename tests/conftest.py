@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hocn import Graph, PairBatch
 
@@ -58,6 +59,10 @@ def nonadjacent_pairs(g: Graph):
 
 def batch_of(pairs) -> PairBatch:
     return PairBatch(np.array(pairs, dtype=np.int64).reshape(-1, 2))
+
+
+def as_dense(m) -> np.ndarray:
+    return m.toarray() if sp.issparse(m) else np.asarray(m)
 
 
 # ---------------------------------------------------------------------------

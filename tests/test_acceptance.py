@@ -30,17 +30,13 @@ from hocn.normalize import apply_normalization, exact_walk_participation
 from hocn.scoring import logistic_loss_and_grads
 from hocn.theory import sample_ba_graph
 
-from conftest import (WITNESS_EDGES, WITNESS_PAIRS, nonadjacent_pairs,
+from conftest import (WITNESS_EDGES, WITNESS_PAIRS, as_dense, nonadjacent_pairs,
                       random_graph, walk_count)
 
 CORA_PATH = os.path.join(os.path.dirname(__file__), "..", "data", "cora.edges")
 CORA_MISSING = ("criterion needs the Cora edge list at data/cora.edges "
                 "(one 'u<TAB>v' line per citation edge); it is not bundled "
                 "and this environment has no network access to fetch it")
-
-
-def as_dense(mat):
-    return np.asarray(mat.toarray() if hasattr(mat, "toarray") else mat)
 
 
 def load_cora():

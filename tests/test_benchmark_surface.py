@@ -1,0 +1,34 @@
+"""The library names the benchmark harness in hocnbench/ wraps or reads.
+
+Its traced runs look each wrapped function up with ``vars(owner)[attr]``,
+so a library change that drops or moves one of them breaks those runs.
+This test installs and removes every wrapper, as a traced run does, and
+checks the other names the harness reads, without changing hocnbench/.
+"""
+
+import dataclasses
+import inspect
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1] / "hocnbench"
+sys.path.insert(0, str(BENCH))
+
+import layers
+import tracer
+from hocn import features, ortho, scoring
+
+
+def test_every_traced_name_exists_and_is_restored():
+    targets = layers.targets()
+    before = [vars(owner)[attr] for owner, attr, _, _ in targets]
+    with tracer.installed(tracer.Tracer(), targets):
+        pass
+    assert [vars(owner)[attr] for owner, attr, _, _ in targets] == before
+
+
+def test_names_the_workloads_read():
+    inspect.signature(scoring.model_scores).bind(*range(6))
+    assert callable(features.cn_order_features)
+    assert isinstance(vars(features.OrderFeatures)["slices"], property)
+    assert {"psi_hat", "psi_t"} <= {f.name for f in dataclasses.fields(ortho.RunningState)}

@@ -423,6 +423,16 @@ def test_diagnose_more_pairs_than_exist_is_an_error(capsys):
     assert captured.out == ""
 
 
+def test_train_zero_epochs_writes_no_model(edge_file, tmp_path, capsys):
+    model_path = tmp_path / "model.txt"
+    code = main(["train", "--input", edge_file, "--epochs", "0",
+                 "--model-out", str(model_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ConfigError: epochs must be >= 1, got 0")
+    assert not model_path.exists()
+
+
 @pytest.mark.parametrize("exclude", [False, True])
 def test_diagnose_rows_equal_exact_pipeline(exclude, capsys):
     argv = ["diagnose", "--synthetic", "120,3", "--pairs", "64", "--k-max", "3",
@@ -599,8 +609,17 @@ def test_eval_malformed_model_or_state_is_a_config_error(edge_file, tmp_path, ca
     (["diagnose", "--synthetic", "x,3"], None, "InputError"),
     (["diagnose", "--synthetic", "200"], None, "InputError"),
     (["bench", "--batch-sizes", "64,1k"], None, "InputError"),
+    (["eval", "--ks", "0"], None, "MetricError: K must be >= 1, got 0"),
+    (["eval", "--ks", "20,-3"], None, "MetricError: K must be >= 1, got -3"),
+    (["eval", "--negatives", "0"], None, "InputError: requested 0 distinct pairs"),
+    (["eval", "--negatives", "-5"], None, "InputError: requested -5 distinct pairs"),
+    (["diagnose", "--synthetic", "30,2", "--pairs", "0"], None,
+     "InputError: requested 0 distinct pairs"),
+    (["theory", "--k", "0", "--trials", "100"], None, "InputError: k must be >= 1, got 0"),
+    (["theory", "--k", "-1", "--trials", "100"], None, "InputError: k must be >= 1, got -1"),
 ], ids=["ratios", "ks", "config-k-max", "config-negatives", "synthetic", "synthetic-count",
-        "batch-sizes"])
+        "batch-sizes", "ks-0", "ks-negative", "negatives-0", "negatives-negative", "pairs-0",
+        "theory-k-0", "theory-k-negative"])
 def test_malformed_number_is_an_error_line(edge_file, tmp_path, capsys, argv, config, error):
     if argv[0] in ("prepare", "score", "eval"):
         argv = [*argv, "--input", edge_file]

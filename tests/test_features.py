@@ -9,10 +9,10 @@ import pytest
 import hocn.features
 from hocn import (ConfigError, FeatureConfig, Graph, RunningState, ScaleError, adj_power_row,
                   cn_order_features, cn_order_features_all, cn_set, sample_ba_graph)
-from hocn.features import _sub_chunks, _walk_nnz_bound, as_dense
+from hocn.features import _sub_chunks, _walk_nnz_bound
 from hocn.scoring import basis_matrices, batch_features
 
-from conftest import batch_of, random_graph
+from conftest import as_dense, batch_of, random_graph
 
 
 def walk_tally(g: Graph, start: int, max_len: int) -> np.ndarray:
@@ -402,15 +402,17 @@ def test_features_without_slices_hold_and_peak_less(monkeypatch):
 def test_adj_power_row_matches_matrix_power():
     g = random_graph(15, 0.3, seed=5)
     adj = g.to_scipy().toarray()
-    p3 = np.linalg.matrix_power(adj, 3)
-    for u in (0, 7, 14):
-        assert np.allclose(adj_power_row(g, u, 3), p3[u])
+    for length in range(5):
+        p = np.linalg.matrix_power(adj, length)
+        for u in (0, 7, 14):
+            # whole rows, so the diagonal (closed-walk) entry p[u, u] too
+            assert np.array_equal(adj_power_row(g, u, length), p[u]), (length, u)
 
 
-def test_adj_power_row_order_cap():
+def test_adj_power_row_negative_length_is_a_config_error():
     g = random_graph(6, 0.4, seed=6)
-    with pytest.raises(ConfigError):
-        adj_power_row(g, 0, 4, max_order=3)
+    with pytest.raises(ConfigError, match="got -1"):
+        adj_power_row(g, 0, -1)
 
 
 def test_cn_set_order_one_is_shared_neighbors(g4):

@@ -179,6 +179,15 @@ def test_sample_negatives_exhaustion():
         sample_negatives(g, 1, seed=0)
 
 
+@pytest.mark.parametrize("count", [0, -5])
+def test_pair_count_below_one_is_an_input_error(count):
+    with pytest.raises(InputError, match=f"requested {count} distinct pairs"):
+        hocn.graph._draw_distinct_pairs(30, count, seed=0)
+    g = random_graph(25, 0.3, seed=5)
+    with pytest.raises(InputError, match=f"requested {count} distinct pairs"):
+        sample_negatives(g, count, seed=0)
+
+
 def _per_draw_negatives(g, count, seed, exclude=()):
     """Reference oracle: one (u, v) draw at a time, rejecting self-pairs,
     edges, exclusions and repeats, keeping (min, max) in draw order."""

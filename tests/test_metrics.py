@@ -57,6 +57,12 @@ def test_hits_requires_enough_negatives():
         hits_at_k([], [0.5, 0.2], 1)
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_hits_cutoff_below_one_is_a_metric_error(k):
+    with pytest.raises(MetricError, match=f"got {k}"):
+        hits_at_k([1.0], [0.5, 0.2], k)
+
+
 def test_mrr_frozen_example():
     neg = np.array([3.0, 1.0])
     # ranks: pos 4.0 -> 1, pos 2.0 -> 2, pos 0.5 -> 3; mean(1, 1/2, 1/3)

@@ -13,10 +13,9 @@ from hocn import (FeatureConfig, Graph, RunningState, ScaleError, ScoreModel,
                   cn_order_features, cn_order_features_all, degree_filter_argument,
                   frobenius_inner, frobenius_norm, full_graph_orthogonalize,
                   gram_schmidt_batch, polynomial_weights, sample_ba_graph)
-from hocn.features import as_dense
-from hocn.ortho import all_pairs_batch
+from hocn.ortho import FULL_GRAPH_NODE_LIMIT, all_pairs_batch
 
-from conftest import batch_of, random_graph
+from conftest import as_dense, batch_of, random_graph
 
 SQRT2 = math.sqrt(2.0)
 
@@ -138,9 +137,9 @@ def test_full_graph_materialize_matches_coefficients():
 
 
 def test_full_graph_guard():
-    g = random_graph(30, 0.2, seed=6)
+    g = Graph.from_edges(FULL_GRAPH_NODE_LIMIT + 1, [])
     with pytest.raises(ScaleError):
-        full_graph_orthogonalize(g, 2, node_limit=20)
+        full_graph_orthogonalize(g, 2)
 
 
 def test_streaming_converges_to_exact_mean():

@@ -1,21 +1,19 @@
 import copy
 import io
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from hocn import (ConfigError, FeatureConfig, Graph, InputError, RunningState,
-                  ScaleError, ScoreModel, TrainConfig, cn_order_features,
+from hocn import (ConfigError, FeatureConfig, InputError, RunningState,
+                  ScoreModel, TrainConfig, cn_order_features,
                   default_node_features, gram_schmidt_batch, heuristic_score,
                   heuristic_scores, model_scores, pair_features,
                   propagate_features, sample_ba_graph, split_edges,
                   train_model)
-from hocn.features import as_dense
-from hocn.scoring import IDENTITY_NODE_LIMIT, _logits, logistic_loss_and_grads
+from hocn.scoring import _logits, logistic_loss_and_grads
 
-from conftest import WITNESS_PAIRS, batch_of, random_graph
+from conftest import WITNESS_PAIRS, as_dense, batch_of, random_graph
 
 
 def test_heuristic_hand_values(g4):
@@ -58,27 +56,13 @@ def test_witness_ties_heuristics_but_not_order_two(witness):
     assert rows[0].sum() != rows[1].sum()
 
 
-def test_propagation_presets_and_depth_guard(g4):
-    h = propagate_features(g4, "degree-log", 0)
-    assert h.shape == (4, 1)
-    ident = propagate_features(g4, "identity", 1)
-    assert ident.shape == (4, 4)
-    with pytest.raises(InputError):
-        propagate_features(g4, "identity", 99)
-    with pytest.raises(InputError):
-        propagate_features(g4, "unknown-preset", 1)
-
-
-def test_identity_preset_guard_raises_before_allocating():
-    g = Graph.from_edges(IDENTITY_NODE_LIMIT + 1, [])
-    tracemalloc.start()
-    try:
-        with pytest.raises(ScaleError):
-            propagate_features(g, "identity", 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < g.n * g.n * 8 / 100
+def test_propagation_depth_guard(g4):
+    x = np.log1p(g4.degrees.astype(np.float64))[:, None]
+    assert np.array_equal(propagate_features(g4, x, 0), x)
+    assert propagate_features(g4, np.eye(4), 1).shape == (4, 4)
+    for depth in (-1, 99):
+        with pytest.raises(InputError, match=f"depth {depth}"):
+            propagate_features(g4, x, depth)
 
 
 def test_propagation_preserves_constant_vector_direction(g4):
@@ -255,14 +239,9 @@ def test_model_scores_training_flag(variant):
     model_scores(split.train_graph, pairs, model, result.state, h, features)
     assert _same_state(_state_snapshot(result.state), before)
 
-    scored, featured = copy.deepcopy(result.state), copy.deepcopy(result.state)
-    logits = model_scores(split.train_graph, pairs, model, scored, h, features,
-                          training=True)
-    m, q = pair_features(split.train_graph, pairs, h, features, featured, training=True)
-    z = m + np.tensordot(model.alpha, q, axes=(0, 0))
-    assert np.array_equal(logits, z @ model.head_w + model.head_b)
-    assert _same_state(_state_snapshot(scored), _state_snapshot(featured))
+    featured = copy.deepcopy(result.state)
+    pair_features(split.train_graph, pairs, h, features, featured, training=True)
     batches = -(-len(pairs) // features.batch_size)
     assert batches > 1
-    assert scored.t == before[0] + (batches if variant == "ocn" else 0)
-    assert all(scored.psi_t[k] == before[2][k] + batches for k in range(1, 4))
+    assert featured.t == before[0] + (batches if variant == "ocn" else 0)
+    assert all(featured.psi_t[k] == before[2][k] + batches for k in range(1, 4))

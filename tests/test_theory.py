@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 import scipy.special as spfn
 
+import hocn.theory
 from hocn import (BoundDomainError, BoundInputs, Graph, InputError,
                   LatentModelParams, ba_bound_normalized,
                   ba_bound_unnormalized, bound_normalized,
-                  bound_unnormalized, cn_set, count_paths,
-                  degree_expectation_ba, lambert_w,
-                  log_double_factorial_ratio, sample_ba_graph,
-                  sample_latent_graph, sample_latent_model, torus_distances,
-                  unit_ball_volume, validate_bound)
+                  bound_unnormalized, cn_set, degree_expectation_ba,
+                  lambert_w, log_double_factorial_ratio, sample_ba_graph,
+                  sample_latent_model, torus_distances, unit_ball_volume,
+                  validate_bound)
 from hocn.theory import _walk_counts_2k
 
 from conftest import random_graph
@@ -174,7 +174,7 @@ def test_latent_graph_edges_match_geometry():
 
 def test_latent_mean_degree_near_expectation():
     params = LatentModelParams(n=600, dim=2, radius=0.08, seed=0)
-    g = sample_latent_graph(params)
+    g = sample_latent_model(params).graph
     expected = (params.n - 1) * unit_ball_volume(2) * params.radius ** 2
     assert g.degrees.mean() == pytest.approx(expected, rel=0.12)
 
@@ -188,15 +188,6 @@ def test_ba_graph_shape():
     assert g.degrees.max() > 3 * np.median(g.degrees)  # heavy tail
     with pytest.raises(InputError):
         sample_ba_graph(3, 3)
-
-
-def test_count_paths_matches_matrix_power():
-    g = random_graph(12, 0.3, seed=2)
-    adj = g.to_scipy().toarray()
-    for length in (0, 1, 2, 3, 4):
-        p = np.linalg.matrix_power(adj, length)
-        for i, j in ((0, 0), (0, 5), (3, 11)):
-            assert count_paths(g, i, j, length) == int(p[i, j])
 
 
 def test_degree_expectation_ba_values():
@@ -229,6 +220,17 @@ def test_validate_bound_requires_trials():
     params = LatentModelParams(n=40, dim=2, radius=0.3, seed=0)
     with pytest.raises(InputError):
         validate_bound("latent", params, "unnormalized", 1, 0.1, 10, 0)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_validate_bound_order_below_one_fails_before_any_trial(k, monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(hocn.theory, "_latent_trial", no_trial)
+    params = LatentModelParams(n=40, dim=2, radius=0.3, seed=0)
+    with pytest.raises(InputError, match=f"k must be >= 1, got {k}"):
+        validate_bound("latent", params, "unnormalized", k, 0.1, 100, 0)
 
 
 def test_walk_counts_match_matrix_power():
