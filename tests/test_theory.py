@@ -6,7 +6,7 @@ import scipy.special as spfn
 
 import hocn.theory
 from hocn import (BoundDomainError, BoundInputs, Graph, InputError,
-                  LatentModelParams, ba_bound_normalized,
+                  LatentModelParams, adj_power_row, ba_bound_normalized,
                   ba_bound_unnormalized, bound_normalized,
                   bound_unnormalized, cn_set, degree_expectation_ba,
                   lambert_w, log_double_factorial_ratio, sample_ba_graph,
@@ -188,6 +188,17 @@ def test_ba_graph_shape():
     assert g.degrees.max() > 3 * np.median(g.degrees)  # heavy tail
     with pytest.raises(InputError):
         sample_ba_graph(3, 3)
+
+
+def test_count_paths_matches_matrix_power():
+    # Walk counts between node pairs, diagonal (closed walks) included, read
+    # off the one walk counter, adj_power_row.
+    g = random_graph(12, 0.3, seed=2)
+    adj = g.to_scipy().toarray()
+    for length in (0, 1, 2, 3, 4):
+        p = np.linalg.matrix_power(adj, length)
+        for i, j in ((0, 0), (0, 5), (3, 11)):
+            assert adj_power_row(g, i, length)[j] == int(p[i, j])
 
 
 def test_degree_expectation_ba_values():
