@@ -3,8 +3,9 @@
 Subcommands cover the whole pipeline: prepare (load and split an edge list),
 score (heuristic or structural-feature scores over a split), train (fit the
 pair-scoring model), eval (ranking metrics), diagnose (redundancy and
-concentration reports), theory (closed-form bounds and their Monte-Carlo
-validation), bench (timing sweep with a linear fit).
+concentration reports), theory (Monte-Carlo validation of the distance
+bounds), bounds (the closed-form bounds over a grid of orders k), bench
+(timing sweep with a linear fit).
 
 score, eval and bench build structural features through the two stages in
 ``hocn.scoring``: ``batch_features`` (per-order CN features normalized by
@@ -13,10 +14,11 @@ the running walk-participation estimate) and ``basis_matrices``
 participation instead, then calls ``basis_matrices``.
 
 Every subcommand takes ``--seed``, ``--config``, ``--json`` and ``--output``;
-any other flag belongs only to the subcommands that read it. eval takes the
-feature settings (the whole ``FeatureConfig`` train used, its node-feature
-seed included) and the frozen running statistics from the one model file
-that train wrote; eval's own ``--seed`` draws the split and the negatives.
+any other flag belongs only to the subcommands that read it, and no flag
+may be abbreviated. eval takes the feature settings (the whole
+``FeatureConfig`` train used, its node-feature seed included) and the
+frozen running statistics from the one model file that train wrote; eval's
+own ``--seed`` draws the split and the negatives.
 
 Outputs are CSV with a commented header carrying version, seed, and the
 effective configuration; ``--json`` mirrors the same rows as a JSON array.
@@ -189,7 +191,7 @@ def _structural_scores(g: Graph, pairs: np.ndarray, cfg: FeatureConfig) -> np.nd
     scores = np.zeros(pairs.shape[0])
     for start in range(0, pairs.shape[0], cfg.batch_size):
         chunk = PairBatch(pairs[start:start + cfg.batch_size])
-        _, normalized = batch_features(g, chunk, cfg, state, training=True)
+        normalized = batch_features(g, chunk, cfg, state, training=True)
         mats = basis_matrices(g, normalized, cfg, state, training=True)
         scale = math.sqrt(len(chunk)) if cfg.variant == "ocn" else 1.0
         rowsum = scale * sum(np.asarray(np.abs(m).sum(axis=1)).ravel() for m in mats)
@@ -296,38 +298,34 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
+def cmd_bounds(args) -> int:
+    rows = []
+    for k in range(2, args.k_grid_max + 1):
+        if args.model == "latent":
+            b = BoundInputs(n=args.n, delta=args.delta, k=k, dim=args.dim,
+                            r_sum=args.r_sum, r_m_max=args.r_m_max, eta_2k=args.eta,
+                            zeta=args.zeta, rho=args.rho)
+            u = bound_unnormalized(b)
+            v = bound_normalized(b)
+            rows.append((k, None if u.vacuous else repr(u.value),
+                         None if v.vacuous else repr(v.value)))
+        else:
+            b = BoundInputs(n=args.n, delta=args.delta, k=k, dim=args.dim, m=args.m,
+                            steepness=args.steepness, zeta=args.zeta, eta_2k=args.eta,
+                            max_degree=args.max_degree)
+            rows.append((k, repr(ba_bound_unnormalized(b)),
+                         repr(ba_bound_normalized(b, args.n_inner))))
+    emit(args, ("k", "unnormalized", "normalized"), rows)
+    return 0
+
+
 def cmd_theory(args) -> int:
-    if args.mode == "grid":
-        rows = []
-        for k in range(2, int(args.k_grid_max) + 1):
-            if args.model == "latent":
-                b = BoundInputs(n=int(args.n), delta=float(args.delta), k=k,
-                                dim=int(args.dim), r_sum=float(args.r_sum),
-                                r_m_max=float(args.r_m_max),
-                                eta_2k=float(args.eta), zeta=int(args.zeta),
-                                rho=float(args.rho))
-                u = bound_unnormalized(b)
-                v = bound_normalized(b)
-                rows.append((k, None if u.vacuous else repr(u.value),
-                             None if v.vacuous else repr(v.value)))
-            else:
-                b = BoundInputs(n=int(args.n), delta=float(args.delta), k=k,
-                                dim=int(args.dim), m=int(args.m),
-                                steepness=float(args.steepness),
-                                zeta=int(args.zeta), eta_2k=float(args.eta),
-                                max_degree=int(args.max_degree))
-                rows.append((k, repr(ba_bound_unnormalized(b)),
-                             repr(ba_bound_normalized(b, int(args.n_inner)))))
-        emit(args, ("k", "unnormalized", "normalized"), rows)
-        return 0
     if args.model == "latent":
-        params = LatentModelParams(n=int(args.n), dim=int(args.dim),
-                                   radius=float(args.radius), seed=args.seed)
+        params = LatentModelParams(n=args.n, dim=args.dim, radius=args.radius, seed=args.seed)
     else:
-        params = (int(args.n), int(args.m))
-    report = validate_bound(args.model, params, args.bound, int(args.k),
-                            float(args.delta), int(args.trials), args.seed,
-                            threads=args.threads)
+        params = (args.n, args.m)
+    report = validate_bound(args.model, params, args.bound, args.k, args.delta,
+                            args.trials, args.seed, threads=args.threads)
     rows = [(report.model, report.bound, report.k, report.delta,
              report.trials, report.eligible, report.violations,
              repr(report.violation_fraction), repr(report.mean_slack))]
@@ -349,7 +347,10 @@ def _r_squared(t: np.ndarray, y: np.ndarray, fit: np.ndarray) -> float:
 
 def cmd_bench(args) -> int:
     sizes = _numbers(args.batch_sizes, "--batch-sizes")
-    g = sample_ba_graph(int(args.nodes), 3, seed=args.seed)
+    for flag, size in [*(("--batch-sizes", s) for s in sizes), ("--probe-size", args.probe_size)]:
+        if size < 1:
+            raise InputError(f"{flag}: a batch needs at least 1 pair, got {size}")
+    g = sample_ba_graph(args.nodes, 3, seed=args.seed)
     rng = np.random.default_rng(args.seed + 1)
 
     def batch(size):
@@ -360,7 +361,7 @@ def cmd_bench(args) -> int:
     def run_once(pb, k_max, with_ortho):
         cfg = _feature_config(args, k_max=k_max, variant="ocn")
         state = RunningState()
-        _, normalized = batch_features(g, pb, cfg, state, training=True)
+        normalized = batch_features(g, pb, cfg, state, training=True)
         if with_ortho:
             basis_matrices(g, normalized, cfg, state, training=True)
 
@@ -380,18 +381,18 @@ def cmd_bench(args) -> int:
     rows.append(("fit_C", None, args.k_max, repr(float(fit[0]))))
     rows.append(("fit_B", None, args.k_max, repr(float(fit[1]))))
     rows.append(("fit_r2", None, args.k_max, repr(_r_squared(t, y, fit))))
-    probe = batch(int(args.probe_size))
+    probe = batch(args.probe_size)
     for k in range(1, args.k_max + 1):
         start = time.perf_counter()
         run_once(probe, k, False)
-        rows.append(("per_k", int(args.probe_size), k,
+        rows.append(("per_k", args.probe_size, k,
                      repr(time.perf_counter() - start)))
     start = time.perf_counter()
     run_once(probe, args.k_max, False)
     base_t = time.perf_counter() - start
     start = time.perf_counter()
     run_once(probe, args.k_max, True)
-    rows.append(("ortho_overhead", int(args.probe_size), args.k_max,
+    rows.append(("ortho_overhead", args.probe_size, args.k_max,
                  repr(max(time.perf_counter() - start - base_t, 0.0))))
     emit(args, ("section", "t", "k", "seconds"), rows)
     return 0
@@ -458,19 +459,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=int, default=256)
     p.set_defaults(func=cmd_diagnose)
 
-    p = sub.add_parser("theory", parents=[common])
+    models = argparse.ArgumentParser(add_help=False)
+    models.add_argument("--model", choices=("latent", "ba"), default="latent")
+    models.add_argument("--n", type=int, default=500)
+    models.add_argument("--dim", type=int, default=2)
+    models.add_argument("--m", type=int, default=3)
+    models.add_argument("--delta", type=float, default=0.1)
+
+    p = sub.add_parser("theory", parents=[common, models])
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--mode", choices=("validate", "grid"), default="validate")
-    p.add_argument("--model", choices=("latent", "ba"), default="latent")
     p.add_argument("--bound", choices=("unnormalized", "normalized"),
                    default="unnormalized")
-    p.add_argument("--n", type=int, default=500)
-    p.add_argument("--dim", type=int, default=2)
     p.add_argument("--radius", type=float, default=0.05)
-    p.add_argument("--m", type=int, default=3)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--trials", type=int, default=200)
+    p.set_defaults(func=cmd_theory)
+
+    p = sub.add_parser("bounds", parents=[common, models])
     p.add_argument("--k-grid-max", dest="k_grid_max", type=int, default=6)
     p.add_argument("--eta", type=float, default=0.3)
     p.add_argument("--zeta", type=int, default=2)
@@ -480,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steepness", type=float, default=1.0)
     p.add_argument("--max-degree", dest="max_degree", type=int, default=1)
     p.add_argument("--n-inner", dest="n_inner", type=int, default=4)
-    p.set_defaults(func=cmd_theory)
+    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("bench", parents=[common, features])
     p.add_argument("--batch-sizes", dest="batch_sizes",
@@ -488,6 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=100000)
     p.add_argument("--probe-size", dest="probe_size", type=int, default=1024)
     p.set_defaults(func=cmd_bench)
+    for p in sub.choices.values():
+        p.allow_abbrev = False  # so --k is not read as bounds' --k-grid-max
     return parser
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.polynomial import Chebyshev, Legendre, Polynomial
 
 from .errors import ConfigError, ScaleError
 from .features import OrderFeatures, cn_order_features_all
@@ -210,29 +211,18 @@ def full_graph_orthogonalize(g: Graph, k_max: int,
                            gram=gram, coeffs=coeffs, degenerate=degenerate)
 
 
+_POLYNOMIAL_BASES = {"monomial": Polynomial, "chebyshev": Chebyshev, "legendre": Legendre}
+
+
 def polynomial_weights(basis_kind: str, k: int, x) -> np.ndarray:
-    """k-th basis polynomial evaluated elementwise; x is clamped to [-1, 1]."""
-    x = np.clip(np.asarray(x, dtype=np.float64), -1.0, 1.0)
+    """k-th basis polynomial (``numpy.polynomial`` monomial, Chebyshev or
+    Legendre) evaluated elementwise; x is clamped to [-1, 1]."""
     if k < 0:
         raise ConfigError("polynomial order must be >= 0")
-    if basis_kind == "monomial":
-        return x ** k
-    if basis_kind == "chebyshev":
-        prev, cur = np.ones_like(x), x.copy()
-    elif basis_kind == "legendre":
-        prev, cur = np.ones_like(x), x.copy()
-    else:
+    if basis_kind not in _POLYNOMIAL_BASES:
         raise ConfigError(f"unknown polynomial basis {basis_kind!r}")
-    if k == 0:
-        return prev
-    if k == 1:
-        return cur
-    for m in range(1, k):
-        if basis_kind == "chebyshev":
-            prev, cur = cur, 2.0 * x * cur - prev
-        else:
-            prev, cur = cur, ((2 * m + 1) * x * cur - m * prev) / (m + 1)
-    return cur
+    x = np.clip(np.asarray(x, dtype=np.float64), -1.0, 1.0)
+    return _POLYNOMIAL_BASES[basis_kind].basis(k)(x)
 
 
 def degree_filter_argument(g: Graph) -> np.ndarray:

@@ -215,22 +215,21 @@ class ScoreModel:
 
 
 def batch_features(g: Graph, batch: PairBatch, cfg: FeatureConfig,
-                   state: RunningState, training: bool) -> tuple[list, list]:
-    """Stage 1 of the feature pipeline: (raw, normalized) CN features of
-    orders 1..K for one batch.
+                   state: RunningState, training: bool) -> list:
+    """Stage 1 of the feature pipeline: the normalized CN features of orders
+    1..K for one batch.
 
     Column c of order k is divided by the running estimate of node c's walk
     participation in ``state``, which training mode first updates with this
     batch's column sums. (``hocn diagnose`` divides by the exact counts
     instead, with ``apply_normalization`` and ``exact_walk_participation``.)
     """
-    raw = cn_order_features_all(g, batch, cfg.k_max, exclude_endpoints=cfg.exclude_endpoints)
     normalized = []
-    for f in raw:
+    for f in cn_order_features_all(g, batch, cfg.k_max, exclude_endpoints=cfg.exclude_endpoints):
         if training:
             update_running_participation(state, f)
         normalized.append(apply_normalization(f, running_counts(state, f.order)))
-    return raw, normalized
+    return normalized
 
 
 def basis_matrices(g: Graph, normalized: list, cfg: FeatureConfig,
@@ -262,7 +261,7 @@ def pair_features(g: Graph, pairs: np.ndarray, h: np.ndarray,
     q = np.zeros((cfg.k_max, n_pairs, f_dim))
     for start in range(0, n_pairs, cfg.batch_size):
         chunk = PairBatch(pairs[start:start + cfg.batch_size])
-        _, normalized = batch_features(g, chunk, cfg, state, training)
+        normalized = batch_features(g, chunk, cfg, state, training)
         mats = basis_matrices(g, normalized, cfg, state, training)
         if cfg.variant == "ocn":
             scale = math.sqrt(len(chunk))
@@ -273,8 +272,9 @@ def pair_features(g: Graph, pairs: np.ndarray, h: np.ndarray,
 
 
 def _logits(alpha, head_w, head_b, m, q):
-    z = m + np.tensordot(alpha, q, axes=(0, 0))
-    return z @ head_w + head_b
+    """m @ head_w + sum_k alpha_k q_k @ head_w + head_b, as in
+    ``logistic_loss_and_grads``: the (B, F) pair representation is not formed."""
+    return m @ head_w + alpha @ (q @ head_w) + head_b
 
 
 def logistic_loss_and_grads(alpha, head_w, head_b, m, q, y):

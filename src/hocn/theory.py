@@ -47,46 +47,21 @@ def log_double_factorial_ratio(n: int) -> float:
             - 2.0 * math.lgamma(n + 1))
 
 
-def lambert_w(x: float, branch: str = "principal") -> float:
-    """Real Lambert W via Halley iteration; |W e^W - x| <= 1e-12.
+def lambert_w(x: float) -> float:
+    """Principal branch of the real Lambert W, from ``scipy.special.lambertw``.
 
-    branch "principal" needs x >= -1/e; "minus-one" needs -1/e <= x < 0.
+    Needs x >= -1/e (to 1e-15). scipy gives nan at the branch point
+    x = -1/e itself, where W is -1.
     """
-    if branch not in ("principal", "minus-one"):
-        raise BoundDomainError(f"unknown branch {branch!r}")
     if x < -INV_E - 1e-15:
         raise BoundDomainError(f"x={x} below -1/e")
     if abs(x + INV_E) < 1e-300:
         return -1.0
-    if branch == "principal":
-        if x == 0.0:
-            return 0.0
-        if x > math.e:
-            lx = math.log(x)
-            w = lx - math.log(lx)
-        elif x > -0.25:
-            w = x / (1.0 + x) if x > -0.5 else x
-        else:
-            # series around the branch point
-            p = math.sqrt(2.0 * (math.e * x + 1.0))
-            w = -1.0 + p - p * p / 3.0
-    else:
-        if x >= 0.0:
-            raise BoundDomainError("minus-one branch needs x < 0")
-        if x > -0.25:
-            lx = math.log(-x)
-            w = lx - math.log(-lx)
-        else:
-            p = math.sqrt(2.0 * (math.e * x + 1.0))
-            w = -1.0 - p - p * p / 3.0
-    for _ in range(100):
-        ew = math.exp(w)
-        f = w * ew - x
-        if abs(f) <= 1e-13 * max(1.0, abs(x)):
-            break
-        wp1 = w + 1.0
-        w = w - f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-    return w
+    # Imported on first use: loading scipy.special takes about 0.14 s, which
+    # every `import hocn` (every command-line run) would otherwise pay.
+    from scipy.special import lambertw
+
+    return float(lambertw(x).real)
 
 
 # ---------------------------------------------------------------------------

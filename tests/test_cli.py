@@ -229,7 +229,7 @@ def test_diagnose_synthetic(capsys):
 
 
 def test_theory_grid_matches_evaluator(capsys):
-    code, out = run_cli(["theory", "--mode", "grid", "--model", "ba",
+    code, out = run_cli(["bounds", "--model", "ba",
                          "--n", "100", "--m", "3", "--eta", "16726.0",
                          "--max-degree", "1", "--k-grid-max", "4"], capsys)
     assert code == 0
@@ -243,7 +243,7 @@ def test_theory_grid_matches_evaluator(capsys):
 
 
 def test_theory_validate_latent(capsys):
-    code, out = run_cli(["theory", "--mode", "validate", "--model", "latent",
+    code, out = run_cli(["theory", "--model", "latent",
                          "--n", "120", "--radius", "0.15", "--k", "1",
                          "--trials", "100", "--seed", "3"], capsys)
     assert code == 0
@@ -257,7 +257,7 @@ def test_theory_validate_latent(capsys):
 
 def test_theory_validate_warns_when_nothing_is_checked(capsys):
     # At the default radius every latent trial's bound is vacuous.
-    code = main(["theory", "--mode", "validate", "--trials", "100"])
+    code = main(["theory", "--trials", "100"])
     captured = capsys.readouterr()
     assert code == 0
     _, rows = parse_csv(captured.out)
@@ -487,9 +487,11 @@ def test_exact_participation_commands_run_above_old_node_guard(tmp_path, capsys)
 # belongs only to the subcommands that read it.
 _REQUIRED = {"prepare": ["--input", "g.tsv"], "score": ["--input", "g.tsv"],
              "train": ["--input", "g.tsv", "--model-out", "m.txt"],
-             "eval": ["--input", "g.tsv"], "diagnose": [], "theory": [], "bench": []}
+             "eval": ["--input", "g.tsv"], "diagnose": [], "theory": [], "bounds": [],
+             "bench": []}
 _FLAG_VALUES = {"--k-max": ["2"], "--variant": ["ocn"], "--threads": ["2"],
-                "--exclude-endpoints": [], "--use-valid-as-input": []}
+                "--exclude-endpoints": [], "--use-valid-as-input": [], "--k": ["5"],
+                "--eta": ["9"], "--mode": ["grid"]}
 _UNREAD_FLAGS = [
     ("prepare", "--k-max"), ("prepare", "--variant"), ("prepare", "--exclude-endpoints"),
     ("prepare", "--use-valid-as-input"), ("prepare", "--threads"),
@@ -499,7 +501,8 @@ _UNREAD_FLAGS = [
     ("eval", "--threads"),
     ("diagnose", "--variant"), ("diagnose", "--use-valid-as-input"), ("diagnose", "--threads"),
     ("theory", "--k-max"), ("theory", "--variant"), ("theory", "--exclude-endpoints"),
-    ("theory", "--use-valid-as-input"),
+    ("theory", "--use-valid-as-input"), ("theory", "--eta"), ("theory", "--mode"),
+    ("bounds", "--k"), ("bounds", "--threads"), ("bounds", "--mode"),
     ("bench", "--variant"), ("bench", "--use-valid-as-input"), ("bench", "--threads"),
 ]
 
@@ -617,9 +620,14 @@ def test_eval_malformed_model_or_state_is_a_config_error(edge_file, tmp_path, ca
      "InputError: requested 0 distinct pairs"),
     (["theory", "--k", "0", "--trials", "100"], None, "InputError: k must be >= 1, got 0"),
     (["theory", "--k", "-1", "--trials", "100"], None, "InputError: k must be >= 1, got -1"),
+    (["bench", "--batch-sizes", "0"], None, "InputError: --batch-sizes"),
+    (["bench", "--batch-sizes", "64,-5"], None, "InputError: --batch-sizes"),
+    (["bench", "--probe-size", "0"], None, "InputError: --probe-size"),
+    (["bench", "--probe-size", "-3"], None, "InputError: --probe-size"),
 ], ids=["ratios", "ks", "config-k-max", "config-negatives", "synthetic", "synthetic-count",
         "batch-sizes", "ks-0", "ks-negative", "negatives-0", "negatives-negative", "pairs-0",
-        "theory-k-0", "theory-k-negative"])
+        "theory-k-0", "theory-k-negative", "batch-sizes-0", "batch-sizes-negative",
+        "probe-size-0", "probe-size-negative"])
 def test_malformed_number_is_an_error_line(edge_file, tmp_path, capsys, argv, config, error):
     if argv[0] in ("prepare", "score", "eval"):
         argv = [*argv, "--input", edge_file]
@@ -731,7 +739,7 @@ def test_python_dash_m_runs_the_cli():
     src = str(Path(hocn.cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-m", "hocn", "theory", "--mode", "grid",
+    proc = subprocess.run([sys.executable, "-m", "hocn", "bounds",
                            "--model", "ba", "--n", "100", "--m", "3", "--eta", "16726.0",
                            "--max-degree", "1", "--k-grid-max", "3"],
                           capture_output=True, text=True, env=env, timeout=120)

@@ -369,7 +369,7 @@ def test_feature_pipeline_builds_no_slice(monkeypatch, variant):
     cfg = FeatureConfig(k_max=3, variant=variant)
     state = RunningState()
     for training in (True, False):
-        raw, normalized = batch_features(g, batch_of(pairs), cfg, state, training=training)
+        normalized = batch_features(g, batch_of(pairs), cfg, state, training=training)
         basis_matrices(g, normalized, cfg, state, training=training)
     with pytest.raises(AssertionError, match="a slice was built"):
         normalized[0].slices

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hocn import (FeatureConfig, Graph, RunningState, ScaleError, ScoreModel,
+from hocn import (ConfigError, FeatureConfig, Graph, RunningState, ScaleError, ScoreModel,
                   apply_polynomial_filter,
                   cn_order_features, cn_order_features_all, degree_filter_argument,
                   frobenius_inner, frobenius_norm, full_graph_orthogonalize,
@@ -188,6 +188,32 @@ def test_legendre_and_monomial_weights():
 def test_polynomial_argument_clamped():
     got = polynomial_weights("chebyshev", 2, np.array([-5.0, 5.0]))
     assert np.allclose(got, [1.0, 1.0])
+
+
+def _three_term_recurrence(kind, k, x):
+    """T_{m+1} = 2x T_m - T_{m-1} and (m+1) P_{m+1} = (2m+1) x P_m - m P_{m-1}."""
+    prev, cur = np.ones_like(x), x
+    for m in range(1, k):
+        if kind == "chebyshev":
+            prev, cur = cur, 2.0 * x * cur - prev
+        else:
+            prev, cur = cur, ((2 * m + 1) * x * cur - m * prev) / (m + 1)
+    return prev if k == 0 else cur
+
+
+@pytest.mark.parametrize("kind", ["chebyshev", "legendre"])
+def test_polynomial_weights_match_three_term_recurrence(kind):
+    x = np.linspace(-1.0, 1.0, 1001)
+    for k in range(8):
+        got = polynomial_weights(kind, k, x)
+        assert np.abs(got - _three_term_recurrence(kind, k, x)).max() <= 1e-14, k
+
+
+def test_polynomial_weights_reject_negative_order_and_unknown_basis():
+    with pytest.raises(ConfigError, match="order"):
+        polynomial_weights("chebyshev", -1, np.zeros(3))
+    with pytest.raises(ConfigError, match="unknown polynomial basis"):
+        polynomial_weights("hermite", 2, np.zeros(3))
 
 
 def test_degree_filter_argument_range():

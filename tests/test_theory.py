@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,17 +68,29 @@ def test_lambert_w_matches_library_oracle():
     for x in np.linspace(-0.35, 20.0, 57):
         assert lambert_w(float(x)) == pytest.approx(
             float(spfn.lambertw(x).real), abs=1e-10)
-    for x in np.linspace(-0.36, -0.001, 37):
-        assert lambert_w(float(x), "minus-one") == pytest.approx(
-            float(spfn.lambertw(x, -1).real), abs=1e-9)
 
 
 def test_lambert_w_branch_point_and_domain():
-    assert lambert_w(-1 / math.e) == pytest.approx(-1.0, abs=1e-7)
+    assert lambert_w(-1 / math.e) == -1.0
+    assert lambert_w(-1 / math.e - 1e-15) == pytest.approx(-1.0, abs=1e-7)
+    with pytest.raises(BoundDomainError):
+        lambert_w(-1 / math.e - 2e-15)
     with pytest.raises(BoundDomainError):
         lambert_w(-0.5)
-    with pytest.raises(BoundDomainError):
-        lambert_w(0.5, "minus-one")
+
+
+def test_import_hocn_loads_neither_scipy_special_nor_csgraph():
+    # lambert_w and hop_distances import these on first call, so that a
+    # fresh `import hocn` (every command-line run) does not pay for them.
+    src = str(Path(hocn.theory.__file__).resolve().parents[1])
+    probe = ("import sys, hocn; print(' '.join(m for m in ('scipy.special', "
+             "'scipy.sparse.csgraph') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 def test_latent_unnormalized_example():
