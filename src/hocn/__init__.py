@@ -35,7 +35,7 @@ from .scoring import (FeatureConfig, ScoreModel, TrainConfig, TrainResult,
 from .theory import (BoundInputs, BoundResult, LatentModelParams,
                      LatentSample, ViolationReport, ba_bound_normalized,
                      ba_bound_unnormalized, bound_normalized,
-                     bound_unnormalized, degree_expectation_ba, lambert_w,
+                     bound_unnormalized, lambert_w,
                      log_double_factorial_ratio, sample_ba_graph,
                      sample_latent_model, torus_distances, unit_ball_volume,
                      validate_bound)

@@ -3,9 +3,9 @@
 Subcommands cover the whole pipeline: prepare (load and split an edge list),
 score (heuristic or structural-feature scores over a split), train (fit the
 pair-scoring model), eval (ranking metrics), diagnose (redundancy and
-concentration reports), theory (Monte-Carlo validation of the distance
-bounds), bounds (the closed-form bounds over a grid of orders k), bench
-(timing sweep with a linear fit).
+concentration reports), theory (Monte-Carlo validation of the latent-space
+distance bounds), bounds (the closed-form latent or Barabasi-Albert bounds
+over a grid of orders k), bench (timing sweep with a linear fit).
 
 score, eval and bench build structural features through the two stages in
 ``hocn.scoring``: ``batch_features`` (per-order CN features normalized by
@@ -15,10 +15,12 @@ participation instead, then calls ``basis_matrices``.
 
 Every subcommand takes ``--seed``, ``--config``, ``--json`` and ``--output``;
 any other flag belongs only to the subcommands that read it, and no flag
-may be abbreviated. eval takes the feature settings (the whole
-``FeatureConfig`` train used, its node-feature seed included) and the
-frozen running statistics from the one model file that train wrote; eval's
-own ``--seed`` draws the split and the negatives.
+may be abbreviated. bounds fills the flags of its chosen --model from that
+model's defaults, and rejects a flag that only the other model reads. eval
+takes the feature settings (the whole ``FeatureConfig`` train used, its
+node-feature seed included) and the frozen running statistics from the one
+model file that train wrote; eval's own ``--seed`` draws the split and the
+negatives.
 
 Outputs are CSV with a commented header carrying version, seed, and the
 effective configuration; ``--json`` mirrors the same rows as a JSON array.
@@ -298,7 +300,26 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
+# Defaults of the bounds flags whose meaning depends on --model; a flag
+# listed for one model only is one that the other model does not read.
+_BOUNDS_DEFAULTS = {
+    "latent": {"eta": 0.3, "rho": 0.98, "r_sum": 0.1, "r_m_max": 5.0},
+    # BA's normalized bound leaves its domain below a walk count of about
+    # 5e5 at the default --n 500.
+    "ba": {"eta": 1e6, "m": 3, "steepness": 1.0, "max_degree": 1, "n_inner": 4},
+}
+
+
 def cmd_bounds(args) -> int:
+    own = _BOUNDS_DEFAULTS[args.model]
+    for flags in _BOUNDS_DEFAULTS.values():
+        for name in flags:
+            if name not in own and getattr(args, name) is not None:
+                raise InputError(f"--{name.replace('_', '-')} is not read by "
+                                 f"bounds --model {args.model}")
+    for name, value in own.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
     rows = []
     for k in range(2, args.k_grid_max + 1):
         if args.model == "latent":
@@ -320,11 +341,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_theory(args) -> int:
-    if args.model == "latent":
-        params = LatentModelParams(n=args.n, dim=args.dim, radius=args.radius, seed=args.seed)
-    else:
-        params = (args.n, args.m)
-    report = validate_bound(args.model, params, args.bound, args.k, args.delta,
+    params = LatentModelParams(n=args.n, dim=args.dim, radius=args.radius, seed=args.seed)
+    report = validate_bound("latent", params, args.bound, args.k, args.delta,
                             args.trials, args.seed, threads=args.threads)
     rows = [(report.model, report.bound, report.k, report.delta,
              report.trials, report.eligible, report.violations,
@@ -333,8 +351,8 @@ def cmd_theory(args) -> int:
                 "violations", "violation_fraction", "mean_slack"), rows)
     if report.eligible == 0:
         print(f"warning: eligible=0: none of the {report.trials} trials gave a usable bound, "
-              "so nothing was checked; for --model latent a larger --radius makes the graph "
-              "denser (the README example uses --radius 0.15)", file=sys.stderr)
+              "so nothing was checked; a larger --radius makes the graph denser "
+              "(the README example uses --radius 0.15)", file=sys.stderr)
     return 0
 
 
@@ -460,10 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diagnose)
 
     models = argparse.ArgumentParser(add_help=False)
-    models.add_argument("--model", choices=("latent", "ba"), default="latent")
     models.add_argument("--n", type=int, default=500)
     models.add_argument("--dim", type=int, default=2)
-    models.add_argument("--m", type=int, default=3)
     models.add_argument("--delta", type=float, default=0.1)
 
     p = sub.add_parser("theory", parents=[common, models])
@@ -476,15 +492,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_theory)
 
     p = sub.add_parser("bounds", parents=[common, models])
+    p.add_argument("--model", choices=tuple(_BOUNDS_DEFAULTS), default="latent")
     p.add_argument("--k-grid-max", dest="k_grid_max", type=int, default=6)
-    p.add_argument("--eta", type=float, default=0.3)
     p.add_argument("--zeta", type=int, default=2)
-    p.add_argument("--rho", type=float, default=0.98)
-    p.add_argument("--r-sum", dest="r_sum", type=float, default=0.1)
-    p.add_argument("--r-m-max", dest="r_m_max", type=float, default=5.0)
-    p.add_argument("--steepness", type=float, default=1.0)
-    p.add_argument("--max-degree", dest="max_degree", type=int, default=1)
-    p.add_argument("--n-inner", dest="n_inner", type=int, default=4)
+    p.add_argument("--eta", type=float, default=None)
+    p.add_argument("--rho", type=float, default=None)
+    p.add_argument("--r-sum", dest="r_sum", type=float, default=None)
+    p.add_argument("--r-m-max", dest="r_m_max", type=float, default=None)
+    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--steepness", type=float, default=None)
+    p.add_argument("--max-degree", dest="max_degree", type=int, default=None)
+    p.add_argument("--n-inner", dest="n_inner", type=int, default=None)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("bench", parents=[common, features])

@@ -46,7 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, ScaleError
-from .graph import Graph, PairBatch, hop_distances
+from .graph import Graph, PairBatch
 
 # Walk-row entries the sub-chunks of cn_order_features_all in flight at once,
 # or a block of order_row_diagonals, may hold, by the per-node bound of
@@ -370,20 +370,11 @@ def _orders(g: Graph, adj: sp.csr_matrix, batch: PairBatch, k_max: int,
 
 
 def cn_set(g: Graph, i: int, j: int, k: int,
-           exclude_endpoints: bool = True,
-           spd_filter: bool = False) -> set[int]:
+           exclude_endpoints: bool = True) -> set[int]:
     """Nodes with a strictly positive combined count for pair (i, j) at order k.
 
     With endpoints excluded, k=1 reduces to the classic N(i) & N(j).
-    ``spd_filter`` restricts to nodes at shortest-path distance exactly k
-    from both endpoints, which makes the sets of different orders disjoint
-    (the SPD variant, unoptimized).
     """
     batch = PairBatch(np.array([[i, j]], dtype=np.int64))
     combined = cn_order_features(g, batch, k, exclude_endpoints=exclude_endpoints).combined
-    members = {int(c) for c in combined.indices[combined.data > 0]}
-    if spd_filter:
-        di = hop_distances(g, i, k)
-        dj = hop_distances(g, j, k)
-        members = {c for c in members if di[c] == k and dj[c] == k}
-    return members
+    return {int(c) for c in combined.indices[combined.data > 0]}

@@ -96,19 +96,6 @@ class Graph:
             stream.write(f"{u}\t{v}\n")
 
 
-def hop_distances(g: Graph, source: int, cutoff: int | None = None) -> np.ndarray:
-    """Shortest-path hop count from ``source`` to every node (int64), -1 for
-    nodes it does not reach, or reaches only in more than ``cutoff`` hops."""
-    # Imported on first use: scipy.sparse.csgraph loads scipy.linalg and
-    # scipy.sparse.linalg, about 12 MB resident that no feature, training or
-    # evaluation path needs.
-    from scipy.sparse.csgraph import dijkstra
-
-    dist = dijkstra(g.to_scipy(), unweighted=True, indices=source,
-                    limit=np.inf if cutoff is None else cutoff)
-    return np.where(np.isinf(dist), -1, dist).astype(np.int64)
-
-
 @dataclass(frozen=True)
 class PairBatch:
     """Ordered, non-empty batch of (source, target) node pairs as an (h, 2)

@@ -29,13 +29,10 @@ MODEL_FORMAT_VERSION = 2
 MAX_PROPAGATION_DEPTH = 8
 
 
-def _common_neighbors(g: Graph, i: int, j: int) -> np.ndarray:
-    return np.intersect1d(g.neighbors(i), g.neighbors(j), assume_unique=True)
-
-
 def heuristic_score(g: Graph, pair, kind: str) -> float:
     """Classic CN / AA / RA scores, or for kind "normalized_cn_<k>" the
-    path-normalized CN at order k."""
+    path-normalized CN at order k: the one-row call of ``heuristic_scores``
+    or of ``normalized_cn_scores``."""
     i, j = int(pair[0]), int(pair[1])
     if i == j:
         raise InputError("pair with identical endpoints")
@@ -44,16 +41,7 @@ def heuristic_score(g: Graph, pair, kind: str) -> float:
         if named is None:
             raise ConfigError(f"malformed order in heuristic kind {kind!r}")
         return normalized_cn_score(g, i, j, int(named[1]))
-    cn = _common_neighbors(g, i, j)
-    if kind == "cn":
-        return float(cn.size)
-    degs = g.degrees[cn]
-    assert (degs >= 2).all(), "a common neighbor has degree >= 2 by construction"
-    if kind == "ra":
-        return float(np.sum(1.0 / degs))
-    if kind == "aa":
-        return float(np.sum(1.0 / np.log(degs)))
-    raise ConfigError(f"unknown heuristic kind {kind!r}")
+    return float(heuristic_scores(g, np.array([[i, j]]), kind)[0])
 
 
 def heuristic_scores(g: Graph, pairs: np.ndarray, kind: str) -> np.ndarray:
@@ -61,16 +49,16 @@ def heuristic_scores(g: Graph, pairs: np.ndarray, kind: str) -> np.ndarray:
     if kind not in ("cn", "aa", "ra"):
         raise ConfigError(f"unknown heuristic kind {kind!r}")
     adj = g.to_scipy()
-    if kind == "cn":
-        weighted = adj
-    else:
+    rows_u = adj[pairs[:, 0]]
+    rows_v = adj[pairs[:, 1]]
+    if kind != "cn":
+        # weighting the selected rows, not the whole adjacency, keeps a
+        # one-row call cheap; each weighted row is the same either way
         d = g.degrees.astype(np.float64)
         with np.errstate(divide="ignore"):
             w = 1.0 / d if kind == "ra" else 1.0 / np.log(d)
         w[~np.isfinite(w)] = 0.0
-        weighted = adj @ sp.diags(w)
-    rows_u = adj[pairs[:, 0]]
-    rows_v = weighted.tocsr()[pairs[:, 1]]
+        rows_v = rows_v @ sp.diags(w)
     return np.asarray(rows_u.multiply(rows_v).sum(axis=1)).ravel()
 
 

@@ -1,12 +1,14 @@
-"""Random-graph generators, closed-form distance-bound evaluators, and their
-Monte-Carlo validation.
+"""Random-graph generators, closed-form distance-bound evaluators, and the
+Monte-Carlo validation of the latent-space bounds.
 
 The latent model places nodes uniformly on a unit-volume D-torus and links
 pairs within radius r (step connection function), so the expected degree is
 exactly N V(1) r^D with no boundary corrections. The Barabasi-Albert
 generator attaches each arriving node to m degree-proportional draws (with
 replacement, duplicates collapsed). Bound evaluators are deterministic pure
-functions that return an explicit vacuous marker instead of NaN.
+functions that return an explicit vacuous marker instead of NaN. Only the
+latent bounds have a Monte-Carlo check: they bound a latent distance that
+the model samples, and the BA model has no such distance to test against.
 
 The Monte-Carlo trials stay dense on purpose. A latent graph that makes the
 bound non-vacuous is dense (n=500, D=2, r=0.45 has density 0.64, mean degree
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import BoundDomainError, InputError
 from .features import cn_set
-from .graph import Graph, hop_distances
+from .graph import Graph
 
 INV_E = math.exp(-1.0)
 
@@ -150,15 +152,6 @@ def sample_ba_graph(n: int, m: int, seed: int = 0) -> Graph:
             edges.append((v, w))
             targets.extend((v, w))
     return Graph.from_edges(n, edges)
-
-
-def degree_expectation_ba(gap: int, m: int) -> float:
-    """Expected per-arrival degree increment m (2 gap - 1)!! / (2^gap gap!)."""
-    if gap < 1:
-        raise InputError("gap must be >= 1")
-    log_val = (math.lgamma(2 * gap) - (gap - 1) * math.log(2.0)
-               - math.lgamma(gap)) - gap * math.log(2.0) - math.lgamma(gap + 1)
-    return m * math.exp(log_val)
 
 
 # ---------------------------------------------------------------------------
@@ -375,47 +368,25 @@ def _latent_trial(params: LatentModelParams, bound_kind: str, k: int,
     return best - d_ij  # slack; negative means violation
 
 
-def _ba_trial(n: int, m: int, bound_kind: str, k: int, delta: float, seed: int):
-    g = sample_ba_graph(n, m, seed=seed)
-    picked = _pick_pair(g, k, seed)
-    if picked is None:
-        return None
-    i, j, eta = picked
-    b = BoundInputs(n=n, delta=delta, k=k, dim=2, m=m, steepness=1.0,
-                    eta_2k=eta, max_degree=int(g.degrees.max()))
-    try:
-        value = ba_bound_unnormalized(b)
-    except BoundDomainError:
-        return None
-    # hop-count proxy: per-hop share of the bound times the hop distance
-    hops = int(hop_distances(g, i)[j])
-    if hops < 0:
-        return None
-    s_ij = hops * (value / (2.0 * k))
-    return value - s_ij
-
-
 def validate_bound(model: str, params, bound_kind: str, k: int, delta: float,
                    trials: int, seed: int, threads: int = 1) -> ViolationReport:
-    """Monte-Carlo check that the stated bound fails at most a delta fraction.
+    """Monte-Carlo check that the stated latent bound fails at most a delta
+    fraction of the time.
 
-    Each trial samples a graph, picks a random pair with positive 2k-walk
-    count, evaluates the bound against the latent distance (latent model) or
-    the hop-scaled proxy (BA model), and counts violations among non-vacuous
-    cases. Per-trial seeds derive from the run seed; reduction order fixed.
+    Each trial samples a latent graph, picks a random pair with positive
+    2k-walk count, evaluates the bound against the pair's latent distance,
+    and counts violations among non-vacuous cases. ``model`` must be
+    "latent", the one model with a distance to check. Per-trial seeds derive
+    from the run seed; reduction order fixed.
     """
     if trials < 100:
         raise InputError("need at least 100 trials")
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
-    seeds = [seed + 1000 * t for t in range(trials)]
-    if model == "latent":
-        work = lambda s: _latent_trial(params, bound_kind, k, delta, s)
-    elif model == "ba":
-        n, m = params
-        work = lambda s: _ba_trial(n, m, bound_kind, k, delta, s)
-    else:
+    if model != "latent":
         raise InputError(f"unknown model {model!r}")
+    seeds = [seed + 1000 * t for t in range(trials)]
+    work = lambda s: _latent_trial(params, bound_kind, k, delta, s)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             slacks = list(pool.map(work, seeds))

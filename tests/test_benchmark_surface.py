@@ -16,7 +16,7 @@ sys.path.insert(0, str(BENCH))
 
 import layers
 import tracer
-from hocn import features, ortho, scoring
+from hocn import features, ortho, scoring, theory
 
 
 def test_every_traced_name_exists_and_is_restored():
@@ -32,3 +32,6 @@ def test_names_the_workloads_read():
     assert callable(features.cn_order_features)
     assert isinstance(vars(features.OrderFeatures)["slices"], property)
     assert {"psi_hat", "psi_t"} <= {f.name for f in dataclasses.fields(ortho.RunningState)}
+    params = theory.LatentModelParams(n=500, dim=2, radius=0.45, seed=0)
+    inspect.signature(theory.validate_bound).bind("latent", params, "unnormalized", 2, 0.1,
+                                                  100, 0, threads=1)

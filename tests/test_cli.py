@@ -20,7 +20,7 @@ import pytest
 
 import hocn.cli
 import hocn.normalize
-from hocn import (Graph, RunningState, ScoreModel, ba_bound_unnormalized,
+from hocn import (Graph, RunningState, ScoreModel, ba_bound_normalized, ba_bound_unnormalized,
                   default_node_features, evaluate, exact_walk_participation,
                   heuristic_score, heuristic_scores, load_edge_list, merged_graph, model_scores,
                   normalized_cn_score, propagate_features, sample_negatives, split_edges)
@@ -243,7 +243,7 @@ def test_theory_grid_matches_evaluator(capsys):
 
 
 def test_theory_validate_latent(capsys):
-    code, out = run_cli(["theory", "--model", "latent",
+    code, out = run_cli(["theory",
                          "--n", "120", "--radius", "0.15", "--k", "1",
                          "--trials", "100", "--seed", "3"], capsys)
     assert code == 0
@@ -253,6 +253,38 @@ def test_theory_validate_latent(capsys):
     assert int(row["trials"]) == 100
     assert int(row["eligible"]) > 0
     assert float(row["violation_fraction"]) <= 0.1
+
+
+def test_bounds_ba_defaults_give_every_order(capsys):
+    code, out = run_cli(["bounds", "--model", "ba"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [int(r["k"]) for r in rows] == [2, 3, 4, 5, 6]
+    for r in rows:
+        b = BoundInputs(n=500, delta=0.1, k=int(r["k"]), dim=2, m=3, steepness=1.0,
+                        zeta=2, eta_2k=1e6, max_degree=1)
+        assert r["unnormalized"] == repr(ba_bound_unnormalized(b))
+        assert r["normalized"] == repr(ba_bound_normalized(b, 4))
+
+
+@pytest.mark.parametrize("model,flag,value", [
+    ("latent", "--m", "3"), ("latent", "--steepness", "2"), ("latent", "--max-degree", "2"),
+    ("latent", "--n-inner", "5"), ("ba", "--rho", "0.5"), ("ba", "--r-sum", "0.2"),
+    ("ba", "--r-m-max", "3"),
+])
+def test_bounds_flag_the_model_does_not_read_is_an_error(model, flag, value, capsys):
+    code = main(["bounds", "--model", model, flag, value])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: InputError: {flag} is not read by bounds --model {model}\n"
+
+
+def test_bounds_config_key_the_model_does_not_read_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model=ba\nr_sum=0.2\n")
+    code = main(["bounds", "--config", str(cfg)])
+    assert code == 1
+    assert "--r-sum is not read by bounds --model ba" in capsys.readouterr().err
 
 
 def test_theory_validate_warns_when_nothing_is_checked(capsys):
@@ -491,7 +523,7 @@ _REQUIRED = {"prepare": ["--input", "g.tsv"], "score": ["--input", "g.tsv"],
              "bench": []}
 _FLAG_VALUES = {"--k-max": ["2"], "--variant": ["ocn"], "--threads": ["2"],
                 "--exclude-endpoints": [], "--use-valid-as-input": [], "--k": ["5"],
-                "--eta": ["9"], "--mode": ["grid"]}
+                "--eta": ["9"], "--mode": ["grid"], "--model": ["latent"], "--m": ["3"]}
 _UNREAD_FLAGS = [
     ("prepare", "--k-max"), ("prepare", "--variant"), ("prepare", "--exclude-endpoints"),
     ("prepare", "--use-valid-as-input"), ("prepare", "--threads"),
@@ -502,6 +534,7 @@ _UNREAD_FLAGS = [
     ("diagnose", "--variant"), ("diagnose", "--use-valid-as-input"), ("diagnose", "--threads"),
     ("theory", "--k-max"), ("theory", "--variant"), ("theory", "--exclude-endpoints"),
     ("theory", "--use-valid-as-input"), ("theory", "--eta"), ("theory", "--mode"),
+    ("theory", "--model"), ("theory", "--m"),
     ("bounds", "--k"), ("bounds", "--threads"), ("bounds", "--mode"),
     ("bench", "--variant"), ("bench", "--use-valid-as-input"), ("bench", "--threads"),
 ]

@@ -420,17 +420,6 @@ def test_cn_set_order_one_is_shared_neighbors(g4):
     assert cn_set(g4, 0, 2, 1, exclude_endpoints=False) == {0, 1, 2}
 
 
-def test_cn_set_spd_filter():
-    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    # node 2 sits at distance 2 from both ends of (0, 4)
-    assert cn_set(g, 0, 4, 2) == {2}
-    assert cn_set(g, 0, 4, 2, spd_filter=True) == {2}
-    # triangle walks let node 1 reach (0, 3) at order 2, but its spd to 0 is 1
-    tri = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (1, 3)])
-    assert 1 in cn_set(tri, 0, 3, 2)
-    assert 1 not in cn_set(tri, 0, 3, 2, spd_filter=True)
-
-
 def test_empty_batch_rejected(g4):
     with pytest.raises(Exception):
         batch_of(np.zeros((0, 2)))

@@ -316,32 +316,3 @@ def test_node_count_whose_keys_overflow_raises_before_allocating(build):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20, peak
-
-
-def _bfs_reference(g, source, cutoff):
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = [source]
-    while frontier and (cutoff is None or dist[frontier[0]] < cutoff):
-        nxt = []
-        for node in frontier:
-            for nb in g.neighbors(node):
-                if dist[nb] < 0:
-                    dist[nb] = dist[node] + 1
-                    nxt.append(int(nb))
-        frontier = nxt
-    return dist
-
-
-def test_hop_distances_match_bfs_reference():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        n = int(rng.integers(1, 40))
-        # sparse enough to leave several components; self-loops and duplicates in the input
-        edges = rng.integers(0, n, size=(int(rng.integers(0, 2 * n + 1)), 2))
-        g = Graph.from_edges(n, edges)
-        source = int(rng.integers(0, n))
-        for cutoff in (None, 0, 1, 2, 3, 4):
-            got = hocn.graph.hop_distances(g, source, cutoff)
-            assert got.dtype == np.int64
-            assert np.array_equal(got, _bfs_reference(g, source, cutoff)), (n, source, cutoff)

@@ -12,8 +12,8 @@ import hocn.theory
 from hocn import (BoundDomainError, BoundInputs, Graph, InputError,
                   LatentModelParams, adj_power_row, ba_bound_normalized,
                   ba_bound_unnormalized, bound_normalized,
-                  bound_unnormalized, cn_set, degree_expectation_ba,
-                  lambert_w, log_double_factorial_ratio, sample_ba_graph,
+                  bound_unnormalized, cn_set, lambert_w,
+                  log_double_factorial_ratio, sample_ba_graph,
                   sample_latent_model, torus_distances, unit_ball_volume,
                   validate_bound)
 from hocn.theory import _walk_counts_2k
@@ -80,8 +80,9 @@ def test_lambert_w_branch_point_and_domain():
 
 
 def test_import_hocn_loads_neither_scipy_special_nor_csgraph():
-    # lambert_w and hop_distances import these on first call, so that a
-    # fresh `import hocn` (every command-line run) does not pay for them.
+    # lambert_w imports scipy.special on first call, and no path needs
+    # scipy.sparse.csgraph, so a fresh `import hocn` (every command-line
+    # run) pays for neither.
     src = str(Path(hocn.theory.__file__).resolve().parents[1])
     probe = ("import sys, hocn; print(' '.join(m for m in ('scipy.special', "
              "'scipy.sparse.csgraph') if m in sys.modules))")
@@ -217,14 +218,6 @@ def test_count_paths_matches_matrix_power():
             assert adj_power_row(g, i, length)[j] == int(p[i, j])
 
 
-def test_degree_expectation_ba_values():
-    assert degree_expectation_ba(1, 3) == pytest.approx(1.5)
-    # ratio (2g-1)!!/(2^g g!) for g=2 is 3/8
-    assert degree_expectation_ba(2, 1) == pytest.approx(3.0 / 8.0)
-    with pytest.raises(InputError):
-        degree_expectation_ba(0, 3)
-
-
 def test_validate_bound_latent_smoke():
     params = LatentModelParams(n=120, dim=2, radius=0.15, seed=0)
     report = validate_bound("latent", params, "unnormalized", k=1, delta=0.1,
@@ -241,6 +234,11 @@ def test_validate_bound_thread_invariance():
     b = validate_bound("latent", params, "unnormalized", k=1, delta=0.2,
                        trials=100, seed=3, threads=4)
     assert a == b
+
+
+def test_validate_bound_checks_only_the_latent_model():
+    with pytest.raises(InputError, match="unknown model 'ba'"):
+        validate_bound("ba", (100, 3), "unnormalized", 1, 0.1, 100, 0)
 
 
 def test_validate_bound_requires_trials():
