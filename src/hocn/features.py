@@ -24,15 +24,15 @@ from repeated sparse row-times-matrix products, so computing features
 allocates no batch x n dense storage. They are left unsorted; each product
 is sorted instead, since it is far smaller than the rows it comes from.
 
-One walk-row class, ``_OrderRows``, serves the features, the slices and
-``adj_power_row`` (R_k = S_k - R_{k-1}) and the participation diagonals
-(``order_row_diagonals``). A batch is walked in sub-chunks of pairs, and
-participation in blocks of nodes, sized by the per-node bound
-``_walk_nnz_bound`` of the walk rows they hold; that bound depends on the
-graph alone, so it is built once per graph and order (``Graph.memoized``),
-in the calling thread. Sub-chunks run on ``_WORKERS`` threads (scipy's
-sparse kernels release the GIL) and share ``_NNZ_BUDGET`` entries between
-them; a block has the budget to itself.
+One walk-row class, ``_OrderRows``, serves the features, the slices,
+``adj_power_row`` (R_k = S_k - R_{k-1}) and ``walk_row_sums``, the one
+all-pairs pass behind exact participation and the exact Gram matrix. A
+batch is walked in sub-chunks of pairs, and that pass in blocks of nodes,
+sized by the per-node bound ``_walk_nnz_bound`` of the walk rows they hold;
+that bound depends on the graph alone, so it is built once per graph and
+order (``Graph.memoized``), in the calling thread. Sub-chunks run on
+``_WORKERS`` threads (scipy's sparse kernels release the GIL) and share
+``_NNZ_BUDGET`` entries between them; a block has the budget to itself.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .errors import ConfigError, ScaleError
 from .graph import Graph, PairBatch
 
 # Walk-row entries the sub-chunks of cn_order_features_all in flight at once,
-# or a block of order_row_diagonals, may hold, by the per-node bound of
+# or a block of walk_row_sums, may hold, by the per-node bound of
 # _walk_nnz_bound (about 50 MB of CSR data and indices).
 _NNZ_BUDGET = 1 << 22
 
@@ -220,27 +220,48 @@ def _sub_chunks(g: Graph, pairs: np.ndarray, k_max: int) -> np.ndarray:
                         lambda x: f"pair ({pairs[x, 0]}, {pairs[x, 1]}) at orders 1..{k_max}")
 
 
-def order_row_diagonals(g: Graph, k: int) -> np.ndarray:
-    """(4, n) array: per node c, R_{k-1}[c, c], S_k[c, c], ||R_{k-1}[c]||^2
-    and ||S_k[c]||^2 of the walk rows of ``_OrderRows`` at order k; R_0 is
-    the identity rows, so at k = 1 both of its figures are 1. The rows are
-    built for one block of consecutive nodes at a time, cut by
-    ``_budget_cuts`` with the whole budget."""
+def walk_row_sums(g: Graph, k: int,
+                  loop_gram: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per node c, sums over its walk rows R_{l-1} and S_l, l <= k, of
+    ``_OrderRows``, in blocks of nodes cut by ``_budget_cuts`` with the whole
+    budget: ``diag``, row m = diag(A^m) for m = 0..2k, as ||R_l[c]||^2 =
+    A^{2l}[c, c] and ||S_l[c]||^2 = (A^{2l} + 2 A^{2l-1} + A^{2l-2})[c, c]
+    for symmetric A; and with ``loop_gram``, the lower triangle of the Gram
+    matrix of Q_a = S_a o S_a - R_{a-1} o R_{a-1}, whose entry (c, u) is
+    CN^a(u, u)[c], else None. Only ``loop_gram`` forms R_k; without it, row
+    2k holds diag(A^{2k} + 2 A^{2k-1}) and row 2k - 1 is 0."""
+    if k < 1:
+        raise ConfigError(f"order must be >= 1, got {k}")
     cuts = _budget_cuts(_walk_nnz_bound(g, k), _NNZ_BUDGET,
                         lambda c: f"node {c} at orders 1..{k}")
     loops = _loop_adjacency(g.to_scipy())
-    out = np.ones((4, g.n))
-    for start, stop in zip(cuts[:-1], cuts[1:]):
-        nodes = np.arange(start, stop)
-        for i, rows in enumerate(_OrderRows(loops, nodes).at(k)):
-            if rows is not None:
-                out[i, nodes] = rows[nodes - start, nodes]
-                # Not rows.power(2), which sorts the rows' indices first.
-                squares = sp.csr_matrix((rows.data ** 2, rows.indices, rows.indptr),
-                                        shape=rows.shape)
-                out[i + 2, nodes] = squares.sum(axis=1).ravel()
-        del rows  # released before the next block is built
-    return out
+    diag = np.zeros((2 * k + 1, g.n))  # row 2l - 1 holds ||S_l||^2 at first
+    diag[0] = 1.0
+    gram = np.zeros((k, k)) if loop_gram else None
+    for block in map(slice, cuts[:-1], cuts[1:]):
+        rows = _OrderRows(loops, np.arange(g.n)[block])
+        squares = []  # Q_1..Q_l of the block
+        for l in range(1, k + 1):
+            prev, step = rows.at(l)
+            diag[2 * l - 1, block] = _squared(step).sum(axis=1).A1
+            if prev is not None:
+                diag[2 * l - 2, block] = _squared(prev).sum(axis=1).A1
+            if gram is not None:
+                squares.append(_squared(step) - (sp.identity(g.n, format="csr")[block]
+                                                 if prev is None else _squared(prev)))
+                gram[l - 1, :l] += [square.multiply(squares[-1]).sum() for square in squares]
+        if gram is not None:
+            diag[2 * k, block] = _squared(rows.powers(k)[1]).sum(axis=1).A1
+    for l in range(1, k + 1):
+        diag[2 * l - 1] = (diag[2 * l - 1] - diag[2 * l] - diag[2 * l - 2]) / 2.0
+    if gram is None:  # row 2k was left at 0
+        diag[2 * k], diag[2 * k - 1] = 2.0 * diag[2 * k - 1], 0.0
+    return diag, gram
+
+
+def _squared(rows: sp.csr_matrix) -> sp.csr_matrix:
+    """Entries squared, index arrays shared; rows.power(2) would sort them."""
+    return sp.csr_matrix((rows.data ** 2, rows.indices, rows.indptr), shape=rows.shape)
 
 
 def adj_power_row(g: Graph, u: int, l: int) -> np.ndarray:

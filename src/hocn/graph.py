@@ -60,8 +60,8 @@ class Graph:
     def memoized(self, key, build):
         """``build()`` on the first request for ``key``, the same object on
         every later one. A build that raises stores nothing; threads that
-        build at once all get the object stored first. Meant for n-length
-        arrays that depend on the graph alone, not for matrices."""
+        build at once all get the object stored first. Meant for small
+        arrays that depend on the graph alone, never an n x n matrix."""
         try:
             return self._memo[key]
         except KeyError:

@@ -3,9 +3,9 @@
 A node that serves as a k-hop common neighbor for many pairs carries little
 information about any one of them, so each feature column is divided by the
 node's walk-participation count: exactly, over all ordered pairs, from a
-closed form in the walk totals A^l·1 and the (c, c) entries and row norms
-of the order-k walk rows that the features step (``order_row_diagonals``,
-over node blocks cut by the walk-row budget), or by the streaming
+closed form in the walk totals A^l·1 and the diagonals diag(A^m) that
+``walk_row_sums``, the pass behind the exact Gram matrix too, takes from
+walk-row norms in node blocks cut by the walk-row budget, or by the streaming
 column-sum estimate during training. The exact counts depend on the graph
 alone: each graph builds them once per order and endpoint setting and
 hands out the same read-only array after that, so the normalized CN
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .features import OrderFeatures, cn_order_features_all, order_row_diagonals
+from .features import OrderFeatures, cn_order_features_all, walk_row_sums
 from .graph import Graph, PairBatch
 from .ortho import RunningState
 
@@ -56,32 +56,27 @@ def exact_walk_participation(g: Graph, k: int,
     endpoints are excluded. For k=1 with endpoints excluded this is
     d(c)(d(c) - 1).
 
-    The diagonals come from each node's walk rows R_{k-1} = A^{k-1} and
-    S_k = R_{k-1}(A + I) (``order_row_diagonals``, which raises ScaleError
-    for a node above the walk-row budget), never from an n x n power. As A
-    is symmetric, diag(A^{2k}) + 2 diag(A^{2k-1}) = ||S_k[c]||^2 -
-    ||R_{k-1}[c]||^2, diag(A^{k-1}) = R_{k-1}[c, c] and diag(A^k) = S_k[c, c]
-    - R_{k-1}[c, c]. Every term is an integer walk count, so the result is
-    exact.
+    The diagonals come from each node's walk rows (``walk_row_sums``, which
+    raises ScaleError for a node above the walk-row budget), never from an
+    n x n power; at m = 2k - 1 and 2k that pass gives only the sum read
+    here, and diag(A) = 0 as A has no loops. Every term is an integer walk
+    count, so the result is exact.
 
     Built once per graph, k and ``exclude_endpoints``; every later call
     returns the same object, whose counts are read-only. A build that
     raises stores nothing, so the next call tries again.
     """
-    if k < 1:
-        raise ConfigError(f"order must be >= 1, got {k}")
-
     def build() -> ParticipationCounts:
-        diag_prev, diag_step, norm_prev, norm_step = order_row_diagonals(g, k)
+        diag, _ = walk_row_sums(g, k)
         adj = g.to_scipy()
         s_k = np.ones(g.n)  # s_l = A^l·1 for l = k - 1, k
         for _ in range(k):
             s_prev, s_k = s_k, adj @ s_k
-        counts = s_k * s_k + 2.0 * s_prev * s_k - (norm_step - norm_prev)
+        counts = s_k * s_k + 2.0 * s_prev * s_k - (diag[2 * k] + 2.0 * diag[2 * k - 1])
         if exclude_endpoints:
             # c == i and c == j terms of the slices (k, k), (k-1, k) and (k, k-1).
-            d_k = diag_step - diag_prev
-            counts -= 2.0 * (diag_step * (s_k - d_k) + d_k * (s_prev - diag_prev))
+            d_k, d_prev = diag[k], diag[k - 1]
+            counts -= 2.0 * ((d_k + d_prev) * (s_k - d_k) + d_k * (s_prev - d_prev))
         counts[np.abs(counts) < 1e-9] = 0.0
         return ParticipationCounts(order=k, counts=counts)
 

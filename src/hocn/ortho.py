@@ -1,29 +1,25 @@
 """Cross-order redundancy removal.
 
 Streaming Gram-Schmidt over mini-batches with running (simple-moving-average)
-Frobenius inner products, an exact full-graph orthogonalizer used as the
-small-graph oracle, and the polynomial-filter variant that trades exact
-orthogonality for a per-node diagonal rescaling.
+Frobenius inner products, an exact full-graph orthogonalizer used as their
+oracle at any scale the walk-row budget admits, and the polynomial-filter
+variant that trades exact orthogonality for a per-node diagonal rescaling.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from numpy.polynomial import Chebyshev, Legendre, Polynomial
 
-from .errors import ConfigError, ScaleError
-from .features import OrderFeatures, cn_order_features_all
+from .errors import ConfigError
+from .features import OrderFeatures, _slice_keys, cn_order_features_all, walk_row_sums
 from .graph import Graph, PairBatch
 
 DEGENERATE_NORM = 1e-12
-
-FULL_GRAPH_NODE_LIMIT = 2000
-
-# Pairs per streamed row block of the full-graph Gram matrix.
-_FULL_GRAPH_ROWS = 4096
 
 
 def frobenius_inner(a, b) -> float:
@@ -118,11 +114,6 @@ def gram_schmidt_batch(feats, state: RunningState, training: bool = True) -> Ort
     return OrthoBasis(matrices=basis, degenerate=degenerate)
 
 
-def all_pairs_batch(n: int) -> PairBatch:
-    iu, iv = np.triu_indices(n, k=1)
-    return PairBatch(np.stack([iu, iv], axis=1).astype(np.int64))
-
-
 @dataclass
 class ExactOrthoBasis:
     """Full-graph orthogonal basis in coefficient form.
@@ -147,66 +138,58 @@ class ExactOrthoBasis:
         """<CN^k, OCN^i>: the exact counterpart of the running xi."""
         return float(self.gram[k - 1] @ self.coeffs[i - 1])
 
-    def materialize(self, batch: PairBatch | None = None) -> OrthoBasis:
-        """Realize the basis rows (for the all-pairs batch by default)."""
-        if batch is None:
-            batch = all_pairs_batch(self.graph.n)
+    def materialize(self, batch: PairBatch) -> OrthoBasis:
+        """Realize the basis rows of ``batch`` as canonical CSR matrices."""
         feats = cn_order_features_all(self.graph, batch, self.k_max,
                                       exclude_endpoints=self.exclude_endpoints)
-        mats = [f.combined.toarray() for f in feats]
-        out = []
-        for k in range(self.k_max):
-            acc = np.zeros_like(mats[0])
-            for j in range(self.k_max):
-                if self.coeffs[k, j] != 0.0:
-                    acc += self.coeffs[k, j] * mats[j]
-            out.append(acc)
+        out = [sum((c * f.combined for c, f in zip(row, feats)), 0.0 * feats[0].combined)
+               for row in self.coeffs]
         return OrthoBasis(matrices=out, degenerate=list(self.degenerate))
+
+
+def _all_pairs_gram(g: Graph, k_max: int, exclude_endpoints: bool) -> np.ndarray:
+    """K x K Gram matrix <CN^a, CN^b> over all unordered pairs, in closed
+    form from D_m = diag(A^m) of ``walk_row_sums``. Entry c of CN^a(u, v)
+    sums A^i[u, c] A^j[c, v] over the slices (i, j) of order a, so over all
+    ordered pairs two slices (i, j), (p, q) add D_{i+p}[c] D_{j+q}[c], less
+    ``loop_gram`` for u = v. Excluded endpoints drop D_i D_p (D_{j+q} -
+    D_j D_q) at c = u of the pairs u != v, and as much at c = v. Integer
+    walk counts keep it exact while sums stay below 2^53. Built once per
+    graph, k_max and endpoint setting, read-only."""
+    def build() -> np.ndarray:
+        diag, loop_gram = walk_row_sums(g, k_max, loop_gram=True)
+        slices = [_slice_keys(a) for a in range(1, k_max + 1)]
+        gram = np.empty((k_max, k_max))
+        for a in range(k_max):
+            for b in range(a + 1):
+                terms = [(i, j, p, q) for i, j in slices[a] for p, q in slices[b]]
+                total = sum(diag[i + p] @ diag[j + q] for i, j, p, q in terms) - loop_gram[a, b]
+                if exclude_endpoints:
+                    total -= 2.0 * sum(diag[i] * diag[p] @ (diag[j + q] - diag[j] * diag[q])
+                                       for i, j, p, q in terms)
+                gram[a, b] = gram[b, a] = total / 2.0
+        gram.flags.writeable = False
+        return gram
+
+    return g.memoized(("all_pairs_gram", k_max, bool(exclude_endpoints)), build)
 
 
 def full_graph_orthogonalize(g: Graph, k_max: int,
                              exclude_endpoints: bool = False) -> ExactOrthoBasis:
-    """Exact Gram-Schmidt over the batch of all unordered pairs.
-
-    The K x K Gram matrix of the CN^k matrices is accumulated in streamed
-    row blocks (never holding a (P, n) matrix), then the orthogonal basis is
-    derived in coefficient space. Graphs above ``FULL_GRAPH_NODE_LIMIT``
-    nodes raise ScaleError; this is the convergence oracle for the
-    streaming mode.
-    """
-    if g.n > FULL_GRAPH_NODE_LIMIT:
-        raise ScaleError(f"n={g.n} exceeds the full-graph guard {FULL_GRAPH_NODE_LIMIT}; "
-                         "use the streaming orthogonalizer")
-    pairs = all_pairs_batch(g.n).pairs
-    gram = np.zeros((k_max, k_max))
-    for start in range(0, pairs.shape[0], _FULL_GRAPH_ROWS):
-        chunk = PairBatch(pairs[start:start + _FULL_GRAPH_ROWS])
-        feats = cn_order_features_all(g, chunk, k_max,
-                                      exclude_endpoints=exclude_endpoints)
-        for a in range(k_max):
-            for b in range(a, k_max):
-                val = frobenius_inner(feats[a].combined, feats[b].combined)
-                gram[a, b] += val
-                if a != b:
-                    gram[b, a] += val
+    """Exact Gram-Schmidt over the batch of all unordered pairs, in
+    coefficient space from the Gram matrix of ``_all_pairs_gram``; the
+    convergence oracle for the streaming mode. No pair is enumerated, and
+    the walk-row budget's ScaleError is the only scale limit."""
+    gram = _all_pairs_gram(g, k_max, exclude_endpoints)
     coeffs = np.zeros((k_max, k_max))
     degenerate = []
     for k in range(k_max):
-        c = np.zeros(k_max)
-        c[k] = 1.0
-        for i in range(k):
-            if degenerate[i]:
-                continue
-            xi = float(gram[k] @ coeffs[i])
-            c = c - xi * coeffs[i]
-        norm_sq = float(c @ gram @ c)
-        norm = np.sqrt(max(norm_sq, 0.0))
-        if norm < DEGENERATE_NORM:
-            degenerate.append(True)
-            coeffs[k] = 0.0
-        else:
-            degenerate.append(False)
-            coeffs[k] = c / norm
+        c = np.eye(k_max)[k]
+        for i in range(k):  # a degenerate order has zero coefficients
+            c = c - float(gram[k] @ coeffs[i]) * coeffs[i]
+        norm = math.sqrt(max(float(c @ gram @ c), 0.0))
+        degenerate.append(norm < DEGENERATE_NORM)
+        coeffs[k] = 0.0 if degenerate[-1] else c / norm
     return ExactOrthoBasis(graph=g, k_max=k_max, exclude_endpoints=exclude_endpoints,
                            gram=gram, coeffs=coeffs, degenerate=degenerate)
 

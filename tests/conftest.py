@@ -61,6 +61,12 @@ def batch_of(pairs) -> PairBatch:
     return PairBatch(np.array(pairs, dtype=np.int64).reshape(-1, 2))
 
 
+def all_pairs_batch(n: int) -> PairBatch:
+    """Every unordered pair u < v of n nodes, in np.triu_indices order."""
+    iu, iv = np.triu_indices(n, k=1)
+    return PairBatch(np.stack([iu, iv], axis=1).astype(np.int64))
+
+
 def as_dense(m) -> np.ndarray:
     return m.toarray() if sp.issparse(m) else np.asarray(m)
 

@@ -104,7 +104,7 @@ def memo_counts(monkeypatch):
             graphs.append(g)
         return next(i for i, h in enumerate(graphs) if h is g)
 
-    memoized, diagonals = Graph.memoized, hocn.normalize.order_row_diagonals
+    memoized, diagonals = Graph.memoized, hocn.normalize.walk_row_sums
 
     def counting(g, key, build):
         requests[(number(g), key)] += 1
@@ -120,7 +120,7 @@ def memo_counts(monkeypatch):
         return diagonals(g, k)
 
     monkeypatch.setattr(Graph, "memoized", counting)
-    monkeypatch.setattr(hocn.normalize, "order_row_diagonals", counted_diagonals)
+    monkeypatch.setattr(hocn.normalize, "walk_row_sums", counted_diagonals)
     return requests, builds, passes
 
 

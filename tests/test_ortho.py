@@ -8,14 +8,15 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hocn.features
 from hocn import (ConfigError, FeatureConfig, Graph, RunningState, ScaleError, ScoreModel,
                   apply_polynomial_filter,
                   cn_order_features, cn_order_features_all, degree_filter_argument,
                   frobenius_inner, frobenius_norm, full_graph_orthogonalize,
                   gram_schmidt_batch, polynomial_weights, sample_ba_graph)
-from hocn.ortho import FULL_GRAPH_NODE_LIMIT, all_pairs_batch
+from hocn.features import _walk_nnz_bound
 
-from conftest import as_dense, batch_of, random_graph
+from conftest import all_pairs_batch, as_dense, batch_of, random_graph
 
 SQRT2 = math.sqrt(2.0)
 
@@ -130,16 +131,96 @@ def test_full_graph_exact_orthogonality(seed):
 def test_full_graph_materialize_matches_coefficients():
     g = random_graph(15, 0.3, seed=5)
     basis = full_graph_orthogonalize(g, 2)
-    mats = basis.materialize()
-    got = float(np.vdot(mats.matrix(1), mats.matrix(2)))
+    mats = basis.materialize(all_pairs_batch(g.n))
+    assert all(sp.isspmatrix_csr(m) and m.has_canonical_format for m in mats.matrices)
+    got = frobenius_inner(mats.matrix(1), mats.matrix(2))
     assert got == pytest.approx(basis.inner(1, 2), abs=1e-9)
-    assert np.linalg.norm(mats.matrix(2)) == pytest.approx(1.0)
+    assert frobenius_norm(mats.matrix(2)) == pytest.approx(1.0)
 
 
-def test_full_graph_guard():
-    g = Graph.from_edges(FULL_GRAPH_NODE_LIMIT + 1, [])
-    with pytest.raises(ScaleError):
+def brute_force_basis(g: Graph, k_max: int, exclude_endpoints: bool):
+    """Gram matrix, coefficients and degenerate flags of the exact basis,
+    with the Gram matrix summed over every unordered pair's features and the
+    coefficients from plain Gram-Schmidt in coefficient space."""
+    feats = cn_order_features_all(g, all_pairs_batch(g.n), k_max,
+                                  exclude_endpoints=exclude_endpoints)
+    gram = np.array([[frobenius_inner(a.combined, b.combined) for b in feats] for a in feats])
+    coeffs = np.zeros((k_max, k_max))
+    degenerate = []
+    for k in range(k_max):
+        c = np.zeros(k_max)
+        c[k] = 1.0
+        for i in range(k):
+            if not degenerate[i]:
+                c = c - float(gram[k] @ coeffs[i]) * coeffs[i]
+        norm = np.sqrt(max(float(c @ gram @ c), 0.0))
+        degenerate.append(bool(norm < 1e-12))
+        if not degenerate[-1]:
+            coeffs[k] = c / norm
+    return gram, coeffs, degenerate
+
+
+ORACLE_GRAPHS = {
+    "edgeless": Graph.from_edges(6, []),
+    "isolated-nodes": Graph.from_edges(9, [(0, 1), (1, 2), (2, 0), (2, 3), (5, 6)]),
+    "star": Graph.from_edges(8, [(0, i) for i in range(1, 8)]),
+    "ba": sample_ba_graph(70, 3, seed=2),
+    "gnp": random_graph(45, 0.12, seed=3),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
+@pytest.mark.parametrize("exclude", [False, True])
+def test_full_graph_gram_equals_pair_enumeration(name, exclude):
+    # Every term is an integer walk count far below 2^53 on these graphs, so
+    # the closed form and the enumeration agree exactly.
+    g = ORACLE_GRAPHS[name]
+    for k_max in (1, 2, 3):
+        basis = full_graph_orthogonalize(g, k_max, exclude_endpoints=exclude)
+        gram, coeffs, degenerate = brute_force_basis(g, k_max, exclude)
+        assert np.array_equal(basis.gram, gram), (name, k_max, basis.gram, gram)
+        assert np.array_equal(basis.coeffs, coeffs), (name, k_max)
+        assert basis.degenerate == degenerate, (name, k_max)
+    if name == "edgeless":
+        assert basis.degenerate == [True, True, True]
+
+
+def test_full_graph_node_above_budget_raises_and_stores_nothing(monkeypatch):
+    g = sample_ba_graph(300, 3, seed=1)
+    bound = _walk_nnz_bound(g, 2)
+    budget = hocn.features._NNZ_BUDGET
+    monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", int(bound.max()) - 1)
+    for _ in range(2):  # the failed build is tried again, and fails again
+        with pytest.raises(ScaleError, match=f"node {int(bound.argmax())} "):
+            full_graph_orthogonalize(g, 2)
+    monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", budget)
+    got = full_graph_orthogonalize(g, 2).gram
+    assert np.array_equal(got, full_graph_orthogonalize(sample_ba_graph(300, 3, seed=1), 2).gram)
+
+
+def test_full_graph_gram_allocates_no_dense_square():
+    # Far above the 2,000 nodes that pair enumeration was limited to.
+    g = sample_ba_graph(20000, 3, seed=0)
+    tracemalloc.start()
+    try:
         full_graph_orthogonalize(g, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * g.n * g.n * 8, peak
+
+
+def test_full_graph_gram_is_built_once_per_graph_and_setting():
+    g = random_graph(30, 0.2, seed=4)
+    first = full_graph_orthogonalize(g, 3)
+    second = full_graph_orthogonalize(g, 3)
+    assert second is not first and second.gram is first.gram
+    assert full_graph_orthogonalize(g, 3, exclude_endpoints=True).gram is not first.gram
+    assert full_graph_orthogonalize(g, 2).gram is not first.gram
+    with pytest.raises(ValueError):
+        first.gram[0, 0] = 1.0
+    with pytest.raises(ConfigError, match="got 0"):
+        full_graph_orthogonalize(g, 0)
 
 
 def test_streaming_converges_to_exact_mean():
@@ -230,12 +311,6 @@ def test_apply_polynomial_filter_scales_columns():
     filtered = apply_polynomial_filter(feats, w)
     assert np.allclose(as_dense(filtered.combined),
                        as_dense(feats.combined) * w)
-
-
-def test_all_pairs_batch_covers_triangle():
-    batch = all_pairs_batch(5)
-    assert len(batch) == 10
-    assert (batch.pairs[:, 0] < batch.pairs[:, 1]).all()
 
 
 @settings(max_examples=20, deadline=None)
