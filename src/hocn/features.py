@@ -28,11 +28,12 @@ One walk-row class, ``_OrderRows``, serves the features, the slices,
 ``adj_power_row`` (R_k = S_k - R_{k-1}) and ``walk_row_sums``, the one
 all-pairs pass behind exact participation and the exact Gram matrix. A
 batch is walked in sub-chunks of pairs, and that pass in blocks of nodes,
-sized by the per-node bound ``_walk_nnz_bound`` of the walk rows they hold;
-that bound depends on the graph alone, so it is built once per graph and
-order (``Graph.memoized``), in the calling thread. Sub-chunks run on
-``_WORKERS`` threads (scipy's sparse kernels release the GIL) and share
-``_NNZ_BUDGET`` entries between them; a block has the budget to itself.
+sized by the per-node bound ``_walk_nnz_bound`` of the walk rows they hold.
+That bound (per order) and the step A + I of the walk rows depend on the
+graph alone, so they are built once per graph (``Graph.memoized``), in the
+calling thread. Sub-chunks run on ``_WORKERS`` threads (scipy's sparse
+kernels release the GIL) and share ``_NNZ_BUDGET`` entries between them; a
+block has the budget to itself.
 """
 
 from __future__ import annotations
@@ -159,9 +160,16 @@ class _OrderRows:
         return self.step - self.prev
 
 
-def _loop_adjacency(adj: sp.csr_matrix) -> sp.csr_matrix:
-    """A + I, the step of ``_OrderRows``."""
-    return adj + sp.identity(adj.shape[0], format="csr")
+def _loop_adjacency(g: Graph) -> sp.csr_matrix:
+    """A + I, the step of ``_OrderRows``: built once per graph, with
+    read-only arrays, since every walk-row path shares it."""
+    def build() -> sp.csr_matrix:
+        loops = g.to_scipy() + sp.identity(g.n, format="csr")
+        for array in (loops.data, loops.indices, loops.indptr):
+            array.flags.writeable = False
+        return loops
+
+    return g.memoized("loop_adjacency", build)
 
 
 def _walk_nnz_bound(g: Graph, k_max: int) -> np.ndarray:
@@ -234,7 +242,7 @@ def walk_row_sums(g: Graph, k: int,
         raise ConfigError(f"order must be >= 1, got {k}")
     cuts = _budget_cuts(_walk_nnz_bound(g, k), _NNZ_BUDGET,
                         lambda c: f"node {c} at orders 1..{k}")
-    loops = _loop_adjacency(g.to_scipy())
+    loops = _loop_adjacency(g)
     diag = np.zeros((2 * k + 1, g.n))  # row 2l - 1 holds ||S_l||^2 at first
     diag[0] = 1.0
     gram = np.zeros((k, k)) if loop_gram else None
@@ -269,7 +277,7 @@ def adj_power_row(g: Graph, u: int, l: int) -> np.ndarray:
     node, for any l >= 0."""
     if l < 0:
         raise ConfigError(f"walk length must be >= 0, got {l}")
-    rows = _OrderRows(_loop_adjacency(g.to_scipy()), np.array([u], dtype=np.int64))
+    rows = _OrderRows(_loop_adjacency(g), np.array([u], dtype=np.int64))
     return rows.powers(max(l, 1))[min(l, 1)].toarray()[0]
 
 
@@ -289,7 +297,7 @@ def _explicit_slices(g: Graph, pairs: np.ndarray, k: int, exclude_endpoints: boo
     A^k1 and A^k2 rows (``_OrderRows.powers``) each, walked in the
     sub-chunks of ``_sub_chunks``."""
     cuts = _sub_chunks(g, pairs, k)
-    loops = _loop_adjacency(g.to_scipy())
+    loops = _loop_adjacency(g)
     parts = {key: [] for key in _slice_keys(k)}
     for start, stop in zip(cuts[:-1], cuts[1:]):
         chunk = pairs[start:stop]
@@ -326,7 +334,7 @@ def cn_order_features(g: Graph, batch: PairBatch, k: int,
     if k < 1:
         raise ConfigError(f"order must be >= 1, got {k}")
     if walks is None:
-        walks = _endpoint_walks(_loop_adjacency(g.to_scipy()), batch.pairs)
+        walks = _endpoint_walks(_loop_adjacency(g), batch.pairs)
     (prev_u, step_u), (prev_v, step_v) = (rows.at(k) for rows in walks)
     combined = step_u.multiply(step_v).tocsr()
     combined.sort_indices()
@@ -355,7 +363,7 @@ def cn_order_features_all(g: Graph, batch: PairBatch, k_max: int,
     if k_max < 1:
         raise ConfigError(f"k_max must be >= 1, got {k_max}")
     cuts = _sub_chunks(g, batch.pairs, k_max)
-    loops = _loop_adjacency(g.to_scipy())
+    loops = _loop_adjacency(g)
     if len(cuts) == 2:
         return _orders(g, loops, batch, k_max, exclude_endpoints)
 

@@ -60,8 +60,10 @@ class Graph:
     def memoized(self, key, build):
         """``build()`` on the first request for ``key``, the same object on
         every later one. A build that raises stores nothing; threads that
-        build at once all get the object stored first. Meant for small
-        arrays that depend on the graph alone, never an n x n matrix."""
+        build at once all get the object stored first. Meant for what
+        depends on the graph alone and is no larger than the graph, such as
+        n-length arrays and the sparse A + I of the walk rows, with its
+        arrays made read-only; never a dense n x n matrix."""
         try:
             return self._memo[key]
         except KeyError:
@@ -87,6 +89,8 @@ class Graph:
         return np.stack([src[mask], self.indices[mask]], axis=1)
 
     def to_scipy(self) -> sp.csr_matrix:
+        """A new CSR adjacency matrix on every call, for callers that add to
+        it or densify it; its index arrays are the graph's own."""
         data = np.ones(self.indices.size, dtype=np.float64)
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 

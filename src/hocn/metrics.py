@@ -36,17 +36,30 @@ def hits_at_k(pos_scores, neg_scores, k: int) -> float:
     return float(np.mean(pos > threshold))
 
 
-def mrr(per_positive) -> float:
-    """Mean of 1/rank with rank = 1 + #(negatives >= positive)."""
-    ranks = []
-    for pos_score, neg_scores in per_positive:
-        neg = np.asarray(neg_scores, dtype=np.float64)
-        if neg.size == 0:
-            raise MetricError("empty negative set for a positive")
-        ranks.append(1 + int(np.sum(neg >= pos_score)))
-    if not ranks:
-        raise MetricError("no positives")
-    return float(np.mean([1.0 / r for r in ranks]))
+def mrr(pos_scores, neg_scores) -> float:
+    """Mean of 1/rank over the positives, with rank = 1 + #(negatives >=
+    positive), so ties count against the positive.
+
+    ``neg_scores`` is one negative set shared by every positive (1-D), which
+    is sorted once and searched for all positives, or each positive's own
+    negatives as the rows of an (n_pos, n_neg) array. A NaN score is a
+    MetricError.
+    """
+    pos = np.asarray(pos_scores, dtype=np.float64)
+    neg = np.asarray(neg_scores, dtype=np.float64)
+    if pos.ndim != 1 or pos.size == 0:
+        raise MetricError(f"need a non-empty 1-D array of positive scores, got shape {pos.shape}")
+    if neg.ndim not in (1, 2) or neg.shape[-1] == 0:
+        raise MetricError("empty negative set for a positive")
+    if neg.ndim == 2 and neg.shape[0] != pos.size:
+        raise MetricError(f"{neg.shape[0]} rows of negatives for {pos.size} positives")
+    if np.isnan(pos).any() or np.isnan(neg).any():
+        raise MetricError("NaN score")
+    if neg.ndim == 1:
+        ranks = 1 + neg.size - np.searchsorted(np.sort(neg), pos, side="left")
+    else:
+        ranks = 1 + np.count_nonzero(neg >= pos[:, None], axis=1)
+    return float(np.mean(1.0 / ranks))
 
 
 def evaluate(score_fn, positives: PairBatch, negatives: PairBatch,
@@ -67,6 +80,6 @@ def evaluate(score_fn, positives: PairBatch, negatives: PairBatch,
             u, v = batch.pairs[bad[0]]
             raise EvaluationError(f"non-finite score for {name} pair ({u}, {v})")
     hits = {int(k): hits_at_k(pos_scores, neg_scores, int(k)) for k in ks}
-    mean_rr = mrr((s, neg_scores) for s in pos_scores)
+    mean_rr = mrr(pos_scores, neg_scores)
     return EvalReport(hits=hits, mrr=mean_rr, n_pos=len(positives),
                       n_neg=len(negatives), seed=seed)

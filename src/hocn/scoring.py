@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
 
+from . import features
 from .errors import ConfigError, InputError, TrainingError
-from .features import cn_order_features_all
+from .features import OrderFeatures, cn_order_features_all
 from .graph import Graph, PairBatch, SplitResult, sample_negatives
 from .normalize import (apply_normalization, normalized_cn_score, running_counts,
                         update_running_participation)
@@ -202,8 +204,29 @@ class ScoreModel:
         return cls(features, found["alpha"], found["head_w"], found["head_b"]), state
 
 
+def _raw_features(g: Graph, batch: PairBatch, cfg: FeatureConfig,
+                  known_rows: Sequence) -> list[OrderFeatures]:
+    """``cn_order_features_all`` of the batch, with the rows of its first
+    pairs taken from ``known_rows`` (per order, canonical CSR, possibly
+    with no rows) and only the other pairs walked. Every feature matrix is
+    canonical, so the stacked rows equal those of one call on the batch."""
+    known = known_rows[0].shape[0] if known_rows else 0
+    if known == 0:
+        return cn_order_features_all(g, batch, cfg.k_max,
+                                     exclude_endpoints=cfg.exclude_endpoints)
+    parts = [[rows] for rows in known_rows]
+    if known < len(batch):
+        rest = cn_order_features_all(g, PairBatch(batch.pairs[known:]), cfg.k_max,
+                                     exclude_endpoints=cfg.exclude_endpoints)
+        for part, f in zip(parts, rest):
+            part.append(f.combined)
+    return [OrderFeatures(order=k, pairs=batch.pairs, combined=sp.vstack(part, format="csr"),
+                          graph=g, exclude_endpoints=cfg.exclude_endpoints)
+            for k, part in enumerate(parts, start=1)]
+
+
 def batch_features(g: Graph, batch: PairBatch, cfg: FeatureConfig,
-                   state: RunningState, training: bool) -> list:
+                   state: RunningState, training: bool, known_rows: Sequence = ()) -> list:
     """Stage 1 of the feature pipeline: the normalized CN features of orders
     1..K for one batch.
 
@@ -211,9 +234,11 @@ def batch_features(g: Graph, batch: PairBatch, cfg: FeatureConfig,
     participation in ``state``, which training mode first updates with this
     batch's column sums. (``hocn diagnose`` divides by the exact counts
     instead, with ``apply_normalization`` and ``exact_walk_participation``.)
+    ``known_rows`` holds, per order, the raw rows of the batch's first
+    pairs, which are then not walked again.
     """
     normalized = []
-    for f in cn_order_features_all(g, batch, cfg.k_max, exclude_endpoints=cfg.exclude_endpoints):
+    for f in _raw_features(g, batch, cfg, known_rows):
         if training:
             update_running_participation(state, f)
         normalized.append(apply_normalization(f, running_counts(state, f.order)))
@@ -235,13 +260,16 @@ def basis_matrices(g: Graph, normalized: list, cfg: FeatureConfig,
 
 
 def pair_features(g: Graph, pairs: np.ndarray, h: np.ndarray,
-                  cfg: FeatureConfig, state: RunningState,
-                  training: bool) -> tuple[np.ndarray, np.ndarray]:
+                  cfg: FeatureConfig, state: RunningState, training: bool,
+                  known_rows: Sequence = ()) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair model inputs: (B, F) elementwise products and (K, B, F) CN pools.
 
     Runs both pipeline stages per mini-batch, with the running participation
     estimate. Gram-Schmidt basis rows are rescaled by sqrt(batch size) so
-    feature magnitudes do not depend on batch boundaries.
+    feature magnitudes do not depend on batch boundaries. ``known_rows``
+    holds, per order, the raw feature rows (``cn_order_features_all``) of
+    the first pairs of ``pairs``; each batch slices its share of them
+    instead of walking those pairs again, with the same result.
     """
     n_pairs = pairs.shape[0]
     f_dim = h.shape[1]
@@ -249,7 +277,8 @@ def pair_features(g: Graph, pairs: np.ndarray, h: np.ndarray,
     q = np.zeros((cfg.k_max, n_pairs, f_dim))
     for start in range(0, n_pairs, cfg.batch_size):
         chunk = PairBatch(pairs[start:start + cfg.batch_size])
-        normalized = batch_features(g, chunk, cfg, state, training)
+        normalized = batch_features(g, chunk, cfg, state, training,
+                                    [rows[start:start + len(chunk)] for rows in known_rows])
         mats = basis_matrices(g, normalized, cfg, state, training)
         if cfg.variant == "ocn":
             scale = math.sqrt(len(chunk))
@@ -274,13 +303,14 @@ def logistic_loss_and_grads(alpha, head_w, head_b, m, q, y):
     """
     pq = q @ head_w
     logits = m @ head_w + alpha @ pq + head_b
-    # stable log(1 + exp(-s*logit)) with s = +-1
-    s = 2.0 * y - 1.0
-    margin = s * logits
-    loss = float(np.mean(np.logaddexp(0.0, -margin)))
-    p = 1.0 / (1.0 + np.exp(-logits))
+    # One exp serves the loss and the sigmoid, and never overflows:
+    # log(1 + exp(x)) = max(0, x) + log1p(e) for x = +-logit, and
+    # sigmoid(logit) = (1 or e) / (1 + e), with e = exp(-|logit|) <= 1.
+    e = np.exp(-np.abs(logits))
+    loss = float(np.mean(np.maximum(0.0, (1.0 - 2.0 * y) * logits) + np.log1p(e)))
+    p = np.where(logits >= 0.0, 1.0, e) / (1.0 + e)
     delta = (p - y) / y.shape[0]
-    grad_w = m.T @ delta + alpha @ (q.transpose(0, 2, 1) @ delta)
+    grad_w = m.T @ delta + alpha @ (delta @ q)
     grad_b = float(delta.sum())
     grad_alpha = pq @ delta
     return loss, grad_alpha, grad_w, grad_b
@@ -305,13 +335,31 @@ class TrainResult:
     losses: list
 
 
+def _positive_rows(g: Graph, positives: PairBatch, cfg: FeatureConfig) -> list:
+    """Raw feature rows per order of the training positives, built once per
+    run, or none when they might hold more than ``features._NNZ_BUDGET``
+    entries. Order k's row of (u, v) lies within S_k[u] and S_k[v], each
+    within the walk-row bound, so K * sum(min(bound[u], bound[v])) bounds
+    them before any row is built."""
+    bound = features._walk_nnz_bound(g, cfg.k_max)
+    u, v = positives.pairs.T
+    if cfg.k_max * np.minimum(bound[u], bound[v]).sum() > features._NNZ_BUDGET:
+        return []
+    return [f.combined for f in cn_order_features_all(
+        g, positives, cfg.k_max, exclude_endpoints=cfg.exclude_endpoints)]
+
+
 def train_model(split: SplitResult, config: TrainConfig) -> TrainResult:
     """Fit alpha and the linear head by full-batch gradient descent.
 
     Negatives are resampled each epoch with a per-epoch seed derived from the
     run seed; features are rebuilt against the fresh sample, then the inner
     descent steps run on fixed arrays (the feature pipeline has no trainable
-    parameters).
+    parameters). The positives' raw walk features depend on the graph and
+    the pairs alone, so they are built once per run and reused in every
+    epoch, when they fit the walk-row budget; otherwise each batch walks
+    them again. Normalization and the basis still run per batch, in the same
+    order, so either way gives the same model and statistics.
     """
     if config.epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {config.epochs}")
@@ -328,13 +376,14 @@ def train_model(split: SplitResult, config: TrainConfig) -> TrainResult:
     head_b = 0.0
     losses = []
     pos = split.train.pairs
+    pos_rows = _positive_rows(g, split.train, cfg)
     exclude = np.concatenate([split.train.pairs, split.valid.pairs, split.test.pairs])
     for epoch in range(config.epochs):
         neg_seed = int(rng.integers(0, 2**31 - 1))
         neg = sample_negatives(g, len(split.train), neg_seed, exclude=exclude)
         pairs = np.concatenate([pos, neg.pairs], axis=0)
         y = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
-        m, q = pair_features(g, pairs, h, cfg, state, training=True)
+        m, q = pair_features(g, pairs, h, cfg, state, training=True, known_rows=pos_rows)
         for _ in range(config.steps_per_epoch):
             loss, g_alpha, g_w, g_b = logistic_loss_and_grads(
                 alpha, head_w, head_b, m, q, y)

@@ -11,12 +11,14 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
+
 BENCH = Path(__file__).resolve().parents[1] / "hocnbench"
 sys.path.insert(0, str(BENCH))
 
 import layers
 import tracer
-from hocn import features, ortho, scoring, theory
+from hocn import features, graph, metrics, ortho, scoring, theory
 
 
 def test_every_traced_name_exists_and_is_restored():
@@ -35,3 +37,22 @@ def test_names_the_workloads_read():
     params = theory.LatentModelParams(n=500, dim=2, radius=0.45, seed=0)
     inspect.signature(theory.validate_bound).bind("latent", params, "unnormalized", 2, 0.1,
                                                   100, 0, threads=1)
+
+
+def test_calls_train_eval_makes():
+    """Each call of the train-eval workload, as it makes it, on a small graph."""
+    split = graph.split_edges(theory.sample_ba_graph(60, 2, seed=0), (0.7, 0.1, 0.2), 1)
+    config = scoring.TrainConfig()
+    cfg = config.features
+    result = scoring.train_model(split, config)
+    assert len(result.losses) > 0 and isinstance(result.state, ortho.RunningState)
+    base = split.train_graph
+    exclude = [tuple(p) for p in np.concatenate(
+        [split.train.pairs, split.valid.pairs, split.test.pairs], axis=0)]
+    negatives = graph.sample_negatives(base, 200, 7, exclude=exclude)
+    x = scoring.default_node_features(base, dim=cfg.feature_dim, seed=cfg.seed)
+    h = scoring.propagate_features(base, x, cfg.depth)
+    report = metrics.evaluate(
+        lambda pairs: scoring.model_scores(base, pairs, result.model, result.state, h, cfg),
+        split.test, negatives, ks=(20, 50, 100))
+    assert 0.0 <= report.hits[50] <= 1.0 and 0.0 < report.mrr <= 1.0

@@ -141,7 +141,7 @@ def test_graph_memo_builds_each_array_once_per_graph(edge_file, tmp_path, capsys
     assert main(["eval", "--input", edge_file, "--kind", "model", "--model", model_path,
                  "--seed", "1"]) == 0
     capsys.readouterr()
-    assert _built_once(memo_counts) == {("walk_nnz_bound", 2)}
+    assert _built_once(memo_counts) == {"loop_adjacency", ("walk_nnz_bound", 2)}
     assert max(requests.values()) > 1  # each feature batch reads the bound
 
     for counter in memo_counts:
@@ -151,17 +151,18 @@ def test_graph_memo_builds_each_array_once_per_graph(edge_file, tmp_path, capsys
     pairs = [(int(u), int(v)) for u, v in zip(g.neighbors(hub)[:10], g.neighbors(hub)[1:11])]
     scores = [heuristic_score(g, pair, "normalized_cn_2") for pair in pairs]
     assert all(s > 0 for s in scores)
-    assert _built_once(memo_counts) == {("walk_nnz_bound", 2),
+    assert _built_once(memo_counts) == {"loop_adjacency", ("walk_nnz_bound", 2),
                                         ("exact_walk_participation", 2, True)}
-    # One request of each per pair; building the participation reads the bound once more.
-    assert sorted(requests.values()) == [len(pairs), len(pairs) + 1]
+    # One request of each per pair; building the participation reads the
+    # bound and A + I once more.
+    assert sorted(requests.values()) == [len(pairs), len(pairs) + 1, len(pairs) + 1]
 
     for counter in memo_counts:
         counter.clear()
     code, out = run_cli(["score", "--input", edge_file, "--kind", "normalized-cn",
                          "--seed", "3", "--split", "test", "--k-max", "2"], capsys)
     assert code == 0
-    assert _built_once(memo_counts) == {("walk_nnz_bound", 2),
+    assert _built_once(memo_counts) == {"loop_adjacency", ("walk_nnz_bound", 2),
                                         ("exact_walk_participation", 2, True)}
     _, rows = parse_csv(out)
     with open(edge_file) as fh:

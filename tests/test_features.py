@@ -149,7 +149,7 @@ def test_order_rows_are_powers_held_within_the_bound(edges):
     adj = g.to_scipy()
     a = adj.toarray()
     loops = a + np.eye(g.n)
-    rows = hocn.features._OrderRows(hocn.features._loop_adjacency(adj), np.arange(g.n))
+    rows = hocn.features._OrderRows(hocn.features._loop_adjacency(g), np.arange(g.n))
     prev_held = 0
     for k in range(1, 5):
         prev, step = rows.at(k)
@@ -407,6 +407,29 @@ def test_adj_power_row_matches_matrix_power():
         for u in (0, 7, 14):
             # whole rows, so the diagonal (closed-walk) entry p[u, u] too
             assert np.array_equal(adj_power_row(g, u, length), p[u]), (length, u)
+
+
+def test_loop_adjacency_is_built_once_per_graph_and_read_only(monkeypatch):
+    g = sample_ba_graph(200, 2, seed=3)
+    loops = hocn.features._loop_adjacency(g)
+    assert hocn.features._loop_adjacency(g) is loops
+    assert hocn.features._loop_adjacency(sample_ba_graph(50, 2, seed=3)) is not loops
+    assert np.array_equal(loops.toarray(), g.to_scipy().toarray() + np.eye(g.n))
+    for array in (loops.data, loops.indices, loops.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 2
+    _walk_nnz_bound(g, 2)
+
+    def rebuilt(self):
+        raise AssertionError("adjacency rebuilt")
+
+    # Every walk-row path takes A + I from the memo.
+    monkeypatch.setattr(Graph, "to_scipy", rebuilt)
+    feats = cn_order_features_all(g, batch_of([(0, 5), (7, 9)]), 2)
+    feats[1].slices
+    cn_order_features(g, batch_of([(0, 5)]), 2)
+    hocn.features.walk_row_sums(g, 2, loop_gram=True)
+    adj_power_row(g, 4, 3)
 
 
 def test_adj_power_row_negative_length_is_a_config_error():

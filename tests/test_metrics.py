@@ -16,7 +16,7 @@ def test_hits_threshold_example():
 
 def test_mrr_two_positive_example():
     neg = np.array([0.8, 0.7])
-    assert mrr([(0.9, neg), (0.4, neg)]) == pytest.approx((1 + 1 / 3) / 2)
+    assert mrr([0.9, 0.4], neg) == pytest.approx((1 + 1 / 3) / 2)
 
 
 def test_constant_scores_all_miss():
@@ -66,13 +66,42 @@ def test_hits_cutoff_below_one_is_a_metric_error(k):
 def test_mrr_frozen_example():
     neg = np.array([3.0, 1.0])
     # ranks: pos 4.0 -> 1, pos 2.0 -> 2, pos 0.5 -> 3; mean(1, 1/2, 1/3)
-    got = mrr([(4.0, neg), (2.0, neg), (0.5, neg)])
+    got = mrr([4.0, 2.0, 0.5], neg)
     assert got == pytest.approx((1 + 0.5 + 1 / 3) / 3)
 
 
 def test_mrr_counts_ties_against_positive():
     neg = np.array([2.0, 1.0])
-    assert mrr([(2.0, neg)]) == pytest.approx(0.5)
+    assert mrr([2.0], neg) == pytest.approx(0.5)
+
+
+def _mrr_loop(pos, per_positive_neg):
+    """The per-positive loop mrr replaced, as the reference."""
+    ranks = [1 + int(np.sum(neg >= p)) for p, neg in zip(pos, per_positive_neg)]
+    return float(np.mean([1.0 / r for r in ranks]))
+
+
+def test_mrr_equals_per_positive_loop_on_tied_scores():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        pos = rng.integers(0, 8, size=50).astype(float)
+        shared = rng.integers(0, 8, size=70).astype(float)
+        own = rng.integers(0, 8, size=(50, 30)).astype(float)
+        assert mrr(pos, shared) == _mrr_loop(pos, [shared] * len(pos)), seed
+        assert mrr(pos, own) == _mrr_loop(pos, own), seed
+
+
+def test_mrr_rejects_nan_and_mismatched_rows():
+    with pytest.raises(MetricError, match="NaN"):
+        mrr([1.0, np.nan], [0.5, 0.2])
+    with pytest.raises(MetricError, match="NaN"):
+        mrr([1.0], [[0.5, np.nan]])
+    with pytest.raises(MetricError, match="2 rows"):
+        mrr([1.0], [[0.5], [0.2]])
+    with pytest.raises(MetricError):
+        mrr([1.0], [])
+    with pytest.raises(MetricError, match="positive scores"):
+        mrr([], [0.5])
 
 
 @settings(max_examples=30, deadline=None)
@@ -88,8 +117,8 @@ def test_rank_metrics_invariant_to_monotone_transforms(scores, data):
         return 3.0 * x + 7.0
 
     assert hits_at_k(pos, neg, k) == hits_at_k(shift(pos), shift(neg), k)
-    before = mrr([(p, neg) for p in pos])
-    after = mrr([(shift(p), shift(neg)) for p in pos])
+    before = mrr(pos, neg)
+    after = mrr(shift(pos), shift(neg))
     assert before == pytest.approx(after)
 
 

@@ -1,15 +1,20 @@
 import copy
+import dataclasses
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
+import hocn.features
+import hocn.scoring
 from hocn import (ConfigError, FeatureConfig, InputError, RunningState,
                   ScoreModel, TrainConfig, cn_order_features,
                   default_node_features, gram_schmidt_batch, heuristic_score,
                   heuristic_scores, model_scores, pair_features,
-                  propagate_features, sample_ba_graph, split_edges,
+                  propagate_features, sample_ba_graph, sample_negatives, split_edges,
                   train_model)
 from hocn.scoring import _logits, logistic_loss_and_grads
 
@@ -179,6 +184,101 @@ def test_loss_and_grads_match_z_reference(kmax):
         a, e = np.atleast_1d(a), np.atleast_1d(e)
         assert a.shape == e.shape
         assert np.abs(a - e).max() <= 1e-12 * np.abs(e).max()
+
+
+def test_descent_at_extreme_logits():
+    rng = np.random.default_rng(0)
+    b, f, kmax = 40, 5, 3
+    m = rng.normal(size=(b, f))
+    m[:, 0] = 800.0 * np.where(np.arange(b) % 2, 1.0, -1.0)
+    q = rng.normal(size=(kmax, b, f)) * 0.1
+    y = (np.arange(b) % 4 < 2).astype(float)  # half the labels disagree with the sign
+    alpha = rng.normal(size=kmax)
+    w = np.concatenate([[1.0], rng.normal(size=f - 1) * 0.1])
+    bias = 0.5
+    logits = _logits(alpha, w, bias, m, q)
+    assert np.abs(logits).min() > 790.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = logistic_loss_and_grads(alpha, w, bias, m, q, y)
+    z = m + np.tensordot(alpha, q, axes=(0, 0))
+    delta = (expit(logits) - y) / b
+    want = (float(np.mean(np.logaddexp(0.0, -(2.0 * y - 1.0) * logits))),
+            np.array([(q[k] @ w) @ delta for k in range(kmax)]), z.T @ delta,
+            float(delta.sum()))
+    for a, e in zip(got, want):
+        a, e = np.atleast_1d(a), np.atleast_1d(e)
+        assert a.shape == e.shape
+        assert np.abs(a - e).max() <= 1e-12 * np.abs(e).max()
+
+
+def _per_batch_training(split, config):
+    """train_model's epochs, with every batch's features built by
+    pair_features from the pairs alone."""
+    g, cfg = split.train_graph, config.features
+    h = propagate_features(g, default_node_features(g, dim=cfg.feature_dim, seed=cfg.seed),
+                           cfg.depth)
+    state = RunningState()
+    rng = np.random.default_rng(config.seed)
+    alpha, head_w, head_b, losses = np.full(cfg.k_max, 0.1), np.full(h.shape[1], 0.1), 0.0, []
+    pos = split.train.pairs
+    exclude = np.concatenate([pos, split.valid.pairs, split.test.pairs])
+    for _ in range(config.epochs):
+        neg = sample_negatives(g, len(pos), int(rng.integers(0, 2**31 - 1)), exclude=exclude)
+        pairs = np.concatenate([pos, neg.pairs])
+        y = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
+        m, q = pair_features(g, pairs, h, cfg, state, training=True)
+        for _ in range(config.steps_per_epoch):
+            loss, g_alpha, g_w, g_b = logistic_loss_and_grads(alpha, head_w, head_b, m, q, y)
+            losses.append(loss)
+            alpha = alpha - config.learning_rate * g_alpha
+            head_w = head_w - config.learning_rate * g_w
+            head_b = head_b - config.learning_rate * g_b
+    return alpha, head_w, head_b, losses, state
+
+
+def _same_fit(result, alpha, head_w, head_b, losses, state):
+    assert np.array_equal(result.model.alpha, alpha)
+    assert np.array_equal(result.model.head_w, head_w)
+    assert result.model.head_b == head_b
+    assert result.losses == losses
+    assert _same_state(_state_snapshot(result.state), _state_snapshot(state))
+
+
+@pytest.mark.parametrize("exclude", [False, True])
+@pytest.mark.parametrize("variant", ["ocn", "ocnp"])
+def test_positive_features_kept_across_epochs_are_exact(variant, exclude, monkeypatch):
+    g = sample_ba_graph(150, 3, seed=4)
+    split = split_edges(g, (0.7, 0.1, 0.2), seed=1)
+    features = FeatureConfig(k_max=3, feature_dim=6, variant=variant, batch_size=64,
+                             exclude_endpoints=exclude)
+    config = TrainConfig(features=features, epochs=3, steps_per_epoch=5, seed=5)
+    pos = split.train.pairs
+    assert len(pos) % features.batch_size != 0  # a batch holds positives and negatives
+
+    walked = []  # per cn_order_features_all call, how many positives it walked
+    keys = set((pos[:, 0] * g.n + pos[:, 1]).tolist())
+    walk = hocn.scoring.cn_order_features_all
+
+    def counting(graph, batch, *args, **kwargs):
+        walked.append(sum(int(u) * g.n + int(v) in keys for u, v in batch.pairs))
+        return walk(graph, batch, *args, **kwargs)
+
+    monkeypatch.setattr(hocn.scoring, "cn_order_features_all", counting)
+    kept = train_model(split, config)
+    assert sum(walked) == len(pos) and walked[0] == len(pos)
+
+    walked.clear()
+    held = sum(f.combined.nnz for f in walk(split.train_graph, split.train, features.k_max,
+                                            exclude_endpoints=exclude))
+    # Below what the positives' features hold, so below any bound on it.
+    monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", held - 1)
+    per_batch = train_model(split, config)
+    assert sum(walked) == config.epochs * len(pos)
+    _same_fit(kept, per_batch.model.alpha, per_batch.model.head_w, per_batch.model.head_b,
+              per_batch.losses, per_batch.state)
+    monkeypatch.undo()
+    _same_fit(kept, *_per_batch_training(split, config))
 
 
 def test_training_reduces_loss_and_is_deterministic():
