@@ -7,11 +7,12 @@ concentration reports), theory (Monte-Carlo validation of the latent-space
 distance bounds), bounds (the closed-form latent or Barabasi-Albert bounds
 over a grid of orders k), bench (timing sweep with a linear fit).
 
-score, eval and bench build structural features through the two stages in
-``hocn.scoring``: ``batch_features`` (per-order CN features normalized by
-the running walk-participation estimate) and ``basis_matrices``
-(Gram-Schmidt or the polynomial filter). diagnose normalizes by the exact
-participation instead, then calls ``basis_matrices``.
+score, train, eval and bench build structural features through the two
+stages in ``hocn.scoring``, ``batch_features`` (per-order CN features
+normalized by the running walk-participation estimate) and
+``basis_matrices`` (Gram-Schmidt or the polynomial filter); all but bench
+run them in ``basis_batches``, the one batch loop. diagnose normalizes by
+the exact participation instead, then calls ``basis_matrices``.
 
 Every subcommand takes ``--seed``, ``--config``, ``--json`` and ``--output``;
 any other flag belongs only to the subcommands that read it, and no flag
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -49,9 +49,9 @@ from .graph import (Graph, PairBatch, _draw_distinct_pairs, load_edge_list,
 from .metrics import evaluate
 from .normalize import apply_normalization, exact_walk_participation, normalized_cn_scores
 from .ortho import RunningState
-from .scoring import (FeatureConfig, ScoreModel, TrainConfig, basis_matrices,
-                      batch_features, default_node_features, heuristic_scores,
-                      model_scores, propagate_features, train_model)
+from .scoring import (FeatureConfig, ScoreModel, TrainConfig, basis_batches,
+                      basis_matrices, batch_features, default_node_features,
+                      heuristic_scores, model_scores, propagate_features, train_model)
 from .theory import (BoundInputs, LatentModelParams, ba_bound_normalized,
                      ba_bound_unnormalized, bound_normalized,
                      bound_unnormalized, sample_ba_graph, validate_bound)
@@ -185,19 +185,15 @@ def cmd_prepare(args) -> int:
 
 
 def _structural_scores(g: Graph, pairs: np.ndarray, cfg: FeatureConfig) -> np.ndarray:
-    """Row sums of per-order absolute basis matrices, with the running
-    statistics accumulated over the scored pairs. Gram-Schmidt rows are
-    rescaled by sqrt(batch size), as in ``scoring.pair_features``, so a
-    score does not depend on the size of the batch its pair falls in."""
+    """Row sums of the per-order absolute basis matrices of ``basis_batches``
+    times their batch's scale, with the running statistics accumulated over
+    the scored pairs. The scale only approximates scores independent of the
+    size of a pair's batch (ROADMAP item 5)."""
     state = RunningState()
     scores = np.zeros(pairs.shape[0])
-    for start in range(0, pairs.shape[0], cfg.batch_size):
-        chunk = PairBatch(pairs[start:start + cfg.batch_size])
-        normalized = batch_features(g, chunk, cfg, state, training=True)
-        mats = basis_matrices(g, normalized, cfg, state, training=True)
-        scale = math.sqrt(len(chunk)) if cfg.variant == "ocn" else 1.0
+    for start, scale, mats in basis_batches(g, pairs, cfg, state, training=True):
         rowsum = scale * sum(np.asarray(np.abs(m).sum(axis=1)).ravel() for m in mats)
-        scores[start:start + len(chunk)] = rowsum
+        scores[start:start + len(rowsum)] = rowsum
     return scores
 
 

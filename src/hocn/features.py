@@ -334,6 +334,7 @@ def cn_order_features(g: Graph, batch: PairBatch, k: int,
     if k < 1:
         raise ConfigError(f"order must be >= 1, got {k}")
     if walks is None:
+        g.check_pairs(batch.pairs)
         walks = _endpoint_walks(_loop_adjacency(g), batch.pairs)
     (prev_u, step_u), (prev_v, step_v) = (rows.at(k) for rows in walks)
     combined = step_u.multiply(step_v).tocsr()
@@ -362,6 +363,7 @@ def cn_order_features_all(g: Graph, batch: PairBatch, k_max: int,
     """
     if k_max < 1:
         raise ConfigError(f"k_max must be >= 1, got {k_max}")
+    g.check_pairs(batch.pairs)
     cuts = _sub_chunks(g, batch.pairs, k_max)
     loops = _loop_adjacency(g)
     if len(cuts) == 2:

@@ -88,6 +88,13 @@ class Graph:
         mask = src < self.indices
         return np.stack([src[mask], self.indices[mask]], axis=1)
 
+    def check_pairs(self, pairs: np.ndarray) -> None:
+        """Raise InputError naming the first pair of an (h, 2) array with an
+        endpoint outside [0, n). Compares values only; no pair array is copied."""
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= self.n):
+            u, v = pairs[((pairs < 0) | (pairs >= self.n)).any(axis=1).argmax()]
+            raise InputError(f"pair ({u}, {v}) has an endpoint outside [0, {self.n})")
+
     def to_scipy(self) -> sp.csr_matrix:
         """A new CSR adjacency matrix on every call, for callers that add to
         it or densify it; its index arrays are the graph's own."""

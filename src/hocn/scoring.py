@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -50,6 +50,7 @@ def heuristic_scores(g: Graph, pairs: np.ndarray, kind: str) -> np.ndarray:
     """Vectorized CN/AA/RA over a (h, 2) pair array via sparse row products."""
     if kind not in ("cn", "aa", "ra"):
         raise ConfigError(f"unknown heuristic kind {kind!r}")
+    g.check_pairs(pairs)
     adj = g.to_scipy()
     rows_u = adj[pairs[:, 0]]
     rows_v = adj[pairs[:, 1]]
@@ -204,27 +205,6 @@ class ScoreModel:
         return cls(features, found["alpha"], found["head_w"], found["head_b"]), state
 
 
-def _raw_features(g: Graph, batch: PairBatch, cfg: FeatureConfig,
-                  known_rows: Sequence) -> list[OrderFeatures]:
-    """``cn_order_features_all`` of the batch, with the rows of its first
-    pairs taken from ``known_rows`` (per order, canonical CSR, possibly
-    with no rows) and only the other pairs walked. Every feature matrix is
-    canonical, so the stacked rows equal those of one call on the batch."""
-    known = known_rows[0].shape[0] if known_rows else 0
-    if known == 0:
-        return cn_order_features_all(g, batch, cfg.k_max,
-                                     exclude_endpoints=cfg.exclude_endpoints)
-    parts = [[rows] for rows in known_rows]
-    if known < len(batch):
-        rest = cn_order_features_all(g, PairBatch(batch.pairs[known:]), cfg.k_max,
-                                     exclude_endpoints=cfg.exclude_endpoints)
-        for part, f in zip(parts, rest):
-            part.append(f.combined)
-    return [OrderFeatures(order=k, pairs=batch.pairs, combined=sp.vstack(part, format="csr"),
-                          graph=g, exclude_endpoints=cfg.exclude_endpoints)
-            for k, part in enumerate(parts, start=1)]
-
-
 def batch_features(g: Graph, batch: PairBatch, cfg: FeatureConfig,
                    state: RunningState, training: bool, known_rows: Sequence = ()) -> list:
     """Stage 1 of the feature pipeline: the normalized CN features of orders
@@ -235,10 +215,22 @@ def batch_features(g: Graph, batch: PairBatch, cfg: FeatureConfig,
     batch's column sums. (``hocn diagnose`` divides by the exact counts
     instead, with ``apply_normalization`` and ``exact_walk_participation``.)
     ``known_rows`` holds, per order, the raw rows of the batch's first
-    pairs, which are then not walked again.
+    pairs, which are then not walked again: rows are canonical CSR, so they
+    stack with the walked rest into the rows of one walk of the batch.
     """
+    known = known_rows[0].shape[0] if known_rows else 0
+    raw = []
+    if known < len(batch):
+        raw = cn_order_features_all(g, PairBatch(batch.pairs[known:]), cfg.k_max,
+                                    exclude_endpoints=cfg.exclude_endpoints)
+    if known:  # the known rows of each order, on top of its walked rest if any
+        raw = [OrderFeatures(order=k, pairs=batch.pairs, graph=g,
+                             exclude_endpoints=cfg.exclude_endpoints,
+                             combined=sp.vstack([rows, *(f.combined for f in raw[k - 1:k])],
+                                                format="csr"))
+               for k, rows in enumerate(known_rows, start=1)]
     normalized = []
-    for f in _raw_features(g, batch, cfg, known_rows):
+    for f in raw:
         if training:
             update_running_participation(state, f)
         normalized.append(apply_normalization(f, running_counts(state, f.order)))
@@ -259,32 +251,40 @@ def basis_matrices(g: Graph, normalized: list, cfg: FeatureConfig,
     raise ConfigError(f"unknown variant {cfg.variant!r}")
 
 
+def basis_batches(g: Graph, pairs: np.ndarray, cfg: FeatureConfig, state: RunningState,
+                  training: bool, known_rows: Sequence = ()) -> Iterator[tuple[int, float, list]]:
+    """The one batch loop of the pipeline: for each ``cfg.batch_size`` slice
+    of ``pairs``, ``batch_features`` (with the slice's share of
+    ``known_rows``) then ``basis_matrices``, yielded as (start, scale,
+    matrices). A basis row is used times ``scale``: sqrt(batch size) for
+    "ocn", whose basis has unit Frobenius norm per batch, 1.0 for "ocnp".
+    That only approximates a per-pair scale (ROADMAP item 5)."""
+    if cfg.batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {cfg.batch_size}")
+    for start in range(0, pairs.shape[0], cfg.batch_size):
+        chunk = PairBatch(pairs[start:start + cfg.batch_size])
+        normalized = batch_features(g, chunk, cfg, state, training,
+                                    [rows[start:start + len(chunk)] for rows in known_rows])
+        scale = math.sqrt(len(chunk)) if cfg.variant == "ocn" else 1.0
+        yield start, scale, basis_matrices(g, normalized, cfg, state, training)
+
+
 def pair_features(g: Graph, pairs: np.ndarray, h: np.ndarray,
                   cfg: FeatureConfig, state: RunningState, training: bool,
                   known_rows: Sequence = ()) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair model inputs: (B, F) elementwise products and (K, B, F) CN pools.
 
-    Runs both pipeline stages per mini-batch, with the running participation
-    estimate. Gram-Schmidt basis rows are rescaled by sqrt(batch size) so
-    feature magnitudes do not depend on batch boundaries. ``known_rows``
-    holds, per order, the raw feature rows (``cn_order_features_all``) of
-    the first pairs of ``pairs``; each batch slices its share of them
-    instead of walking those pairs again, with the same result.
+    q holds the basis rows of ``basis_batches``, the one batch loop of the
+    pipeline, times their batch's scale, projected onto H. The sqrt(batch
+    size) rescale of "ocn" only approximates magnitudes independent of batch
+    boundaries (ROADMAP item 5). ``known_rows`` holds, per order, the raw
+    rows (``cn_order_features_all``) of the first pairs, not walked again.
     """
-    n_pairs = pairs.shape[0]
-    f_dim = h.shape[1]
     m = h[pairs[:, 0]] * h[pairs[:, 1]]
-    q = np.zeros((cfg.k_max, n_pairs, f_dim))
-    for start in range(0, n_pairs, cfg.batch_size):
-        chunk = PairBatch(pairs[start:start + cfg.batch_size])
-        normalized = batch_features(g, chunk, cfg, state, training,
-                                    [rows[start:start + len(chunk)] for rows in known_rows])
-        mats = basis_matrices(g, normalized, cfg, state, training)
-        if cfg.variant == "ocn":
-            scale = math.sqrt(len(chunk))
-            mats = [mat * scale for mat in mats]
+    q = np.zeros((cfg.k_max, pairs.shape[0], h.shape[1]))
+    for start, scale, mats in basis_batches(g, pairs, cfg, state, training, known_rows):
         for k, mat in enumerate(mats):
-            q[k, start:start + len(chunk)] = mat @ h
+            q[k, start:start + mat.shape[0]] = (mat * scale) @ h
     return m, q
 
 

@@ -56,3 +56,29 @@ def test_calls_train_eval_makes():
         lambda pairs: scoring.model_scores(base, pairs, result.model, result.state, h, cfg),
         split.test, negatives, ks=(20, 50, 100))
     assert 0.0 <= report.hits[50] <= 1.0 and 0.0 < report.mrr <= 1.0
+
+
+def test_pair_features_calls_the_traced_stages_through_scoring(monkeypatch):
+    """The traced train-eval run wraps these attributes of ``scoring``; a
+    pipeline that called them under other names would drop their spans."""
+    calls = {}
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in ("update_running_participation", "apply_normalization", "gram_schmidt_batch"):
+        monkeypatch.setattr(scoring, name, counting(name, getattr(scoring, name)))
+    g = theory.sample_ba_graph(60, 2, seed=0)
+    cfg = scoring.FeatureConfig(k_max=3, feature_dim=4, batch_size=16)
+    pairs = graph.sample_negatives(g, 40, 0).pairs  # batches of 16, 16 and 8
+    h = scoring.propagate_features(g, scoring.default_node_features(g, dim=4), 1)
+    state = ortho.RunningState()
+    scoring.pair_features(g, pairs, h, cfg, state, training=True)
+    assert calls == {"update_running_participation": 3 * 3, "apply_normalization": 3 * 3,
+                     "gram_schmidt_batch": 3}
+    calls.clear()
+    scoring.pair_features(g, pairs, h, cfg, state, training=False)
+    assert calls == {"apply_normalization": 3 * 3, "gram_schmidt_batch": 3}

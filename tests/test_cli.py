@@ -713,6 +713,22 @@ def test_eval_builds_features_the_model_was_trained_on(edge_file, tmp_path, caps
     assert got != expected_rows(False)
 
 
+@pytest.mark.parametrize("batch_size", ["0", "-5"])
+def test_eval_model_batch_size_below_one_is_an_error_line(edge_file, tmp_path, capsys,
+                                                          batch_size):
+    text = _model_text()
+    assert "\nbatch_size 2048\n" in text
+    (tmp_path / "model.txt").write_text(
+        text.replace("\nbatch_size 2048\n", f"\nbatch_size {batch_size}\n"))
+    code = main(["eval", "--input", edge_file, "--kind", "model",
+                 "--model", str(tmp_path / "model.txt")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: ConfigError: batch_size must be >= 1, "
+                                   f"got {batch_size}")
+    assert captured.out == ""
+
+
 def test_eval_model_of_another_graph_is_a_config_error(edge_file, tmp_path, capsys):
     model_path = str(tmp_path / "model.txt")
     assert main(["train", "--input", edge_file, "--epochs", "1", "--model-out", model_path]) == 0

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import tracemalloc
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 import hocn.features
-from hocn import (ConfigError, FeatureConfig, Graph, RunningState, ScaleError, adj_power_row,
-                  cn_order_features, cn_order_features_all, cn_set, sample_ba_graph)
+from hocn import (ConfigError, FeatureConfig, Graph, InputError, PairBatch, RunningState,
+                  ScaleError, adj_power_row, cn_order_features, cn_order_features_all, cn_set,
+                  heuristic_scores, normalized_cn_scores, sample_ba_graph)
 from hocn.features import _sub_chunks, _walk_nnz_bound
 from hocn.scoring import basis_matrices, batch_features
 
@@ -446,3 +448,26 @@ def test_cn_set_order_one_is_shared_neighbors(g4):
 def test_empty_batch_rejected(g4):
     with pytest.raises(Exception):
         batch_of(np.zeros((0, 2)))
+
+
+@pytest.mark.parametrize("pairs,named", [
+    ([[-1, 2]], "(-1, 2)"),
+    ([[3, 50]], "(3, 50)"),
+    ([[0, 49], [4, -7], [5, 60]], "(4, -7)"),
+], ids=["negative", "n", "first-of-several"])
+def test_endpoint_outside_the_graph_is_an_input_error(pairs, named):
+    # Without the check, endpoint -1 read the rows of node 49 and endpoint 50
+    # ended in a bare IndexError.
+    g = sample_ba_graph(50, 2, seed=0)
+    batch = PairBatch(pairs)
+    calls = [lambda: cn_order_features_all(g, batch, 2),
+             lambda: cn_order_features(g, batch, 2),
+             lambda: heuristic_scores(g, batch.pairs, "ra"),
+             lambda: normalized_cn_scores(g, batch.pairs, 2)]
+    for call in calls:
+        with pytest.raises(InputError, match=re.escape(
+                f"pair {named} has an endpoint outside [0, 50)")):
+            call()
+    inside = PairBatch([[0, 49], [49, 1]])
+    assert cn_order_features_all(g, inside, 2)[1].combined.shape == (2, 50)
+    assert heuristic_scores(g, inside.pairs, "cn").shape == (2,)

@@ -117,6 +117,26 @@ def test_model_load_rejects_garbage():
         ScoreModel.load(io.StringIO("not a model\n"))
 
 
+@pytest.mark.parametrize("batch_size", [0, -5])
+def test_batch_size_below_one_is_a_config_error_before_any_walk(batch_size, monkeypatch):
+    # Without the check, -5 scored every pair with q = 0 and 0 ended in
+    # range()'s bare ValueError.
+    g = sample_ba_graph(60, 2, seed=0)
+    features = FeatureConfig(k_max=2, feature_dim=4, batch_size=batch_size)
+    buf = io.StringIO()
+    ScoreModel(features, alpha=np.full(2, 0.1), head_w=np.full(5, 0.1),
+               head_b=0.0).save(buf, RunningState())
+    buf.seek(0)
+    model, state = ScoreModel.load(buf)
+    h = propagate_features(g, default_node_features(g, dim=4, seed=0), 2)
+    walked = []
+    monkeypatch.setattr(hocn.scoring, "cn_order_features_all",
+                        lambda *args, **kwargs: walked.append(args))
+    with pytest.raises(ConfigError, match=f"batch_size must be >= 1, got {batch_size}"):
+        model_scores(g, np.array([(0, 5), (3, 9)]), model, state, h, model.features)
+    assert walked == []
+
+
 def test_alpha_zero_degenerates_to_inner_product():
     g = random_graph(25, 0.25, seed=2)
     h = propagate_features(g, default_node_features(g, dim=4, seed=0), 2)
