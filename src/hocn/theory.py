@@ -12,11 +12,15 @@ the model samples, and the BA model has no such distance to test against.
 
 The Monte-Carlo trials stay dense on purpose. A latent graph that makes the
 bound non-vacuous is dense (n=500, D=2, r=0.45 has density 0.64, mean degree
-318 of 499), so each trial works on n x n arrays: one pass over the
-coordinates for the distances, the CSR graph read straight off the radius
-mask, and the 2k-walk counts as A^{2k} = A^k (A^k)^T, which is k products
-instead of 2k. On that graph, on two cores, A^4 took under 10 ms as two
-dense products and about 300 ms as sparse walk rows.
+318 of 499), so each trial works on n x n arrays. The distances are one pass
+over the coordinates in row blocks whose work buffers stay in cache. The
+radius mask, kept beside the graph, is the adjacency: the CSR arrays are read
+straight off it, and the pair pick needs only which pairs a 2k-step walk
+joins. That is the nonzero pattern of A^k (A^k)^T, found from float32 0/1
+products with each A^l clamped to 1; every term is non-negative, so the
+pattern is exact in any precision and summation order. Only the picked
+pair's walk count is taken exactly, as (A^k e_i).(A^k e_j): two columns of A
+and k - 1 float64 products with them.
 """
 
 from __future__ import annotations
@@ -87,27 +91,37 @@ class LatentModelParams:
             raise InputError(f"radius must lie in (0, {r_max:.4f})")
 
 
+# Entries per work buffer of torus_distances: two buffers of 256 KiB of
+# float64 stay in a 2 MiB L2 cache.
+_BLOCK_ENTRIES = 1 << 15
+
+
 def torus_distances(positions: np.ndarray) -> np.ndarray:
     """Pairwise wrap-around Euclidean distances on the unit torus.
 
-    Squared per-coordinate gaps accumulate into one n x n buffer, coordinate
-    by coordinate, so no (n, n, D) array is built. The result is exactly
-    symmetric with a zero diagonal. For D <= 7 it equals, bit for bit, the sum
-    of the (n, n, D) broadcast along its last axis, which numpy adds in order
-    below 8 terms. From 8 terms numpy sums that axis pairwise; for D = 8..12
-    the two agree to within 4e-16 relative.
+    Squared per-coordinate gaps accumulate into the output, coordinate by
+    coordinate, one block of rows at a time, so no (n, n, D) array is built
+    and the work buffers stay in cache. The result is exactly symmetric
+    with a zero diagonal. For D <= 7 it equals, bit for bit, the sum of the
+    (n, n, D) broadcast along its last axis, which numpy adds in order below
+    8 terms. From 8 terms numpy sums that axis pairwise; for D = 8..12 the
+    two agree to within 4e-16 relative.
     """
     n = positions.shape[0]
     total = np.zeros((n, n))
-    gap = np.empty((n, n))
-    wrap = np.empty((n, n))
-    for coord in positions.T:
-        np.subtract(coord[:, None], coord[None, :], out=gap)
-        np.abs(gap, out=gap)
-        np.subtract(1.0, gap, out=wrap)
-        np.minimum(gap, wrap, out=gap)
-        np.multiply(gap, gap, out=gap)
-        total += gap
+    rows = max(1, _BLOCK_ENTRIES // max(n, 1))
+    gap_buf = np.empty((min(rows, n), n))
+    wrap_buf = np.empty_like(gap_buf)
+    for start in range(0, n, rows):
+        block = total[start:start + rows]
+        gap, wrap = gap_buf[:len(block)], wrap_buf[:len(block)]
+        for coord in positions.T:
+            np.subtract(coord[start:start + rows, None], coord[None, :], out=gap)
+            np.abs(gap, out=gap)
+            np.subtract(1.0, gap, out=wrap)
+            np.minimum(gap, wrap, out=gap)
+            np.multiply(gap, gap, out=gap)
+            block += gap
     return np.sqrt(total, out=total)
 
 
@@ -117,6 +131,7 @@ class LatentSample:
     positions: np.ndarray
     distances: np.ndarray
     params: LatentModelParams
+    adjacency: np.ndarray  # n x n bool radius mask, diagonal False
 
 
 def sample_latent_model(params: LatentModelParams) -> LatentSample:
@@ -135,7 +150,8 @@ def sample_latent_model(params: LatentModelParams) -> LatentSample:
     np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
     indices = np.flatnonzero(mask) % params.n
     g = Graph(n=params.n, indptr=indptr, indices=indices, degrees=np.diff(indptr))
-    return LatentSample(graph=g, positions=positions, distances=dist, params=params)
+    return LatentSample(graph=g, positions=positions, distances=dist, params=params,
+                        adjacency=mask)
 
 
 def sample_ba_graph(n: int, m: int, seed: int = 0) -> Graph:
@@ -307,38 +323,40 @@ class ViolationReport:
         return self.violations / self.eligible if self.eligible else float("nan")
 
 
-def _walk_counts_2k(g: Graph, k: int) -> np.ndarray:
-    """Dense A^{2k}: the number of 2k-step walks between every two nodes.
+def _pick_pair(adjacency: np.ndarray, k: int, seed: int):
+    """A pair i < j drawn uniformly among those joined by a 2k-step walk
+    (k >= 1), as (i, j, walk count); None if there is none.
 
-    A is symmetric, so A^{2k} = A^k (A^k)^T: k - 1 products build A^k and the
-    last one is a symmetric rank-n update. Counts are integers below 2^53,
-    hence exact whatever the summation order. k = 0 gives the identity.
+    ``adjacency`` is the n x n bool adjacency matrix of an undirected graph.
+    A 2k-step walk joins i and j exactly when (A^k (A^k)^T)[i, j] > 0. Its
+    pattern comes from float32 0/1 products, each A^l clamped to 1, whose
+    terms are all non-negative, so a positive sum is never lost. The count,
+    (A^k e_i).(A^k e_j), is a sum of non-negative integers and exact in
+    float64 below 2^53.
     """
-    adj = g.to_scipy().toarray()
-    half = adj if k else np.eye(g.n)
+    n = adjacency.shape[0]
+    adj = adjacency.astype(np.float32)
+    reach = adj
     for _ in range(k - 1):
-        half = half @ adj
-    return half @ half.T
-
-
-def _pick_pair(g: Graph, k: int, seed: int):
-    """A pair i < j drawn uniformly among those joined by a 2k-step walk, as
-    (i, j, walk count); None if there is none."""
-    walks = _walk_counts_2k(g, k)
+        reach = reach @ adj
+        np.minimum(reach, 1.0, out=reach)
     # flat row-major positions, in the order of np.triu_indices
-    eligible = np.flatnonzero(np.triu(walks > 0, k=1))
+    eligible = np.flatnonzero(np.triu(reach @ reach.T > 0, k=1))
     if eligible.size == 0:
         return None
     pick = np.random.default_rng(seed + 1).integers(0, eligible.size)
-    i, j = divmod(int(eligible[pick]), g.n)
-    return i, j, float(walks[i, j])
+    i, j = divmod(int(eligible[pick]), n)
+    ends = adjacency[:, [i, j]].astype(np.float64)
+    for _ in range(k - 1):
+        ends = adj @ ends
+    return i, j, float(ends[:, 0] @ ends[:, 1])
 
 
 def _latent_trial(params: LatentModelParams, bound_kind: str, k: int,
                   delta: float, seed: int):
     sample = sample_latent_model(replace(params, seed=seed))
     g = sample.graph
-    picked = _pick_pair(g, k, seed)
+    picked = _pick_pair(sample.adjacency, k, seed)
     if picked is None:
         return None
     i, j, eta = picked
@@ -347,7 +365,7 @@ def _latent_trial(params: LatentModelParams, bound_kind: str, k: int,
     else:
         members = cn_set(g, i, j, k, exclude_endpoints=True)
         zeta = int(max((g.degrees[c] for c in members), default=2))
-        rho = 0.5 ** (1.0 / (params.dim * max(k - 1, 1)))
+        rho = 0.5 ** (1.0 / (params.dim * (k - 1)))
         bound, extra = bound_normalized, dict(zeta=max(zeta, 2), rho=rho)
     # The guarantee asserts the existence of a split index along the
     # witnessing walk.  With uniform radius r a split at position M leaves
@@ -376,8 +394,10 @@ def validate_bound(model: str, params, bound_kind: str, k: int, delta: float,
     Each trial samples a latent graph, picks a random pair with positive
     2k-walk count, evaluates the bound against the pair's latent distance,
     and counts violations among non-vacuous cases. ``model`` must be
-    "latent", the one model with a distance to check. Per-trial seeds derive
-    from the run seed; reduction order fixed.
+    "latent", the one model with a distance to check, and ``bound_kind``
+    "unnormalized" or "normalized" (k >= 2); every input is checked before
+    the first trial. Per-trial seeds derive from the run seed; reduction
+    order fixed.
     """
     if trials < 100:
         raise InputError("need at least 100 trials")
@@ -385,6 +405,14 @@ def validate_bound(model: str, params, bound_kind: str, k: int, delta: float,
         raise InputError(f"k must be >= 1, got {k}")
     if model != "latent":
         raise InputError(f"unknown model {model!r}")
+    if bound_kind not in ("unnormalized", "normalized"):
+        raise InputError(f"unknown bound kind {bound_kind!r}")
+    if bound_kind == "normalized" and k < 2:
+        raise InputError(f"the normalized bound needs k >= 2, got {k}")
+    if not 0.0 < delta < 1.0:
+        raise InputError(f"delta must lie in (0, 1), got {delta}")
+    if threads < 1:
+        raise InputError(f"threads must be >= 1, got {threads}")
     seeds = [seed + 1000 * t for t in range(trials)]
     work = lambda s: _latent_trial(params, bound_kind, k, delta, s)
     if threads > 1:

@@ -654,13 +654,18 @@ def test_eval_malformed_model_or_state_is_a_config_error(edge_file, tmp_path, ca
      "InputError: requested 0 distinct pairs"),
     (["theory", "--k", "0", "--trials", "100"], None, "InputError: k must be >= 1, got 0"),
     (["theory", "--k", "-1", "--trials", "100"], None, "InputError: k must be >= 1, got -1"),
+    (["theory", "--threads", "0", "--trials", "100"], None,
+     "InputError: threads must be >= 1, got 0"),
+    (["theory", "--threads", "-1", "--trials", "100"], None,
+     "InputError: threads must be >= 1, got -1"),
     (["bench", "--batch-sizes", "0"], None, "InputError: --batch-sizes"),
     (["bench", "--batch-sizes", "64,-5"], None, "InputError: --batch-sizes"),
     (["bench", "--probe-size", "0"], None, "InputError: --probe-size"),
     (["bench", "--probe-size", "-3"], None, "InputError: --probe-size"),
 ], ids=["ratios", "ks", "config-k-max", "config-negatives", "synthetic", "synthetic-count",
         "batch-sizes", "ks-0", "ks-negative", "negatives-0", "negatives-negative", "pairs-0",
-        "theory-k-0", "theory-k-negative", "batch-sizes-0", "batch-sizes-negative",
+        "theory-k-0", "theory-k-negative", "theory-threads-0",
+        "theory-threads-negative", "batch-sizes-0", "batch-sizes-negative",
         "probe-size-0", "probe-size-negative"])
 def test_malformed_number_is_an_error_line(edge_file, tmp_path, capsys, argv, config, error):
     if argv[0] in ("prepare", "score", "eval"):

@@ -16,7 +16,7 @@ from hocn import (BoundDomainError, BoundInputs, Graph, InputError,
                   log_double_factorial_ratio, sample_ba_graph,
                   sample_latent_model, torus_distances, unit_ball_volume,
                   validate_bound)
-from hocn.theory import _walk_counts_2k
+from hocn.theory import _BLOCK_ENTRIES, _pick_pair
 
 from conftest import random_graph
 
@@ -258,15 +258,58 @@ def test_validate_bound_order_below_one_fails_before_any_trial(k, monkeypatch):
         validate_bound("latent", params, "unnormalized", k, 0.1, 100, 0)
 
 
-def test_walk_counts_match_matrix_power():
-    cases = [random_graph(12, 0.3, seed=2), random_graph(20, 0.1, seed=5),
-             random_graph(15, 0.6, seed=1), Graph.from_edges(7, [])]
-    assert (cases[1].degrees == 0).any()  # isolated nodes
-    for g in cases:
-        adj = g.to_scipy().toarray()
-        for k in range(4):
-            assert np.array_equal(_walk_counts_2k(g, k),
-                                  np.linalg.matrix_power(adj, 2 * k)), (g.n, k)
+@pytest.mark.parametrize("kind,k,delta,threads,message", [
+    ("foo", 2, 0.1, 1, "unknown bound kind 'foo'"),
+    ("normalized", 1, 0.1, 1, "the normalized bound needs k >= 2, got 1"),
+    ("unnormalized", 1, 0.0, 1, r"delta must lie in \(0, 1\), got 0.0"),
+    ("unnormalized", 1, 1.0, 1, r"delta must lie in \(0, 1\), got 1.0"),
+    ("unnormalized", 1, -0.5, 1, r"delta must lie in \(0, 1\), got -0.5"),
+    ("unnormalized", 1, 0.1, 0, "threads must be >= 1, got 0"),
+    ("unnormalized", 1, 0.1, -1, "threads must be >= 1, got -1"),
+], ids=["bound-kind", "normalized-k-1", "delta-0", "delta-1", "delta-negative",
+        "threads-0", "threads-negative"])
+def test_validate_bound_bad_input_fails_before_any_trial(kind, k, delta, threads, message,
+                                                         monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(hocn.theory, "_latent_trial", no_trial)
+    params = LatentModelParams(n=40, dim=2, radius=0.3, seed=0)
+    with pytest.raises(InputError, match=message):
+        validate_bound("latent", params, kind, k, delta, 100, 0, threads=threads)
+
+
+def _matrix_power_pick(adjacency, k, seed):
+    """The pair pick, from the full integer A^{2k} over the upper triangle."""
+    walks = np.linalg.matrix_power(adjacency.astype(np.int64), 2 * k)
+    iu, iv = np.triu_indices(len(adjacency), k=1)
+    eligible = np.nonzero(walks[iu, iv] > 0)[0]
+    if eligible.size == 0:
+        return None
+    pick = int(eligible[np.random.default_rng(seed + 1).integers(0, eligible.size)])
+    i, j = int(iu[pick]), int(iv[pick])
+    return i, j, float(walks[i, j])
+
+
+def test_pick_pair_matches_matrix_power_oracle():
+    graphs = [random_graph(12, 0.3, seed=2), random_graph(20, 0.1, seed=5),
+              random_graph(15, 0.6, seed=1), Graph.from_edges(7, [])]
+    assert (graphs[1].degrees == 0).any()  # isolated nodes
+    cases = [g.to_scipy().toarray() > 0 for g in graphs]
+    sample = sample_latent_model(LatentModelParams(n=60, dim=2, radius=0.1, seed=1))
+    assert np.array_equal(sample.adjacency, sample.graph.to_scipy().toarray() > 0)
+    cases.append(sample.adjacency)
+    for k in (1, 2, 3):
+        # the latent graph has pairs a 2k-step walk joins and pairs none does
+        walks = np.linalg.matrix_power(sample.adjacency.astype(np.int64), 2 * k)
+        upper = walks[np.triu_indices(60, k=1)]
+        assert (upper > 0).any() and (upper == 0).any(), k
+        for case, adjacency in enumerate(cases):
+            for seed in range(5):
+                want = _matrix_power_pick(adjacency, k, seed)
+                assert _pick_pair(adjacency, k, seed) == want, (case, k, seed)
+                # only the empty graph has no pair to pick
+                assert (want is None) == (case == 3), (case, k, seed)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -286,17 +329,20 @@ def test_latent_graph_equals_graph_from_triu_edges(dim):
 
 def test_torus_distances_match_broadcast_reference():
     rng = np.random.default_rng(0)
-    for dim in range(1, 13):
-        pos = rng.random((40, dim))
+    # 40 rows fit one block; the larger n spans several and ends in a part block
+    rows = _BLOCK_ENTRIES // 700
+    assert 700 > 2 * rows and 700 % rows
+    for n, dim in ((n, dim) for n in (40, 700) for dim in range(1, 13)):
+        pos = rng.random((n, dim))
         pos[0] = 0.999  # a point whose nearest copies wrap around
         diff = np.abs(pos[:, None, :] - pos[None, :, :])
         diff = np.minimum(diff, 1.0 - diff)
         want = np.sqrt((diff ** 2).sum(axis=-1))
         got = torus_distances(pos)
         if dim <= 7:
-            assert np.array_equal(got, want), dim
+            assert np.array_equal(got, want), (n, dim)
         else:
-            assert np.all(np.abs(got - want) <= 4e-16 * want), dim
+            assert np.all(np.abs(got - want) <= 4e-16 * want), (n, dim)
 
 
 def _reference_normalized_trial(params, k, delta, seed):
