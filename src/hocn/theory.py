@@ -12,15 +12,21 @@ the model samples, and the BA model has no such distance to test against.
 
 The Monte-Carlo trials stay dense on purpose. A latent graph that makes the
 bound non-vacuous is dense (n=500, D=2, r=0.45 has density 0.64, mean degree
-318 of 499), so each trial works on n x n arrays. The distances are one pass
-over the coordinates in row blocks whose work buffers stay in cache. The
-radius mask, kept beside the graph, is the adjacency: the CSR arrays are read
-straight off it, and the pair pick needs only which pairs a 2k-step walk
-joins. That is the nonzero pattern of A^k (A^k)^T, found from float32 0/1
-products with each A^l clamped to 1; every term is non-negative, so the
-pattern is exact in any precision and summation order. Only the picked
-pair's walk count is taken exactly, as (A^k e_i).(A^k e_j): two columns of A
-and k - 1 float64 products with them.
+318 of 499), so each trial works on n x n arrays. Each validate_bound worker
+allocates one set of them per call and every trial it runs writes into that
+set with ``out=``, so trials after the first allocate no n x n memory.
+The distances are one pass over the coordinates in row blocks whose work
+buffers stay in cache. The radius mask, kept beside the graph, is the
+adjacency; the graph's CSR arrays are read off it on first read, which
+unnormalized trials never do. The pair pick needs only which pairs a 2k-step
+walk joins. That is the nonzero pattern of A^k (A^k)^T, found from float32
+0/1 products with each A^l clamped to 1; every term is non-negative, so the
+pattern is exact in any precision and summation order. The pair is located
+from per-row counts of the eligible upper-triangle entries. Only its walk
+count is taken exactly, as (A^k e_i).(A^k e_j): two columns of A and k - 1
+float64 products with A, cast one row block at a time. A sample or a run
+whose n x n arrays would exceed a fixed byte budget raises ScaleError before
+it allocates any of them.
 """
 
 from __future__ import annotations
@@ -28,10 +34,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .errors import BoundDomainError, InputError
+from .errors import BoundDomainError, InputError, ScaleError
 from .features import cn_set
 from .graph import Graph
 
@@ -95,8 +102,24 @@ class LatentModelParams:
 # float64 stay in a 2 MiB L2 cache.
 _BLOCK_ENTRIES = 1 << 15
 
+# Bytes of n x n arrays that one sample_latent_model or validate_bound call
+# may hold at once; above it the call raises ScaleError before it allocates.
+# The largest run of the tests and demos, n = 500 on 4 workers, needs 21 MB.
+_BUFFER_BUDGET = 1 << 31
 
-def torus_distances(positions: np.ndarray) -> np.ndarray:
+
+def _block_rows(n: int) -> int:
+    return min(max(1, _BLOCK_ENTRIES // n), n)
+
+
+def _check_buffer_bytes(nbytes: int, what: str) -> None:
+    if nbytes > _BUFFER_BUDGET:
+        raise ScaleError(f"{what} needs {nbytes / 2 ** 30:.2f} GiB of n x n arrays, "
+                         f"above the {_BUFFER_BUDGET / 2 ** 30:.0f} GiB budget")
+
+
+def torus_distances(positions: np.ndarray, out: np.ndarray | None = None,
+                    blocks: np.ndarray | None = None) -> np.ndarray:
     """Pairwise wrap-around Euclidean distances on the unit torus.
 
     Squared per-coordinate gaps accumulate into the output, coordinate by
@@ -106,52 +129,75 @@ def torus_distances(positions: np.ndarray) -> np.ndarray:
     (n, n, D) broadcast along its last axis, which numpy adds in order below
     8 terms. From 8 terms numpy sums that axis pairwise; for D = 8..12 the
     two agree to within 4e-16 relative.
+
+    ``out``, an (n, n) float64 array, receives the result and ``blocks``, a
+    (2, rows, n) float64 array with rows = min(max(1, 2^15 // n), n), holds
+    the work buffers; each is allocated when not given. Neither needs to be
+    clean: every entry is written before it is read.
     """
     n = positions.shape[0]
-    total = np.zeros((n, n))
-    rows = max(1, _BLOCK_ENTRIES // max(n, 1))
-    gap_buf = np.empty((min(rows, n), n))
-    wrap_buf = np.empty_like(gap_buf)
+    total = np.empty((n, n)) if out is None else out
+    rows = _block_rows(n)
+    gap_buf, wrap_buf = np.empty((2, rows, n)) if blocks is None else blocks
     for start in range(0, n, rows):
         block = total[start:start + rows]
         gap, wrap = gap_buf[:len(block)], wrap_buf[:len(block)]
-        for coord in positions.T:
+        for c, coord in enumerate(positions.T):
             np.subtract(coord[start:start + rows, None], coord[None, :], out=gap)
             np.abs(gap, out=gap)
             np.subtract(1.0, gap, out=wrap)
             np.minimum(gap, wrap, out=gap)
-            np.multiply(gap, gap, out=gap)
-            block += gap
+            if c:
+                np.multiply(gap, gap, out=gap)
+                block += gap
+            else:
+                np.multiply(gap, gap, out=block)
     return np.sqrt(total, out=total)
 
 
 @dataclass(frozen=True)
 class LatentSample:
-    graph: Graph
     positions: np.ndarray
     distances: np.ndarray
     params: LatentModelParams
     adjacency: np.ndarray  # n x n bool radius mask, diagonal False
 
+    @cached_property
+    def graph(self) -> Graph:
+        """The radius graph, built from ``adjacency`` on first read.
 
-def sample_latent_model(params: LatentModelParams) -> LatentSample:
+        Its rows are the sorted, duplicate-free neighbor lists, and it is
+        symmetric because the distances are. The CSR arrays are copies, so
+        the graph stays valid when the mask is overwritten.
+        """
+        n = self.params.n
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(self.adjacency, axis=1), out=indptr[1:])
+        indices = np.flatnonzero(self.adjacency) % n
+        return Graph(n=n, indptr=indptr, indices=indices, degrees=np.diff(indptr))
+
+
+def sample_latent_model(params: LatentModelParams,
+                        out: _TrialBuffers | None = None) -> LatentSample:
     """Sample positions and the induced radius graph, keeping the geometry.
 
-    The CSR arrays come straight from the n x n radius mask: its rows are the
-    sorted, duplicate-free neighbor lists, and the mask is symmetric because
-    the distances are.
+    Without ``out`` the distances and the radius mask are new arrays, and a
+    ``ScaleError`` is raised first when they would exceed the buffer budget.
+    With ``out`` (validate_bound's per-worker buffers) they are written into
+    its arrays, so the sample is valid only until the next call with it.
     """
-    rng = np.random.default_rng(params.seed)
-    positions = rng.random((params.n, params.dim))
-    dist = torus_distances(positions)
-    mask = dist <= params.radius
+    n = params.n
+    if out is None:
+        _check_buffer_bytes(9 * n * n, f"sample_latent_model at n={n}")  # distances + mask
+    positions = np.random.default_rng(params.seed).random((n, params.dim))
+    if out is None:
+        dist = torus_distances(positions)
+        mask = dist <= params.radius
+    else:
+        dist = torus_distances(positions, out.distances, out.blocks)
+        mask = np.less_equal(dist, params.radius, out=out.adjacency)
     np.fill_diagonal(mask, False)
-    indptr = np.zeros(params.n + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
-    indices = np.flatnonzero(mask) % params.n
-    g = Graph(n=params.n, indptr=indptr, indices=indices, degrees=np.diff(indptr))
-    return LatentSample(graph=g, positions=positions, distances=dist, params=params,
-                        adjacency=mask)
+    return LatentSample(positions=positions, distances=dist, params=params, adjacency=mask)
 
 
 def sample_ba_graph(n: int, m: int, seed: int = 0) -> Graph:
@@ -323,46 +369,88 @@ class ViolationReport:
         return self.violations / self.eligible if self.eligible else float("nan")
 
 
-def _pick_pair(adjacency: np.ndarray, k: int, seed: int):
+class _TrialBuffers:
+    """One validate_bound worker's arrays for latent trials of size n and
+    order k, allocated once per call and overwritten by every trial."""
+
+    def __init__(self, n: int, k: int):
+        self.blocks = np.empty((2, _block_rows(n), n))
+        self.distances = np.empty((n, n))
+        self.adjacency = np.empty((n, n), dtype=bool)
+        self.products = np.empty((_product_planes(k), n, n), dtype=np.float32)
+        self.eligible = np.empty((n, n), dtype=bool)
+        self.upper = np.less.outer(np.arange(n), np.arange(n))  # i < j
+
+    @staticmethod
+    def nbytes(n: int, k: int) -> int:
+        """Bytes of one set, known before any array exists."""
+        return 16 * _block_rows(n) * n + (11 + 4 * _product_planes(k)) * n * n
+
+
+def _product_planes(k: int) -> int:
+    """float32 n x n planes _pick_pair needs: A, and the clamped powers A^l,
+    which alternate between two more planes from k = 3 on. A^k (A^k)^T then
+    overwrites A, or at k = 1 the one other plane."""
+    return 2 if k <= 2 else 3
+
+
+def _pick_pair(adjacency: np.ndarray, k: int, seed: int, buffers: _TrialBuffers):
     """A pair i < j drawn uniformly among those joined by a 2k-step walk
     (k >= 1), as (i, j, walk count); None if there is none.
 
     ``adjacency`` is the n x n bool adjacency matrix of an undirected graph.
     A 2k-step walk joins i and j exactly when (A^k (A^k)^T)[i, j] > 0. Its
     pattern comes from float32 0/1 products, each A^l clamped to 1, whose
-    terms are all non-negative, so a positive sum is never lost. The count,
-    (A^k e_i).(A^k e_j), is a sum of non-negative integers and exact in
-    float64 below 2^53.
+    terms are all non-negative, so a positive sum is never lost. The pair is
+    located from per-row counts of eligible pairs, in the row-major order of
+    np.triu_indices. The count, (A^k e_i).(A^k e_j), is a sum of
+    non-negative integers and exact in float64 below 2^53; A is cast to
+    float64 one row block at a time. ``buffers``, a set for this n and k,
+    holds every n x n array; what it held before is overwritten.
     """
     n = adjacency.shape[0]
-    adj = adjacency.astype(np.float32)
+    adj, *spare = buffers.products
+    np.copyto(adj, adjacency)
     reach = adj
-    for _ in range(k - 1):
-        reach = reach @ adj
-        np.minimum(reach, 1.0, out=reach)
-    # flat row-major positions, in the order of np.triu_indices
-    eligible = np.flatnonzero(np.triu(reach @ reach.T > 0, k=1))
-    if eligible.size == 0:
+    for step in range(k - 1):
+        nxt = spare[step % 2]
+        np.matmul(reach, adj, out=nxt)
+        np.minimum(nxt, 1.0, out=nxt)
+        reach = nxt
+    walks = spare[0] if reach is adj else adj
+    np.matmul(reach, reach.T, out=walks)
+    eligible = np.greater(walks, 0.0, out=buffers.eligible)
+    eligible &= buffers.upper
+    counts = np.count_nonzero(eligible, axis=1)
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    if total == 0:
         return None
-    pick = np.random.default_rng(seed + 1).integers(0, eligible.size)
-    i, j = divmod(int(eligible[pick]), n)
-    ends = adjacency[:, [i, j]].astype(np.float64)
+    pick = int(np.random.default_rng(seed + 1).integers(0, total))
+    i = int(np.searchsorted(ends, pick, side="right"))
+    j = int(np.flatnonzero(eligible[i])[pick - (ends[i] - counts[i])])
+    cols = adjacency[:, [i, j]].astype(np.float64)
+    block = buffers.blocks[0]
     for _ in range(k - 1):
-        ends = adj @ ends
-    return i, j, float(ends[:, 0] @ ends[:, 1])
+        prev, cols = cols, np.empty_like(cols)
+        for start in range(0, n, len(block)):
+            part = block[:n - start]
+            np.copyto(part, adjacency[start:start + len(part)])
+            np.matmul(part, prev, out=cols[start:start + len(part)])
+    return i, j, float(cols[:, 0] @ cols[:, 1])
 
 
 def _latent_trial(params: LatentModelParams, bound_kind: str, k: int,
-                  delta: float, seed: int):
-    sample = sample_latent_model(replace(params, seed=seed))
-    g = sample.graph
-    picked = _pick_pair(sample.adjacency, k, seed)
+                  delta: float, seed: int, buffers: _TrialBuffers):
+    sample = sample_latent_model(replace(params, seed=seed), out=buffers)
+    picked = _pick_pair(sample.adjacency, k, seed, buffers)
     if picked is None:
         return None
     i, j, eta = picked
     if bound_kind == "unnormalized":
         bound, extra = bound_unnormalized, {}
     else:
+        g = sample.graph
         members = cn_set(g, i, j, k, exclude_endpoints=True)
         zeta = int(max((g.degrees[c] for c in members), default=2))
         rho = 0.5 ** (1.0 / (params.dim * (k - 1)))
@@ -397,7 +485,10 @@ def validate_bound(model: str, params, bound_kind: str, k: int, delta: float,
     "latent", the one model with a distance to check, and ``bound_kind``
     "unnormalized" or "normalized" (k >= 2); every input is checked before
     the first trial. Per-trial seeds derive from the run seed; reduction
-    order fixed.
+    order fixed. The trials are cut into ``threads`` consecutive runs, one
+    per worker, and each worker reuses one set of n x n buffers for all of
+    its trials; ``ScaleError`` is raised first when ``threads`` such sets
+    would exceed the buffer budget.
     """
     if trials < 100:
         raise InputError("need at least 100 trials")
@@ -413,13 +504,22 @@ def validate_bound(model: str, params, bound_kind: str, k: int, delta: float,
         raise InputError(f"delta must lie in (0, 1), got {delta}")
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
+    _check_buffer_bytes(threads * _TrialBuffers.nbytes(params.n, k),
+                        f"validate_bound at n={params.n}, k={k}, threads={threads}")
     seeds = [seed + 1000 * t for t in range(trials)]
-    work = lambda s: _latent_trial(params, bound_kind, k, delta, s)
+
+    def run(chunk):
+        buffers = _TrialBuffers(params.n, k)
+        return [_latent_trial(params, bound_kind, k, delta, s, buffers) for s in chunk]
+
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            slacks = list(pool.map(work, seeds))
+        workers = min(threads, trials)
+        chunks = [seeds[w * trials // workers:(w + 1) * trials // workers]
+                  for w in range(workers)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            slacks = [s for part in pool.map(run, chunks) for s in part]
     else:
-        slacks = [work(s) for s in seeds]
+        slacks = run(seeds)
     valid = [s for s in slacks if s is not None]
     violations = sum(1 for s in valid if s < 0)
     mean_slack = float(np.mean(valid)) if valid else float("nan")

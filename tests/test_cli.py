@@ -575,6 +575,14 @@ def test_command_line_overrides_the_config_file(tmp_path, capsys):
     assert json.loads(out)["config"]["pairs"] == 64
 
 
+def test_theory_oversized_n_is_an_error_line(capsys):
+    code = main(["theory", "--n", "20000", "--trials", "100"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ScaleError: validate_bound at n=20000")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
 @pytest.mark.parametrize("argv,config,error", [
     (["score"], "kind=xyz\n", "kind: expected one of"),
     (["train", "--model-out", "unused"], "learning_rate=fast\n", "learning_rate: expected"),

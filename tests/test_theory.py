@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +12,13 @@ import scipy.special as spfn
 
 import hocn.theory
 from hocn import (BoundDomainError, BoundInputs, Graph, InputError,
-                  LatentModelParams, adj_power_row, ba_bound_normalized,
+                  LatentModelParams, ScaleError, adj_power_row, ba_bound_normalized,
                   ba_bound_unnormalized, bound_normalized,
                   bound_unnormalized, cn_set, lambert_w,
                   log_double_factorial_ratio, sample_ba_graph,
                   sample_latent_model, torus_distances, unit_ball_volume,
                   validate_bound)
-from hocn.theory import _BLOCK_ENTRIES, _pick_pair
+from hocn.theory import _BLOCK_ENTRIES, _TrialBuffers, _pick_pair
 
 from conftest import random_graph
 
@@ -236,6 +238,63 @@ def test_validate_bound_thread_invariance():
     assert a == b
 
 
+@pytest.mark.parametrize("kind,k", [("unnormalized", 2), ("normalized", 2),
+                                    ("normalized", 3)])
+def test_validate_bound_reports_do_not_depend_on_threads(kind, k):
+    # each worker reuses one set of buffers for its consecutive trials
+    params = LatentModelParams(n=200, dim=2, radius=0.45, seed=0)
+    reports = [validate_bound("latent", params, kind, k, delta=0.1, trials=100, seed=5,
+                              threads=threads) for threads in (1, 2, 4)]
+    assert reports[0].eligible > 0
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_latent_sample_arrays_outlive_later_calls():
+    params = LatentModelParams(n=200, dim=2, radius=0.2, seed=3)
+    sample = sample_latent_model(params)
+    kept = {name: getattr(sample, name).copy()
+            for name in ("positions", "distances", "adjacency")}
+    sample_latent_model(replace(params, seed=4))
+    validate_bound("latent", params, "normalized", 2, 0.1, 100, 3)
+    for name, want in kept.items():
+        assert np.array_equal(getattr(sample, name), want), name
+    # the graph, read only now, comes from the unchanged mask
+    assert np.array_equal(sample.graph.to_scipy().toarray() > 0, kept["adjacency"])
+
+
+def test_oversized_latent_runs_are_scale_errors_before_allocating(monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(hocn.theory, "_latent_trial", no_trial)
+    big = LatentModelParams(n=20000, dim=2, radius=0.1, seed=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScaleError, match="n=20000"):
+            sample_latent_model(big)
+        with pytest.raises(ScaleError, match="n=20000, k=2, threads=1"):
+            validate_bound("latent", big, "unnormalized", 2, 0.1, 100, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < big.n ** 2  # not even one n x n bool array
+
+
+def test_validate_bound_budget_counts_every_worker(monkeypatch):
+    params = LatentModelParams(n=200, dim=2, radius=0.45, seed=0)
+    monkeypatch.setattr(hocn.theory, "_BUFFER_BUDGET", 2 * _TrialBuffers.nbytes(200, 2))
+    assert validate_bound("latent", params, "unnormalized", 2, 0.1, 100, 0,
+                          threads=2).eligible > 0
+    with pytest.raises(ScaleError, match="threads=3"):
+        validate_bound("latent", params, "unnormalized", 2, 0.1, 100, 0, threads=3)
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (60, 2), (700, 3), (1000, 1)])
+def test_trial_buffer_estimate_is_their_size(n, k):
+    buffers = _TrialBuffers(n, k)
+    assert _TrialBuffers.nbytes(n, k) == sum(a.nbytes for a in vars(buffers).values())
+
+
 def test_validate_bound_checks_only_the_latent_model():
     with pytest.raises(InputError, match="unknown model 'ba'"):
         validate_bound("ba", (100, 3), "unnormalized", 1, 0.1, 100, 0)
@@ -299,15 +358,25 @@ def test_pick_pair_matches_matrix_power_oracle():
     sample = sample_latent_model(LatentModelParams(n=60, dim=2, radius=0.1, seed=1))
     assert np.array_equal(sample.adjacency, sample.graph.to_scipy().toarray() > 0)
     cases.append(sample.adjacency)
+    # the only pair a 2k-step walk joins lies in the upper triangle's first
+    # row, or in its last
+    cases += [Graph.from_edges(7, [(0, 1), (1, 2)]).to_scipy().toarray() > 0,
+              Graph.from_edges(9, [(0, 7), (0, 8)]).to_scipy().toarray() > 0]
     for k in (1, 2, 3):
+        for case, pair in ((5, (0, 2)), (6, (7, 8))):
+            walks = np.linalg.matrix_power(cases[case].astype(np.int64), 2 * k)
+            assert list(zip(*np.nonzero(np.triu(walks, k=1)))) == [pair], (case, k)
         # the latent graph has pairs a 2k-step walk joins and pairs none does
         walks = np.linalg.matrix_power(sample.adjacency.astype(np.int64), 2 * k)
         upper = walks[np.triu_indices(60, k=1)]
         assert (upper > 0).any() and (upper == 0).any(), k
         for case, adjacency in enumerate(cases):
+            reused = _TrialBuffers(len(adjacency), k)  # dirty from the second seed on
             for seed in range(5):
                 want = _matrix_power_pick(adjacency, k, seed)
-                assert _pick_pair(adjacency, k, seed) == want, (case, k, seed)
+                fresh = _TrialBuffers(len(adjacency), k)
+                assert _pick_pair(adjacency, k, seed, fresh) == want, (case, k, seed)
+                assert _pick_pair(adjacency, k, seed, reused) == want, (case, k, seed)
                 # only the empty graph has no pair to pick
                 assert (want is None) == (case == 3), (case, k, seed)
 
@@ -343,6 +412,18 @@ def test_torus_distances_match_broadcast_reference():
             assert np.array_equal(got, want), (n, dim)
         else:
             assert np.all(np.abs(got - want) <= 4e-16 * want), (n, dim)
+
+
+def test_torus_distances_into_dirty_buffers_match_a_fresh_call():
+    rng = np.random.default_rng(1)
+    for n in (40, 700):
+        out = np.full((n, n), np.nan)
+        blocks = np.full((2, min(_BLOCK_ENTRIES // n, n), n), -7.0)
+        for dim in (1, 2, 3, 8):
+            pos = rng.random((n, dim))
+            got = torus_distances(pos, out, blocks)
+            assert got is out
+            assert np.array_equal(got, torus_distances(pos)), (n, dim)
 
 
 def _reference_normalized_trial(params, k, delta, seed):
