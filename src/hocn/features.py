@@ -31,9 +31,11 @@ batch is walked in sub-chunks of pairs, and that pass in blocks of nodes,
 sized by the per-node bound ``_walk_nnz_bound`` of the walk rows they hold.
 That bound (per order) and the step A + I of the walk rows depend on the
 graph alone, so they are built once per graph (``Graph.memoized``), in the
-calling thread. Sub-chunks run on ``_WORKERS`` threads (scipy's sparse
-kernels release the GIL) and share ``_NNZ_BUDGET`` entries between them; a
-block has the budget to itself.
+calling thread. One map, ``_walk_map``, runs the sub-chunks of the features
+and of the slices and the node blocks alike: each run may hold a worker's
+share of ``_NNZ_BUDGET``, and the runs go ``_WORKERS`` at a time on a thread
+pool (scipy's sparse kernels release the GIL), or on the calling thread
+when there is only one.
 """
 
 from __future__ import annotations
@@ -49,13 +51,12 @@ import scipy.sparse as sp
 from .errors import ConfigError, ScaleError
 from .graph import Graph, PairBatch
 
-# Walk-row entries the sub-chunks of cn_order_features_all in flight at once,
-# or a block of walk_row_sums, may hold, by the per-node bound of
-# _walk_nnz_bound (about 50 MB of CSR data and indices).
+# Walk-row entries that the runs of _walk_map in flight at once may hold, by
+# the per-node bound of _walk_nnz_bound (about 50 MB of CSR data and indices).
 _NNZ_BUDGET = 1 << 22
 
-# Threads that build sub-chunks: two at most, since the walk rows of every
-# sub-chunk in flight are held at once.
+# Threads of _walk_map: two at most, since the walk rows of every run in
+# flight are held at once.
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 
@@ -201,16 +202,18 @@ def _walk_nnz_bound(g: Graph, k_max: int) -> np.ndarray:
     return g.memoized(("walk_nnz_bound", k_max), build)
 
 
-def _budget_cuts(cost: np.ndarray, share: int, item: Callable[[int], str]) -> np.ndarray:
+def _budget_cuts(cost: np.ndarray, item: Callable[[int], str]) -> np.ndarray:
     """Start offsets (and the end) of consecutive runs of items, each the
-    longest from its start whose walk-row entries ``cost`` stay within
-    ``share``; an item above the share sits alone. Raises ScaleError,
-    naming ``item(i)``, when a single item exceeds ``_NNZ_BUDGET``."""
+    longest from its start whose walk-row entries ``cost`` stay within a
+    worker's share of the budget, ``_NNZ_BUDGET // _WORKERS``; an item above
+    the share sits alone. Raises ScaleError, naming ``item(i)``, when a
+    single item exceeds ``_NNZ_BUDGET``."""
     if len(cost) and cost.max() > _NNZ_BUDGET:
         worst = int(cost.argmax())
         raise ScaleError(f"walk rows of {item(worst)} may hold {int(cost[worst])} "
                          f"entries, above the walk-row budget of {_NNZ_BUDGET}")
     total = np.concatenate([[0], np.cumsum(cost)])
+    share = _NNZ_BUDGET // _WORKERS
     cuts = [0]
     while cuts[-1] < len(cost):
         end = int(np.searchsorted(total, total[cuts[-1]] + share, side="right")) - 1
@@ -220,46 +223,67 @@ def _budget_cuts(cost: np.ndarray, share: int, item: Callable[[int], str]) -> np
 
 def _sub_chunks(g: Graph, pairs: np.ndarray, k_max: int) -> np.ndarray:
     """``_budget_cuts`` of ``pairs`` by their endpoints' walk rows for orders
-    up to k_max, by the bound of ``_walk_nnz_bound``, with a share of
-    ``_NNZ_BUDGET // _WORKERS`` per sub-chunk."""
+    up to k_max, by the bound of ``_walk_nnz_bound``."""
     bound = _walk_nnz_bound(g, k_max)
     cost = bound[pairs[:, 0]] + bound[pairs[:, 1]]
-    return _budget_cuts(cost, _NNZ_BUDGET // _WORKERS,
+    return _budget_cuts(cost,
                         lambda x: f"pair ({pairs[x, 0]}, {pairs[x, 1]}) at orders 1..{k_max}")
+
+
+def _walk_map(run: Callable[[int, int], object], cuts: np.ndarray) -> list:
+    """``run(start, stop)`` for each run between consecutive ``cuts``, in
+    order: on the calling thread when there is one run or one worker, else
+    ``_WORKERS`` at a time on a thread pool. A run's exception reaches the
+    caller once the pool's threads have ended."""
+    if len(cuts) == 2 or _WORKERS == 1:
+        # One pool thread gains nothing and raises the peak RSS: the K=3 Gram
+        # of BA(100k, 3) peaked at 339 MB on one pool thread, 261 MB here.
+        return [run(start, stop) for start, stop in zip(cuts[:-1], cuts[1:])]
+    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+        return list(pool.map(run, cuts[:-1], cuts[1:]))
 
 
 def walk_row_sums(g: Graph, k: int,
                   loop_gram: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """Per node c, sums over its walk rows R_{l-1} and S_l, l <= k, of
-    ``_OrderRows``, in blocks of nodes cut by ``_budget_cuts`` with the whole
-    budget: ``diag``, row m = diag(A^m) for m = 0..2k, as ||R_l[c]||^2 =
-    A^{2l}[c, c] and ||S_l[c]||^2 = (A^{2l} + 2 A^{2l-1} + A^{2l-2})[c, c]
-    for symmetric A; and with ``loop_gram``, the lower triangle of the Gram
-    matrix of Q_a = S_a o S_a - R_{a-1} o R_{a-1}, whose entry (c, u) is
-    CN^a(u, u)[c], else None. Only ``loop_gram`` forms R_k; without it, row
+    ``_OrderRows``, in the node blocks of ``_budget_cuts`` mapped by
+    ``_walk_map``: ``diag``, row m = diag(A^m) for m = 0..2k, as
+    ||R_l[c]||^2 = A^{2l}[c, c] and ||S_l[c]||^2 = (A^{2l} + 2 A^{2l-1} +
+    A^{2l-2})[c, c] for symmetric A; and with ``loop_gram``, the lower
+    triangle of the Gram matrix of Q_a = S_a o S_a - R_{a-1} o R_{a-1}, whose
+    entry (c, u) is CN^a(u, u)[c], else None. Each block writes its own
+    columns of ``diag`` and returns its part of the Gram matrix; the parts
+    are summed in block order. Only ``loop_gram`` forms R_k; without it, row
     2k holds diag(A^{2k} + 2 A^{2k-1}) and row 2k - 1 is 0."""
     if k < 1:
         raise ConfigError(f"order must be >= 1, got {k}")
-    cuts = _budget_cuts(_walk_nnz_bound(g, k), _NNZ_BUDGET,
-                        lambda c: f"node {c} at orders 1..{k}")
+    cuts = _budget_cuts(_walk_nnz_bound(g, k), lambda c: f"node {c} at orders 1..{k}")
     loops = _loop_adjacency(g)
     diag = np.zeros((2 * k + 1, g.n))  # row 2l - 1 holds ||S_l||^2 at first
     diag[0] = 1.0
-    gram = np.zeros((k, k)) if loop_gram else None
-    for block in map(slice, cuts[:-1], cuts[1:]):
-        rows = _OrderRows(loops, np.arange(g.n)[block])
+
+    def block(start: int, stop: int) -> np.ndarray | None:
+        rows = _OrderRows(loops, np.arange(start, stop))
+        part = np.zeros((k, k)) if loop_gram else None
         squares = []  # Q_1..Q_l of the block
         for l in range(1, k + 1):
             prev, step = rows.at(l)
-            diag[2 * l - 1, block] = _squared(step).sum(axis=1).A1
+            diag[2 * l - 1, start:stop] = _squared(step).sum(axis=1).A1
             if prev is not None:
-                diag[2 * l - 2, block] = _squared(prev).sum(axis=1).A1
-            if gram is not None:
-                squares.append(_squared(step) - (sp.identity(g.n, format="csr")[block]
+                diag[2 * l - 2, start:stop] = _squared(prev).sum(axis=1).A1
+            if loop_gram:
+                squares.append(_squared(step) - (sp.identity(g.n, format="csr")[start:stop]
                                                  if prev is None else _squared(prev)))
-                gram[l - 1, :l] += [square.multiply(squares[-1]).sum() for square in squares]
-        if gram is not None:
-            diag[2 * k, block] = _squared(rows.powers(k)[1]).sum(axis=1).A1
+                # The stored entries are totalled as they are: .sum() would
+                # sort the product first.
+                part[l - 1, :l] = [square.multiply(squares[-1]).data.sum()
+                                   for square in squares]
+        if loop_gram:
+            diag[2 * k, start:stop] = _squared(rows.powers(k)[1]).sum(axis=1).A1
+        return part
+
+    parts = _walk_map(block, cuts)
+    gram = sum(parts, np.zeros((k, k))) if loop_gram else None
     for l in range(1, k + 1):
         diag[2 * l - 1] = (diag[2 * l - 1] - diag[2 * l] - diag[2 * l - 2]) / 2.0
     if gram is None:  # row 2k was left at 0
@@ -292,30 +316,33 @@ def _slice_keys(k: int) -> tuple[tuple[int, int], ...]:
     return (k, k), (k - 1, k), (k, k - 1)
 
 
+def _product(a: sp.csr_matrix, b: sp.csr_matrix,
+             ends: np.ndarray | None = None) -> sp.csr_matrix:
+    """a o b as canonical CSR; with ``ends``, row x without its entries in
+    the columns ends[x]."""
+    mat = a.multiply(b).tocsr()
+    mat.sort_indices()
+    if ends is not None:
+        _drop_row_columns(mat, ends)
+    return mat
+
+
 def _explicit_slices(g: Graph, pairs: np.ndarray, k: int, exclude_endpoints: bool) -> dict:
     """The three order-k slices of ``pairs``, one elementwise product of
     A^k1 and A^k2 rows (``_OrderRows.powers``) each, walked in the
     sub-chunks of ``_sub_chunks``."""
-    cuts = _sub_chunks(g, pairs, k)
     loops = _loop_adjacency(g)
-    parts = {key: [] for key in _slice_keys(k)}
-    for start, stop in zip(cuts[:-1], cuts[1:]):
-        chunk = pairs[start:stop]
+
+    def chunk(start: int, stop: int) -> list[sp.csr_matrix]:
+        ends = pairs[start:stop]
         # (R_{k-1}, R_k) of each endpoint, whose S_k is dropped before the
         # other's rows are built: R_l sits at position l - k + 1.
-        ru, rv = (_OrderRows(loops, nodes).powers(k) for nodes in chunk.T)
-        for (k1, k2), mats in parts.items():
-            mat = ru[k1 - k + 1].multiply(rv[k2 - k + 1]).tocsr()
-            mat.sort_indices()
-            if exclude_endpoints:
-                _drop_row_columns(mat, chunk)
-            mats.append(mat)
-    return {key: sp.vstack(mats, format="csr") for key, mats in parts.items()}
+        ru, rv = (_OrderRows(loops, nodes).powers(k) for nodes in ends.T)
+        return [_product(ru[k1 - k + 1], rv[k2 - k + 1], ends if exclude_endpoints else None)
+                for k1, k2 in _slice_keys(k)]
 
-
-def _endpoint_walks(loops: sp.csr_matrix, pairs: np.ndarray) -> tuple[_OrderRows, _OrderRows]:
-    """Walk rows of the source and of the target endpoints of a batch."""
-    return _OrderRows(loops, pairs[:, 0]), _OrderRows(loops, pairs[:, 1])
+    parts = _walk_map(chunk, _sub_chunks(g, pairs, k))
+    return {key: sp.vstack(mats, format="csr") for key, mats in zip(_slice_keys(k), zip(*parts))}
 
 
 def cn_order_features(g: Graph, batch: PairBatch, k: int,
@@ -325,27 +352,23 @@ def cn_order_features(g: Graph, batch: PairBatch, k: int,
 
     Never materializes A^k; the rows come from k repeated sparse products
     per endpoint. ``walks`` holds the source and target rows that
-    ``cn_order_features_all`` shares across orders, asked for in increasing
-    order. ``exclude_endpoints`` zeroes the two endpoint columns of each
-    batch row (classic-CN convention). The product is sorted as it is
-    formed, so the returned matrix is canonical CSR; the slices are built
-    only when read.
+    ``_orders`` shares across orders, asked for in increasing order.
+    Without it, this is the last order of ``cn_order_features_all``, which
+    walks the batch in sub-chunks within the walk-row budget.
+    ``exclude_endpoints`` zeroes the two endpoint columns of each batch row
+    (classic-CN convention). Each product is sorted as it is formed, so the
+    returned matrix is canonical CSR; the slices are built only when read.
     """
     if k < 1:
         raise ConfigError(f"order must be >= 1, got {k}")
     if walks is None:
-        g.check_pairs(batch.pairs)
-        walks = _endpoint_walks(_loop_adjacency(g), batch.pairs)
+        return cn_order_features_all(g, batch, k, exclude_endpoints)[-1]
     (prev_u, step_u), (prev_v, step_v) = (rows.at(k) for rows in walks)
-    combined = step_u.multiply(step_v).tocsr()
-    combined.sort_indices()
+    ends = batch.pairs if exclude_endpoints else None
+    combined = _product(step_u, step_v, ends)
     if prev_u is not None:  # at k = 1 the term is e_u * e_v, zero since u != v
-        overlap = prev_u.multiply(prev_v).tocsr()
-        overlap.sort_indices()
         # The difference stores no entry it cancels to zero.
-        combined = combined - overlap
-    if exclude_endpoints:
-        _drop_row_columns(combined, batch.pairs)
+        combined = combined - _product(prev_u, prev_v, ends)
     return OrderFeatures(order=k, pairs=batch.pairs, combined=combined, graph=g,
                          exclude_endpoints=exclude_endpoints)
 
@@ -355,29 +378,26 @@ def cn_order_features_all(g: Graph, batch: PairBatch, k_max: int,
     """Orders 1..k_max for one batch, sharing the endpoints' walk rows.
 
     The batch is walked in consecutive sub-chunks of pairs (see
-    ``_sub_chunks``), ``_WORKERS`` at a time on a thread pool; each
-    sub-chunk's walk rows serve all orders and are dropped when its orders
-    are done. Every matrix is canonical CSR, so a pair's row, stored order
-    included, does not depend on the other pairs of its batch and the
-    sub-chunks' matrices are stacked as they are.
+    ``_sub_chunks``), mapped by ``_walk_map``; each sub-chunk's walk rows
+    serve all orders and are dropped when its orders are done. Every matrix
+    is canonical CSR, so a pair's row, stored order included, does not
+    depend on the other pairs of its batch and the sub-chunks' matrices are
+    stacked as they are.
     """
     if k_max < 1:
         raise ConfigError(f"k_max must be >= 1, got {k_max}")
     g.check_pairs(batch.pairs)
-    cuts = _sub_chunks(g, batch.pairs, k_max)
     loops = _loop_adjacency(g)
-    if len(cuts) == 2:
-        return _orders(g, loops, batch, k_max, exclude_endpoints)
 
     def chunk(start: int, stop: int) -> list[OrderFeatures]:
         return _orders(g, loops, PairBatch(batch.pairs[start:stop]), k_max, exclude_endpoints)
 
-    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-        # The parts are stacked where the workers built them. Copying them
-        # into this thread as they arrive made the peak RSS of a 16,384-pair
-        # K=3 batch of BA(100k, 3) swing by about 50 MB with the threads'
-        # timing.
-        chunks = list(pool.map(chunk, cuts[:-1], cuts[1:]))
+    # The parts are stacked where the workers built them. Copying them into
+    # this thread as they arrive made the peak RSS of a 16,384-pair K=3 batch
+    # of BA(100k, 3) swing by about 50 MB with the threads' timing.
+    chunks = _walk_map(chunk, _sub_chunks(g, batch.pairs, k_max))
+    if len(chunks) == 1:
+        return chunks[0]
     feats = []
     for k in range(1, k_max + 1):
         # Popping each sub-chunk's order k frees it once it is stacked.
@@ -395,7 +415,7 @@ def _orders(g: Graph, adj: sp.csr_matrix, batch: PairBatch, k_max: int,
     ``adj`` is the adjacency with a loop at every node, A + I, that the
     walk rows step with (``_loop_adjacency``).
     """
-    walks = _endpoint_walks(adj, batch.pairs)
+    walks = _OrderRows(adj, batch.pairs[:, 0]), _OrderRows(adj, batch.pairs[:, 1])
     return [cn_order_features(g, batch, k, exclude_endpoints, walks)
             for k in range(1, k_max + 1)]
 

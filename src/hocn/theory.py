@@ -485,10 +485,10 @@ def validate_bound(model: str, params, bound_kind: str, k: int, delta: float,
     "latent", the one model with a distance to check, and ``bound_kind``
     "unnormalized" or "normalized" (k >= 2); every input is checked before
     the first trial. Per-trial seeds derive from the run seed; reduction
-    order fixed. The trials are cut into ``threads`` consecutive runs, one
-    per worker, and each worker reuses one set of n x n buffers for all of
-    its trials; ``ScaleError`` is raised first when ``threads`` such sets
-    would exceed the buffer budget.
+    order fixed. The trials are cut into min(threads, trials) consecutive
+    runs, mapped on one thread pool with a worker per run, and each worker
+    reuses one set of n x n buffers for all of its trials; ``ScaleError`` is
+    raised first when ``threads`` such sets would exceed the buffer budget.
     """
     if trials < 100:
         raise InputError("need at least 100 trials")
@@ -512,14 +512,10 @@ def validate_bound(model: str, params, bound_kind: str, k: int, delta: float,
         buffers = _TrialBuffers(params.n, k)
         return [_latent_trial(params, bound_kind, k, delta, s, buffers) for s in chunk]
 
-    if threads > 1:
-        workers = min(threads, trials)
-        chunks = [seeds[w * trials // workers:(w + 1) * trials // workers]
-                  for w in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            slacks = [s for part in pool.map(run, chunks) for s in part]
-    else:
-        slacks = run(seeds)
+    workers = min(threads, trials)
+    chunks = [seeds[w * trials // workers:(w + 1) * trials // workers] for w in range(workers)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        slacks = [s for part in pool.map(run, chunks) for s in part]
     valid = [s for s in slacks if s is not None]
     violations = sum(1 for s in valid if s < 0)
     mean_slack = float(np.mean(valid)) if valid else float("nan")

@@ -278,6 +278,48 @@ def test_pair_above_budget_raises_before_walk_rows(monkeypatch):
     assert peak < 0.05 * whole_rows_bytes, (peak, whole_rows_bytes)
 
 
+@pytest.mark.parametrize("exclude", [False, True])
+def test_order_features_without_walks_are_cut_into_sub_chunks(monkeypatch, exclude):
+    g, pairs = _hub_batch(2)
+    batch = batch_of(pairs)
+    chunked, whole = [], []
+    for k in (1, 2, 3):
+        monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", 1 << 62)
+        whole.append(cn_order_features(g, batch, k, exclude))
+        monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", int(_pair_costs(g, pairs, k).max()))
+        assert len(_sub_chunks(g, pairs, k)) > 3
+        chunked.append(cn_order_features(g, batch, k, exclude))
+    _assert_same_csr(chunked, whole, pairs)
+
+
+def test_order_features_without_walks_keep_the_budget(monkeypatch):
+    g = sample_ba_graph(20000, 3, seed=0)
+    pairs = _hub_pairs(g, 800)
+    costs = _pair_costs(g, pairs, 3)
+    hub = int(costs.argmax())
+    built = []
+    order_rows = hocn.features._OrderRows
+    monkeypatch.setattr(hocn.features, "_OrderRows", lambda *args: built.append(args))
+    monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", int(costs.max()) - 1)
+    with pytest.raises(ScaleError, match=re.escape(f"pair ({pairs[hub, 0]}, {pairs[hub, 1]}) ")):
+        cn_order_features(g, batch_of(pairs), 3)
+    assert built == []
+    monkeypatch.setattr(hocn.features, "_OrderRows", order_rows)
+    budget = 1 << 20
+    monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", budget)
+    assert len(_sub_chunks(g, pairs, 3)) > 5
+    # CSR data plus int32 indices of the whole batch's walk rows, by the bound.
+    whole_rows_bytes = 12 * int(costs.sum())
+    assert whole_rows_bytes > 8 * 12 * budget
+    tracemalloc.start()
+    try:
+        cn_order_features(g, batch_of(pairs), 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * whole_rows_bytes, (peak, whole_rows_bytes)
+
+
 def _hub_batch(seed: int):
     """A BA(1000, 2) graph and a batch whose middle pair is its top hub."""
     g = sample_ba_graph(1000, 2, seed=1)
@@ -341,6 +383,52 @@ def test_worker_exception_reaches_caller_and_threads_end(monkeypatch):
     baseline = threading.active_count()
     with pytest.raises(RuntimeError, match="sub-chunk 1 failed"):
         cn_order_features_all(g, batch_of(pairs), 3)
+    assert threading.active_count() == baseline
+
+
+def _node_blocks(monkeypatch, g: Graph, k: int, workers: int) -> np.ndarray:
+    """Node-block cuts of ``walk_row_sums`` on ``workers`` threads, each
+    block within a worker's share of five times the costliest node."""
+    bound = _walk_nnz_bound(g, k)
+    monkeypatch.setattr(hocn.features, "_WORKERS", workers)
+    monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", 5 * workers * int(bound.max()))
+    return hocn.features._budget_cuts(bound, str)
+
+
+@pytest.mark.parametrize("loop_gram", [False, True])
+def test_worker_count_does_not_change_walk_row_sums(monkeypatch, loop_gram):
+    g = sample_ba_graph(600, 3, seed=2)
+    monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", 1 << 62)
+    want = {k: hocn.features.walk_row_sums(g, k, loop_gram) for k in (1, 2, 3)}
+    switch = sys.getswitchinterval()
+    try:
+        for workers in (1, 2, 4):
+            sys.setswitchinterval(1e-6 if workers == 4 else switch)
+            for k in (1, 2, 3):
+                cuts = _node_blocks(monkeypatch, g, k, workers)
+                assert len(cuts) > 4 and len(set(np.diff(cuts))) > 1, cuts
+                diag, gram = hocn.features.walk_row_sums(g, k, loop_gram)
+                assert np.array_equal(diag, want[k][0]), (workers, k)
+                assert (gram is None) if not loop_gram else np.array_equal(gram, want[k][1])
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_node_block_exception_reaches_caller_and_threads_end(monkeypatch):
+    g = sample_ba_graph(600, 3, seed=2)
+    cuts = _node_blocks(monkeypatch, g, 3, 2)
+    assert len(cuts) > 3
+    order_rows = hocn.features._OrderRows
+
+    def failing(loops, nodes):
+        if nodes[0] == cuts[1]:
+            raise RuntimeError("node block 1 failed")
+        return order_rows(loops, nodes)
+
+    monkeypatch.setattr(hocn.features, "_OrderRows", failing)
+    baseline = threading.active_count()
+    with pytest.raises(RuntimeError, match="node block 1 failed"):
+        hocn.features.walk_row_sums(g, 3, loop_gram=True)
     assert threading.active_count() == baseline
 
 

@@ -74,10 +74,11 @@ def test_exact_participation_equals_matrix_power_closed_form(monkeypatch, k, exc
 
     monkeypatch.setattr(hocn.features, "_OrderRows", recorded)
     for g in (sample_ba_graph(250, 3, seed=4), random_graph(40, 0.2, seed=1)):
-        # Three times the costliest node's bound cuts several blocks of
-        # unequal size.
+        # A worker's share of three times the costliest node's bound cuts
+        # several blocks of unequal size.
         bound = _walk_nnz_bound(g, k)
-        monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", 3 * int(bound.max()))
+        monkeypatch.setattr(hocn.features, "_NNZ_BUDGET",
+                            3 * hocn.features._WORKERS * int(bound.max()))
         blocks.clear()
         got = exact_walk_participation(g, k, exclude_endpoints=exclude).counts
         assert len(blocks) > 2 and len(set(blocks)) > 1 and sum(blocks) == g.n, blocks
