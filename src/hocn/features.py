@@ -35,7 +35,8 @@ calling thread. One map, ``_walk_map``, runs the sub-chunks of the features
 and of the slices and the node blocks alike: each run may hold a worker's
 share of ``_NNZ_BUDGET``, and the runs go ``_WORKERS`` at a time on a thread
 pool (scipy's sparse kernels release the GIL), or on the calling thread
-when there is only one.
+when there is only one. ``theory.validate_bound`` maps its trial runs on
+it too, with its own worker count.
 """
 
 from __future__ import annotations
@@ -230,16 +231,18 @@ def _sub_chunks(g: Graph, pairs: np.ndarray, k_max: int) -> np.ndarray:
                         lambda x: f"pair ({pairs[x, 0]}, {pairs[x, 1]}) at orders 1..{k_max}")
 
 
-def _walk_map(run: Callable[[int, int], object], cuts: np.ndarray) -> list:
+def _walk_map(run: Callable[[int, int], object], cuts, workers: int | None = None) -> list:
     """``run(start, stop)`` for each run between consecutive ``cuts``, in
     order: on the calling thread when there is one run or one worker, else
-    ``_WORKERS`` at a time on a thread pool. A run's exception reaches the
-    caller once the pool's threads have ended."""
-    if len(cuts) == 2 or _WORKERS == 1:
+    ``workers`` at a time on a thread pool. A run's exception reaches the
+    caller once the pool's threads have ended. The walk loops leave
+    ``workers`` at ``_WORKERS``; ``theory.validate_bound`` passes one per run."""
+    workers = _WORKERS if workers is None else workers
+    if len(cuts) == 2 or workers == 1:
         # One pool thread gains nothing and raises the peak RSS: the K=3 Gram
         # of BA(100k, 3) peaked at 339 MB on one pool thread, 261 MB here.
         return [run(start, stop) for start, stop in zip(cuts[:-1], cuts[1:])]
-    with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, cuts[:-1], cuts[1:]))
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import io
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +39,8 @@ class Graph:
     def from_edges(cls, n: int, edges) -> "Graph":
         """Build from an iterable/array of (u, v) pairs.
 
-        Self-loops and duplicates are dropped; both orientations are stored.
+        Self-loops and duplicates are dropped; both orientations are stored,
+        from one sort of the keys u*n+v and v*n+u.
         """
         if n > _MAX_NODES:
             raise ScaleError(f"n={n} exceeds {_MAX_NODES}: edge keys u*n+v would overflow int64")
@@ -48,11 +48,8 @@ class Graph:
                            dtype=np.int64).reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise InputError("edge endpoint out of range")
-        edges = edges[edges[:, 0] != edges[:, 1]]
-        keys = _sorted_unique(np.minimum(edges[:, 0], edges[:, 1]) * n
-                              + np.maximum(edges[:, 0], edges[:, 1]))
-        lo, hi = np.divmod(keys, n)
-        src, dst = np.divmod(np.sort(np.concatenate([keys, hi * n + lo])), n)
+        u, v = edges[edges[:, 0] != edges[:, 1]].T
+        src, dst = np.divmod(_sorted_unique(np.concatenate([u * n + v, v * n + u])), n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         return cls(n=n, indptr=indptr, indices=dst, degrees=np.diff(indptr))
@@ -169,24 +166,28 @@ def _parse_line(line: str, fmt: str, lineno: int) -> tuple[int, int] | None:
     return u, v
 
 
-# Text that np.loadtxt parses exactly as _parse_line does: one or more lines
-# of two ASCII-digit ids separated by spaces or tabs, each ending in "\n"
-# except perhaps the last.
-_PLAIN_EDGE = r"[0-9]+[ \t]+[0-9]+[ \t]*"
-_PLAIN_EDGE_TEXT = re.compile(rf"(?:{_PLAIN_EDGE}\n)*{_PLAIN_EDGE}\n?")
-
-
 def _plain_edges(text: str, fmt: str) -> np.ndarray | None:
-    """Edges of a plain tab/space-separated text in one vectorized parse, or
-    None when the text needs the per-line parser (which also reports the
-    line of any error)."""
-    if fmt == "csv" or not _PLAIN_EDGE_TEXT.fullmatch(text):
+    """Edges of the text in one vectorized parse (``np.loadtxt``, fields split
+    at commas for csv, else at whitespace), or None when the text needs the
+    per-line parser, which also reports the line of any error. That is a
+    text with no id; one that numpy does not read as two columns of ids in
+    [0, 2**62], such as one with a ``#`` or an id like ``1_0``; and one that
+    numpy would read otherwise than ``_parse_line`` does: with a carriage
+    return outside a CRLF line end (a line end to numpy), a non-ASCII
+    character (numpy reads some non-ASCII letters as digits) or, in csv, a
+    control character 0x1c-0x1f (numpy strips it around a field, ``int``
+    does not)."""
+    if (not text or text.isspace() or not text.isascii()
+            or text.count("\r") > text.count("\r\n")
+            or fmt == "csv" and any(c in text for c in "\x1c\x1d\x1e\x1f")):
         return None
     try:
-        edges = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2)
-    except ValueError:  # an id beyond int64
+        edges = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2, comments=None,
+                           delimiter="," if fmt == "csv" else None)
+    except ValueError:
         return None
-    return edges if edges.shape[1] == 2 and edges.max() <= 2**62 else None
+    ok = edges.shape[1] == 2 and edges.min() >= 0 and edges.max() <= 2**62
+    return edges if ok else None
 
 
 def load_edge_list(source, format: str = "tsv", remap: bool = False):
@@ -201,17 +202,10 @@ def load_edge_list(source, format: str = "tsv", remap: bool = False):
     """
     text = source if isinstance(source, str) else source.read()
     edges = _plain_edges(text, format)
-    if edges is not None:
-        lines_read = edges.shape[0]
-    else:
-        raw = []
-        lines_read = 0
-        for lineno, line in enumerate(io.StringIO(text), start=1):
-            lines_read += 1
-            parsed = _parse_line(line, format, lineno)
-            if parsed is not None:
-                raw.append(parsed)
-        edges = np.array(raw, dtype=np.int64).reshape(-1, 2)
+    if edges is None:
+        parsed = (_parse_line(line, format, lineno)
+                  for lineno, line in enumerate(io.StringIO(text), start=1))
+        edges = np.array([e for e in parsed if e is not None], dtype=np.int64).reshape(-1, 2)
     mapping = None
     if remap and edges.size:
         uniq = _sorted_unique(edges.ravel())
@@ -223,7 +217,7 @@ def load_edge_list(source, format: str = "tsv", remap: bool = False):
     self_loops = int((edges[:, 0] == edges[:, 1]).sum())
     g = Graph.from_edges(n, edges)
     report = LoadReport(
-        lines_read=lines_read,
+        lines_read=text.count("\n") + (bool(text) and not text.endswith("\n")),
         self_loops_dropped=self_loops,
         duplicates_dropped=edges.shape[0] - self_loops - g.num_edges,
         id_mapping=mapping,

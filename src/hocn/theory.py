@@ -32,14 +32,13 @@ it allocates any of them.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import BoundDomainError, InputError, ScaleError
-from .features import cn_set
+from .features import _walk_map, cn_set
 from .graph import Graph
 
 INV_E = math.exp(-1.0)
@@ -486,9 +485,10 @@ def validate_bound(model: str, params, bound_kind: str, k: int, delta: float,
     "unnormalized" or "normalized" (k >= 2); every input is checked before
     the first trial. Per-trial seeds derive from the run seed; reduction
     order fixed. The trials are cut into min(threads, trials) consecutive
-    runs, mapped on one thread pool with a worker per run, and each worker
-    reuses one set of n x n buffers for all of its trials; ``ScaleError`` is
-    raised first when ``threads`` such sets would exceed the buffer budget.
+    runs, mapped by ``features._walk_map`` with a worker per run (one run
+    stays on the calling thread), and each run reuses one set of n x n
+    buffers for all of its trials; ``ScaleError`` is raised first when
+    ``threads`` such sets would exceed the buffer budget.
     """
     if trials < 100:
         raise InputError("need at least 100 trials")
@@ -506,16 +506,15 @@ def validate_bound(model: str, params, bound_kind: str, k: int, delta: float,
         raise InputError(f"threads must be >= 1, got {threads}")
     _check_buffer_bytes(threads * _TrialBuffers.nbytes(params.n, k),
                         f"validate_bound at n={params.n}, k={k}, threads={threads}")
-    seeds = [seed + 1000 * t for t in range(trials)]
 
-    def run(chunk):
+    def run(start, stop):
         buffers = _TrialBuffers(params.n, k)
-        return [_latent_trial(params, bound_kind, k, delta, s, buffers) for s in chunk]
+        return [_latent_trial(params, bound_kind, k, delta, seed + 1000 * t, buffers)
+                for t in range(start, stop)]
 
     workers = min(threads, trials)
-    chunks = [seeds[w * trials // workers:(w + 1) * trials // workers] for w in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        slacks = [s for part in pool.map(run, chunks) for s in part]
+    cuts = [w * trials // workers for w in range(workers + 1)]
+    slacks = [s for part in _walk_map(run, cuts, workers) for s in part]
     valid = [s for s in slacks if s is not None]
     violations = sum(1 for s in valid if s < 0)
     mean_slack = float(np.mean(valid)) if valid else float("nan")

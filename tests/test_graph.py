@@ -93,6 +93,22 @@ _LINE = st.one_of(
 @example(["1_0 2"], True, "tsv", False)
 @example([], True, "tsv", False)
 @example([f"0 {2**62}"], True, "tsv", True)
+@example(["1 2", "", "  ", "3 4", ""], True, "tsv", False)
+@example(["", "1 2"], False, "tsv", False)
+@example(["1,2", "", "3, 4"], True, "csv", True)
+@example(["1 2", "# c", "3 4  # c"], True, "tsv", False)
+@example(["1 2\r3 4"], True, "tsv", False)
+@example(["1 2\r"], False, "tsv", False)
+@example(["1 2", "\r", "3 4"], True, "tsv", False)
+@example(["1 -2"], True, "tsv", False)
+@example([f"0 {2**62 + 1}"], True, "tsv", False)
+@example(["   ", "\t"], True, "tsv", False)
+@example(["1\x0b2", "3\x1c4"], True, "tsv", False)
+@example(["1\x852", "3\u20284"], True, "tsv", False)
+@example(["1\u30002"], True, "tsv", False)
+@example(["1\u200b2"], True, "tsv", False)
+@example(["1 2\u01fe"], True, "tsv", False)
+@example(["1,\x1c2"], True, "csv", False)
 def test_vectorized_edge_list_parse_matches_per_line_parser(lines, newline_at_end, fmt, remap):
     text = "\n".join(lines) + ("\n" if newline_at_end and lines else "")
     got = _load_outcome(text, fmt, remap)
@@ -103,12 +119,16 @@ def test_vectorized_edge_list_parse_matches_per_line_parser(lines, newline_at_en
 
 
 def test_plain_edge_text_takes_the_vectorized_parse():
-    text = "0\t1\n1 2 \n2\t3\n"
-    assert hocn.graph._plain_edges(text, "tsv").tolist() == [[0, 1], [1, 2], [2, 3]]
-    assert hocn.graph._plain_edges(text[:-1], "tsv").tolist() == [[0, 1], [1, 2], [2, 3]]
-    for other in ("0\t1\n\n", "\n0\t1", "0,1\n", "# c\n0 1\n", f"0 {2**62 + 1}\n"):
+    edges = [[0, 1], [1, 2], [2, 3]]
+    for fmt, text in [("tsv", "0\t1\n1 2 \n2\t3\n"), ("tsv", "0\t1\n1 2 \n2\t3"),
+                      ("tsv", "\n0 1\n\n1 2\n  \n2 3\n"), ("tsv", "0 1\r\n1 2\r\n2 3\r\n"),
+                      ("csv", "0,1\n1, 2\n\n2,3\n")]:
+        assert hocn.graph._plain_edges(text, fmt).tolist() == edges, text
+    for other in ("# c\n0 1\n", "0 1  # c\n", "0 1\r2 3\n", "0 1\r", "0 -1\n",
+                  f"0 {2**62 + 1}\n", "", " \n\t\n", "1_0 2\n", "0 1\u01fe\n"):
         assert hocn.graph._plain_edges(other, "tsv") is None, other
-    assert hocn.graph._plain_edges(text, "csv") is None
+    for other in ("0\t1\n", "0,\x1c1\n"):
+        assert hocn.graph._plain_edges(other, "csv") is None, other
 
 
 def test_pair_batch_rejects_self_pairs():
