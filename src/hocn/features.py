@@ -12,10 +12,12 @@ and S_k = R_{k-1}(A + I) = R_k + R_{k-1},
 
     CN^k = S_k[u] * S_k[v] - R_{k-1}[u] * R_{k-1}[v],
 
-and every term is an integer walk count, exact in float64, so the result
-equals the sum of the three slices bit for bit. A batch's features
-therefore never form a slice; ``OrderFeatures.slices`` builds them on first
-access, by three explicit products each.
+and every term is an integer walk count. Walk rows and their products are
+held as integers, int32 wherever the walk totals prove the counts fit
+(``_count_dtype``), and the features and slices hand the exact counts out
+as float64, so the result equals the sum of the three slices bit for bit.
+A batch's features therefore never form a slice; ``OrderFeatures.slices``
+builds them on first access, by three explicit products each.
 
 Every matrix is a (batch, n) scipy CSR matrix in canonical format: each
 row's column indices are sorted and unique. So a pair's row, stored order
@@ -29,14 +31,15 @@ One walk-row class, ``_OrderRows``, serves the features, the slices,
 all-pairs pass behind exact participation and the exact Gram matrix. A
 batch is walked in sub-chunks of pairs, and that pass in blocks of nodes,
 sized by the per-node bound ``_walk_nnz_bound`` of the walk rows they hold.
-That bound (per order) and the step A + I of the walk rows depend on the
-graph alone, so they are built once per graph (``Graph.memoized``), in the
-calling thread. One map, ``_walk_map``, runs the sub-chunks of the features
-and of the slices and the node blocks alike: each run may hold a worker's
-share of ``_NNZ_BUDGET``, and the runs go ``_WORKERS`` at a time on a thread
-pool (scipy's sparse kernels release the GIL), or on the calling thread
-when there is only one. ``theory.validate_bound`` maps its trial runs on
-it too, with its own worker count.
+That bound and the type of the walk counts (per order) and the step A + I
+of the walk rows depend on the graph alone, so they are built once per
+graph (``Graph.memoized``), in the calling thread. One map, ``_walk_map``,
+runs the sub-chunks of the features and of the slices and the node blocks
+alike: each run may hold a worker's share of ``_NNZ_BUDGET``, its walk rows
+and the scratch of a product, and the runs go ``_WORKERS`` at a time on a
+thread pool (scipy's sparse kernels release the GIL), or on the calling
+thread when there is only one. ``theory.validate_bound`` maps its trial runs
+on it too, with its own worker count.
 """
 
 from __future__ import annotations
@@ -53,8 +56,13 @@ from .errors import ConfigError, ScaleError
 from .graph import Graph, PairBatch
 
 # Walk-row entries that the runs of _walk_map in flight at once may hold, by
-# the per-node bound of _walk_nnz_bound (about 50 MB of CSR data and indices).
+# the per-node bound of _walk_nnz_bound, counting the scratch of a product
+# as much again (about 32 MB of int32 CSR data and indices); one pair or
+# node may cost up to all of it.
 _NNZ_BUDGET = 1 << 22
+
+# Walk counts below this fit int32 (see _count_dtype).
+_INT32_LIMIT = 1 << 31
 
 # Threads of _walk_map: two at most, since the walk rows of every run in
 # flight are held at once.
@@ -66,12 +74,13 @@ _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 class OrderFeatures:
     """Per-order count matrices for one batch of pairs of ``graph``.
 
-    ``combined`` is the (h, n) CSR matrix of combined counts, with column c
-    multiplied by w[c] for each array w of ``weights`` in turn. ``slices``
-    maps (k1, k2) -> (h, n) CSR matrix, whose sum is ``combined``; it is
-    built on first access, not from the walk rows that formed ``combined``,
-    and then kept. Every matrix is canonical (sorted, unique column indices
-    per row), and ``scale_columns`` keeps it so.
+    ``combined`` is the (h, n) float64 CSR matrix of combined counts, column
+    scaled when ``scaled``. ``slices`` maps (k1, k2) -> (h, n) float64 CSR
+    matrix of raw counts, whose sum is ``combined``; it is built on first
+    access, not from the walk rows that formed ``combined``, and then kept.
+    Scaled features keep no slices: reading them is a ConfigError. Every
+    matrix is canonical (sorted, unique column indices per row), and
+    ``scale_columns`` keeps it so.
     """
 
     order: int
@@ -79,7 +88,7 @@ class OrderFeatures:
     combined: sp.csr_matrix
     graph: Graph = field(repr=False)
     exclude_endpoints: bool = False
-    weights: tuple = ()
+    scaled: bool = False
     _slices: dict | None = field(default=None, init=False, repr=False)
 
     @property
@@ -88,27 +97,30 @@ class OrderFeatures:
 
     @property
     def slices(self) -> dict:
+        if self.scaled:
+            raise ConfigError("scaled features keep no slices; read those of the raw features")
         if self._slices is None:
-            slices = _explicit_slices(self.graph, self.pairs, self.order, self.exclude_endpoints)
-            for weights in self.weights:
-                slices = {key: _scale_columns(m, weights) for key, m in slices.items()}
-            self._slices = slices
+            self._slices = _explicit_slices(self.graph, self.pairs, self.order,
+                                            self.exclude_endpoints)
         return self._slices
 
     def scale_columns(self, weights: np.ndarray) -> "OrderFeatures":
-        """Copy with column c of every matrix multiplied by weights[c];
-        entries whose weight is 0 are dropped. The slices of the copy are
-        scaled when they are built."""
-        return replace(self, combined=_scale_columns(self.combined, weights),
-                       weights=self.weights + (weights,))
+        """Scaled copy, without slices, whose column c of ``combined`` is
+        multiplied by weights[c]; entries whose weight is 0 are dropped."""
+        return replace(self, combined=_scale_columns(self.combined, weights), scaled=True)
 
 
 def _scale_columns(mat: sp.csr_matrix, weights: np.ndarray) -> sp.csr_matrix:
+    data = mat.data * weights[mat.indices]
+    if data.all():
+        # Nothing to drop, so the scaled matrix shares the index arrays. They
+        # are made read-only: neither matrix may then rewrite the other's.
+        for array in (mat.indices, mat.indptr):
+            array.flags.writeable = False
+        return sp.csr_matrix((data, mat.indices, mat.indptr), shape=mat.shape)
     # The index arrays are copied: eliminate_zeros prunes them in place, and
-    # the scaled matrix must not rewrite the raw one. The input is canonical,
-    # so nothing else rewrites them.
-    out = sp.csr_matrix((mat.data * weights[mat.indices], mat.indices.copy(),
-                         mat.indptr.copy()), shape=mat.shape)
+    # the scaled matrix must not rewrite the raw one.
+    out = sp.csr_matrix((data, mat.indices.copy(), mat.indptr.copy()), shape=mat.shape)
     out.eliminate_zeros()
     return out
 
@@ -117,7 +129,8 @@ class _OrderRows:
     """Rows R_{k-1} = A^{k-1} and S_k = A^{k-1}(A + I) for a list of nodes,
     for one order k at a time, moving forward.
 
-    ``loops`` is A + I. S_1 is the nodes' rows of A + I, and R_1 is S_1
+    ``loops`` is A + I, and the rows take its dtype (``_walk_steps``).
+    S_1 is the nodes' rows of A + I, and R_1 is S_1
     without its loop entries. Then R_{k-1} = S_{k-1} - R_{k-2} and
     S_k = R_{k-1}(A + I), one product per order. Only the current R_{k-1}
     and S_k are kept; R_0, the identity rows, is stored only when
@@ -150,7 +163,8 @@ class _OrderRows:
         rows. The last call on these rows: at k = 1 it turns S_1 into R_1."""
         prev, _ = self.at(k)
         if prev is None:
-            prev = sp.identity(self.loops.shape[0], format="csr")[self.nodes]
+            prev = sp.identity(self.loops.shape[0], dtype=self.loops.dtype,
+                               format="csr")[self.nodes]
         return prev, self._power()
 
     def _power(self) -> sp.csr_matrix:
@@ -163,15 +177,32 @@ class _OrderRows:
 
 
 def _loop_adjacency(g: Graph) -> sp.csr_matrix:
-    """A + I, the step of ``_OrderRows``: built once per graph, with
-    read-only arrays, since every walk-row path shares it."""
+    """A + I in int32: built once per graph, with read-only arrays, since
+    every walk-row path shares it."""
     def build() -> sp.csr_matrix:
-        loops = g.to_scipy() + sp.identity(g.n, format="csr")
+        loops = (g.to_scipy() + sp.identity(g.n, format="csr")).astype(np.int32)
         for array in (loops.data, loops.indices, loops.indptr):
             array.flags.writeable = False
         return loops
 
     return g.memoized("loop_adjacency", build)
+
+
+def _walk_steps(g: Graph, k: int) -> sp.csr_matrix:
+    """A + I in the dtype that the walk rows of orders up to k take
+    (``_walk_totals``): the shared int32 matrix, or a wider copy."""
+    loops = _loop_adjacency(g)
+    return loops.astype(_walk_totals(g, k)[1], copy=False)
+
+
+def _count_dtype(peak) -> type:
+    """The narrowest type that holds walk counts up to ``peak`` exactly:
+    int32 below ``_INT32_LIMIT``, else int64 below 2^62 (a margin for
+    totals summed in float64), else float64. scipy's integer sparse
+    kernels wrap on overflow silently, so the type is proven first."""
+    if peak < _INT32_LIMIT:
+        return np.int32
+    return np.int64 if peak < 2.0 ** 62 else np.float64
 
 
 def _walk_nnz_bound(g: Graph, k_max: int) -> np.ndarray:
@@ -188,17 +219,33 @@ def _walk_nnz_bound(g: Graph, k_max: int) -> np.ndarray:
     S_k and, while it is formed, R_k, stay within the bound too. The
     slices of order k hold R_k as well: up to |R_{k-1}| + |R_k| more.
 
-    Built once per graph and k_max; the array is read-only.
+    The array is read-only; see ``_walk_totals``.
     """
-    def build() -> np.ndarray:
-        adj = g.to_scipy()
+    return _walk_totals(g, k_max)[0]
+
+
+def _walk_totals(g: Graph, k_max: int) -> tuple[np.ndarray, type]:
+    """(``_walk_nnz_bound``, dtype of the walk rows up to order k_max), from
+    the walk totals w_l = A^l 1, l <= k_max: built once per graph and k_max.
+
+    An entry of R_l[u] is at most w_l[u], and one of S_l[u] at most its
+    row total (S_l 1)[u] = w_l[u] + w_{l-1}[u]. Every term is
+    non-negative, so each partial sum scipy forms on the way to an entry,
+    and each difference S_l - R_{l-1}, is at most that entry. The rows
+    take ``_count_dtype`` of the largest of those totals.
+    """
+    def build() -> tuple[np.ndarray, type]:
+        loops = _loop_adjacency(g)
         walks = np.ones(g.n)
         bound = np.ones(g.n, dtype=np.int64)
+        peak = 1.0
         for _ in range(k_max):
-            walks = adj @ walks
+            steps = loops @ walks  # S_l 1 = w_l + w_{l-1}
+            peak = float(steps.max(initial=peak))
+            walks = steps - walks
             bound += np.minimum(walks, g.n).astype(np.int64)
         bound.flags.writeable = False
-        return bound
+        return bound, _count_dtype(peak)
 
     return g.memoized(("walk_nnz_bound", k_max), build)
 
@@ -206,15 +253,22 @@ def _walk_nnz_bound(g: Graph, k_max: int) -> np.ndarray:
 def _budget_cuts(cost: np.ndarray, item: Callable[[int], str]) -> np.ndarray:
     """Start offsets (and the end) of consecutive runs of items, each the
     longest from its start whose walk-row entries ``cost`` stay within a
-    worker's share of the budget, ``_NNZ_BUDGET // _WORKERS``; an item above
-    the share sits alone. Raises ScaleError, naming ``item(i)``, when a
-    single item exceeds ``_NNZ_BUDGET``."""
+    worker's share of the budget; an item above the share sits alone.
+    Raises ScaleError, naming ``item(i)``, when a single item exceeds
+    ``_NNZ_BUDGET``.
+
+    A run holds its walk rows and, while a product of them is formed,
+    scipy's scratch of one entry per entry of its operands: up to twice
+    ``cost``. So the share is ``_NNZ_BUDGET // (2 * _WORKERS)``. Runs
+    twice as large raised the peak RSS of the benchmark's stream of
+    16,384-pair K=3 batches of BA(100k, 3) from 277-279 to 300-305 MB.
+    """
     if len(cost) and cost.max() > _NNZ_BUDGET:
         worst = int(cost.argmax())
         raise ScaleError(f"walk rows of {item(worst)} may hold {int(cost[worst])} "
                          f"entries, above the walk-row budget of {_NNZ_BUDGET}")
     total = np.concatenate([[0], np.cumsum(cost)])
-    share = _NNZ_BUDGET // _WORKERS
+    share = _NNZ_BUDGET // (2 * _WORKERS)
     cuts = [0]
     while cuts[-1] < len(cost):
         end = int(np.searchsorted(total, total[cuts[-1]] + share, side="right")) - 1
@@ -261,7 +315,7 @@ def walk_row_sums(g: Graph, k: int,
     if k < 1:
         raise ConfigError(f"order must be >= 1, got {k}")
     cuts = _budget_cuts(_walk_nnz_bound(g, k), lambda c: f"node {c} at orders 1..{k}")
-    loops = _loop_adjacency(g)
+    loops = _walk_steps(g, k)
     diag = np.zeros((2 * k + 1, g.n))  # row 2l - 1 holds ||S_l||^2 at first
     diag[0] = 1.0
 
@@ -295,23 +349,25 @@ def walk_row_sums(g: Graph, k: int,
 
 
 def _squared(rows: sp.csr_matrix) -> sp.csr_matrix:
-    """Entries squared, index arrays shared; rows.power(2) would sort them."""
-    return sp.csr_matrix((rows.data ** 2, rows.indices, rows.indptr), shape=rows.shape)
+    """Entries squared in float64, index arrays shared; rows.power(2) would
+    sort them."""
+    return sp.csr_matrix((np.square(rows.data, dtype=np.float64), rows.indices, rows.indptr),
+                         shape=rows.shape)
 
 
 def adj_power_row(g: Graph, u: int, l: int) -> np.ndarray:
     """Dense row u of A^l: exact counts of l-length walks from u to every
-    node, for any l >= 0."""
+    node, for any l >= 0, in the dtype of the walk rows up to order l."""
     if l < 0:
         raise ConfigError(f"walk length must be >= 0, got {l}")
-    rows = _OrderRows(_loop_adjacency(g), np.array([u], dtype=np.int64))
+    rows = _OrderRows(_walk_steps(g, max(l, 1)), np.array([u], dtype=np.int64))
     return rows.powers(max(l, 1))[min(l, 1)].toarray()[0]
 
 
 def _drop_row_columns(mat: sp.csr_matrix, columns: np.ndarray) -> None:
     """Drop, in place, the stored entries of row x that sit in a column of columns[x]."""
     row = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    mat.data[(mat.indices[:, None] == columns[row]).any(axis=1)] = 0.0
+    mat.data[(mat.indices[:, None] == columns[row]).any(axis=1)] = 0
     mat.eliminate_zeros()
 
 
@@ -322,7 +378,13 @@ def _slice_keys(k: int) -> tuple[tuple[int, int], ...]:
 def _product(a: sp.csr_matrix, b: sp.csr_matrix,
              ends: np.ndarray | None = None) -> sp.csr_matrix:
     """a o b as canonical CSR; with ``ends``, row x without its entries in
-    the columns ends[x]."""
+    the columns ends[x]. Integer rows multiply in ``_count_dtype`` of the
+    product of their largest entries, widening ``a``'s data only when that
+    passes a's own type."""
+    if a.dtype.kind == "i" and a.nnz and b.nnz:
+        dtype = np.promote_types(a.dtype, _count_dtype(int(a.data.max()) * int(b.data.max())))
+        if dtype != a.dtype:
+            a = sp.csr_matrix((a.data.astype(dtype), a.indices, a.indptr), shape=a.shape)
     mat = a.multiply(b).tocsr()
     mat.sort_indices()
     if ends is not None:
@@ -330,18 +392,25 @@ def _product(a: sp.csr_matrix, b: sp.csr_matrix,
     return mat
 
 
+def _float_counts(mat: sp.csr_matrix) -> sp.csr_matrix:
+    """``mat`` with its counts as float64 data, in place; exact below 2^53."""
+    mat.data = mat.data.astype(np.float64, copy=False)
+    return mat
+
+
 def _explicit_slices(g: Graph, pairs: np.ndarray, k: int, exclude_endpoints: bool) -> dict:
     """The three order-k slices of ``pairs``, one elementwise product of
     A^k1 and A^k2 rows (``_OrderRows.powers``) each, walked in the
     sub-chunks of ``_sub_chunks``."""
-    loops = _loop_adjacency(g)
+    loops = _walk_steps(g, k)
 
     def chunk(start: int, stop: int) -> list[sp.csr_matrix]:
         ends = pairs[start:stop]
         # (R_{k-1}, R_k) of each endpoint, whose S_k is dropped before the
         # other's rows are built: R_l sits at position l - k + 1.
         ru, rv = (_OrderRows(loops, nodes).powers(k) for nodes in ends.T)
-        return [_product(ru[k1 - k + 1], rv[k2 - k + 1], ends if exclude_endpoints else None)
+        return [_float_counts(_product(ru[k1 - k + 1], rv[k2 - k + 1],
+                                       ends if exclude_endpoints else None))
                 for k1, k2 in _slice_keys(k)]
 
     parts = _walk_map(chunk, _sub_chunks(g, pairs, k))
@@ -372,7 +441,7 @@ def cn_order_features(g: Graph, batch: PairBatch, k: int,
     if prev_u is not None:  # at k = 1 the term is e_u * e_v, zero since u != v
         # The difference stores no entry it cancels to zero.
         combined = combined - _product(prev_u, prev_v, ends)
-    return OrderFeatures(order=k, pairs=batch.pairs, combined=combined, graph=g,
+    return OrderFeatures(order=k, pairs=batch.pairs, combined=_float_counts(combined), graph=g,
                          exclude_endpoints=exclude_endpoints)
 
 
@@ -390,7 +459,7 @@ def cn_order_features_all(g: Graph, batch: PairBatch, k_max: int,
     if k_max < 1:
         raise ConfigError(f"k_max must be >= 1, got {k_max}")
     g.check_pairs(batch.pairs)
-    loops = _loop_adjacency(g)
+    loops = _walk_steps(g, k_max)
 
     def chunk(start: int, stop: int) -> list[OrderFeatures]:
         return _orders(g, loops, PairBatch(batch.pairs[start:stop]), k_max, exclude_endpoints)
@@ -416,7 +485,7 @@ def _orders(g: Graph, adj: sp.csr_matrix, batch: PairBatch, k_max: int,
     """Orders 1..k_max from one set of walk rows, released on return.
 
     ``adj`` is the adjacency with a loop at every node, A + I, that the
-    walk rows step with (``_loop_adjacency``).
+    walk rows step with (``_walk_steps``).
     """
     walks = _OrderRows(adj, batch.pairs[:, 0]), _OrderRows(adj, batch.pairs[:, 1])
     return [cn_order_features(g, batch, k, exclude_endpoints, walks)

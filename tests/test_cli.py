@@ -153,9 +153,11 @@ def test_graph_memo_builds_each_array_once_per_graph(edge_file, tmp_path, capsys
     assert all(s > 0 for s in scores)
     assert _built_once(memo_counts) == {"loop_adjacency", ("walk_nnz_bound", 2),
                                         ("exact_walk_participation", 2, True)}
-    # One request of each per pair; building the participation reads the
-    # bound and A + I once more.
-    assert sorted(requests.values()) == [len(pairs), len(pairs) + 1, len(pairs) + 1]
+    # Per pair one request of the participation and of A + I, and two of the
+    # bound memo, for the cuts and for the walk rows' dtype. Building the
+    # participation makes the same two reads of the bound memo and one of
+    # A + I, and building the bound memo reads A + I.
+    assert sorted(requests.values()) == [len(pairs), len(pairs) + 2, 2 * len(pairs) + 2]
 
     for counter in memo_counts:
         counter.clear()

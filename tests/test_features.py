@@ -6,6 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import hocn.features
 from hocn import (ConfigError, FeatureConfig, Graph, InputError, PairBatch, RunningState,
@@ -203,8 +204,10 @@ def test_sub_chunks_match_whole_batch(monkeypatch, k_max, exclude):
     pairs = np.concatenate([rng.choice(g.n, size=(60, 2), replace=False),
                             _hub_pairs(g, 1),
                             rng.choice(g.n, size=(50, 2), replace=False)])
-    chunked, sizes, whole = _chunked_and_whole(monkeypatch, g, pairs, k_max, exclude)
-    # The hub pair costs the whole budget, so it sits alone in its sub-chunk.
+    chunked, sizes, whole = _chunked_and_whole(monkeypatch, g, pairs, k_max, exclude, scale=2)
+    # The hub pair costs half the budget, at least a worker's share of it
+    # (a run's rows count twice, for the product scratch), so it sits alone
+    # in its sub-chunk.
     assert sizes.sum() == len(pairs) and 1 in sizes and len(set(sizes)) > 2, sizes
     _assert_same_csr(chunked, whole, pairs)
 
@@ -386,6 +389,31 @@ def test_worker_exception_reaches_caller_and_threads_end(monkeypatch):
     assert threading.active_count() == baseline
 
 
+def _longest_first(cost: np.ndarray, share: int) -> list:
+    """Runs cut longest-first within ``share``, an item above it alone."""
+    cuts, used = [0], 0
+    for x, c in enumerate(cost):
+        if x > cuts[-1] and used + c > share:
+            cuts.append(x)
+            used = 0
+        used += c
+    return cuts + [len(cost)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("workers", [1, 2])
+def test_runs_hold_half_a_worker_share(monkeypatch, seed, workers):
+    # A run's rows count twice, for the scratch of a product of them.
+    rng = np.random.default_rng(seed)
+    cost = rng.integers(1, 40, size=int(rng.integers(50, 400)))
+    budget = int(rng.integers(240, 1200))
+    monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", budget)
+    monkeypatch.setattr(hocn.features, "_WORKERS", workers)
+    want = _longest_first(cost, budget // (2 * workers))
+    assert len(want) > 2
+    assert list(hocn.features._budget_cuts(cost, str)) == want
+
+
 def _node_blocks(monkeypatch, g: Graph, k: int, workers: int) -> np.ndarray:
     """Node-block cuts of ``walk_row_sums`` on ``workers`` threads, each
     block within a worker's share of five times the costliest node."""
@@ -462,7 +490,7 @@ def test_feature_pipeline_builds_no_slice(monkeypatch, variant):
         normalized = batch_features(g, batch_of(pairs), cfg, state, training=training)
         basis_matrices(g, normalized, cfg, state, training=training)
     with pytest.raises(AssertionError, match="a slice was built"):
-        normalized[0].slices
+        cn_order_features(g, batch_of(pairs), 1).slices
 
 
 def test_features_without_slices_hold_and_peak_less(monkeypatch):
@@ -520,6 +548,105 @@ def test_loop_adjacency_is_built_once_per_graph_and_read_only(monkeypatch):
     cn_order_features(g, batch_of([(0, 5)]), 2)
     hocn.features.walk_row_sums(g, 2, loop_gram=True)
     adj_power_row(g, 4, 3)
+
+
+def _bipartite(m: int) -> Graph:
+    """K_{m,m}: every nonzero entry of A^l is m^(l-1), and every walk total
+    m^l."""
+    return Graph.from_edges(2 * m, [(u, m + v) for u in range(m) for v in range(m)])
+
+
+def _counts(make_graph, pairs, k_max: int) -> dict:
+    """Raw features (combined and slices) and ``walk_row_sums`` of a fresh
+    graph, keyed by name, whatever dtype the walk rows take."""
+    g = make_graph()
+    out = {}
+    for f in cn_order_features_all(g, batch_of(pairs), k_max):
+        out[f"combined{f.order}"] = f.combined
+        out.update({f"slice{f.order}{key}": m for key, m in f.slices.items()})
+    diag, gram = hocn.features.walk_row_sums(g, k_max, loop_gram=True)
+    return out | {"diag": diag, "gram": gram}
+
+
+def _assert_same_counts(got: dict, want: dict) -> None:
+    assert got.keys() == want.keys()
+    for name, b in want.items():
+        a = got[name]
+        arrays = ([(getattr(a, x), getattr(b, x)) for x in ("data", "indices", "indptr")]
+                  if sp.issparse(b) else [(a, b)])
+        for x, y in arrays:
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def _float64_counts(monkeypatch, make_graph, pairs, k_max: int) -> dict:
+    """The same, with every walk row and product in float64, as before the
+    rows took integer types."""
+    with monkeypatch.context() as patch:
+        patch.setattr(hocn.features, "_count_dtype", lambda peak: np.float64)
+        return _counts(make_graph, pairs, k_max)
+
+
+def test_walk_rows_are_int32_when_the_totals_fit():
+    g = sample_ba_graph(300, 3, seed=2)
+    rows = hocn.features._OrderRows(hocn.features._walk_steps(g, 3), np.arange(g.n))
+    for k in (1, 2, 3):
+        prev, step = rows.at(k)
+        assert step.dtype == np.int32 and (prev is None or prev.dtype == np.int32)
+    assert hocn.features._loop_adjacency(g).dtype == np.int32
+    assert adj_power_row(g, 0, 3).dtype == np.int32
+
+
+def test_walk_rows_past_the_int32_limit_are_int64(monkeypatch):
+    pairs = np.array([(0, 5), (2, 9), (11, 20), (3, 4), (7, 29)])
+
+    def make_graph():
+        return random_graph(30, 0.3, seed=4)
+
+    adj = make_graph().to_scipy().toarray().astype(np.int64)
+    powers = [np.linalg.matrix_power(adj, l) for l in range(4)]
+    # The largest row total of S_l = A^(l-1) (A + I), which bounds every
+    # walk-row entry up to order l.
+    peaks = [int((powers[l] + powers[l - 1]).sum(axis=1).max()) for l in (1, 2, 3)]
+    assert peaks[0] < peaks[1] < peaks[2]
+    want = {k: _float64_counts(monkeypatch, make_graph, pairs, k) for k in (2, 3)}
+    # Rows up to order 2 stay int32 and order-3 rows take int64; products
+    # of order-2 rows pass the lowered limit and are formed in int64.
+    monkeypatch.setattr(hocn.features, "_INT32_LIMIT", peaks[1] + 1)
+    step = hocn.features._OrderRows(hocn.features._walk_steps(make_graph(), 2),
+                                    pairs[:, 0]).at(2)[1]
+    assert step.dtype == np.int32 and hocn.features._product(step, step).dtype == np.int64
+    assert hocn.features._walk_steps(make_graph(), 3).dtype == np.int64
+    for k in (2, 3):
+        _assert_same_counts(_counts(make_graph, pairs, k), want[k])
+
+
+def test_product_past_the_int32_limit_is_formed_in_int64(monkeypatch):
+    # In K_{40,40} an S_4 row holds 40^3 = 64,000 and its total is
+    # 40^4 + 40^3 < 2^31, so the rows are int32, but 64,000^2 > 2^31.
+    pairs = np.array([(0, 1), (0, 40), (3, 77)])
+    g = _bipartite(40)
+    rows = hocn.features._OrderRows(hocn.features._walk_steps(g, 4), pairs[:, 0])
+    step = rows.at(4)[1]
+    assert step.dtype == np.int32 and int(step.data.max()) ** 2 > 2 ** 31
+    product = hocn.features._product(step, step)
+    assert product.dtype == np.int64 and product.data.max() == 64000 ** 2
+    _assert_same_counts(_counts(lambda: _bipartite(40), pairs, 4),
+                        _float64_counts(monkeypatch, lambda: _bipartite(40), pairs, 4))
+
+
+@pytest.mark.parametrize("length", [6, 7])
+def test_adj_power_row_past_the_int32_limit(length):
+    # The walk totals of K_{40,40} reach 40^6 > 2^31 at length 6, and its
+    # entries 40^6 at length 7: rows of either length are int64.
+    g = _bipartite(40)
+    columns = [[int(x) for x in col] for col in g.to_scipy().toarray().T]
+    for u in (0, 41):
+        want = [int(v == u) for v in range(g.n)]  # Python ints do not wrap
+        for _ in range(length):
+            want = [sum(a * b for a, b in zip(want, col)) for col in columns]
+        assert max(want) == 40 ** (length - 1)
+        got = adj_power_row(g, u, length)
+        assert got.dtype == np.int64 and got.tolist() == want, u
 
 
 def test_adj_power_row_negative_length_is_a_config_error():

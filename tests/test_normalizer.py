@@ -74,11 +74,12 @@ def test_exact_participation_equals_matrix_power_closed_form(monkeypatch, k, exc
 
     monkeypatch.setattr(hocn.features, "_OrderRows", recorded)
     for g in (sample_ba_graph(250, 3, seed=4), random_graph(40, 0.2, seed=1)):
-        # A worker's share of three times the costliest node's bound cuts
-        # several blocks of unequal size.
+        # A worker's share of three times the costliest node's bound, its
+        # rows counted twice for the product scratch, cuts several blocks of
+        # unequal size.
         bound = _walk_nnz_bound(g, k)
         monkeypatch.setattr(hocn.features, "_NNZ_BUDGET",
-                            3 * hocn.features._WORKERS * int(bound.max()))
+                            6 * hocn.features._WORKERS * int(bound.max()))
         blocks.clear()
         got = exact_walk_participation(g, k, exclude_endpoints=exclude).counts
         assert len(blocks) > 2 and len(set(blocks)) > 1 and sum(blocks) == g.n, blocks
@@ -222,14 +223,34 @@ def test_scale_columns_matches_diagonal_product_and_copies():
     weights = np.random.default_rng(0).normal(size=g.n)
     weights[::3] = 0.0
     scaled = feats.scale_columns(weights)
-    pairs = [(scaled.slices[key], raw) for key, raw in feats.slices.items()]
-    for got, raw in pairs + [(scaled.combined, feats.combined)]:
-        want = (raw @ sp.diags(weights)).tocsr()
-        assert want.nnz < raw.nnz  # some stored entries have weight 0
-        assert got.format == "csr" and got.nnz == want.nnz
-        assert np.array_equal(got.toarray(), want.toarray())
-        for a in (got.data, got.indices, got.indptr):
-            assert not any(np.shares_memory(a, b) for b in (raw.data, raw.indices, raw.indptr))
+    got, raw = scaled.combined, feats.combined
+    want = (raw @ sp.diags(weights)).tocsr()
+    assert want.nnz < raw.nnz  # some stored entries have weight 0
+    assert got.format == "csr" and got.nnz == want.nnz
+    assert np.array_equal(got.toarray(), want.toarray())
+    for a in (got.data, got.indices, got.indptr):
+        assert not any(np.shares_memory(a, b) for b in (raw.data, raw.indices, raw.indptr))
+
+
+def test_scale_columns_without_zero_weight_shares_read_only_indices():
+    g = random_graph(30, 0.3, seed=4)
+    feats = cn_order_features(g, batch_of([(0, 5), (2, 9), (11, 20)]), 2)
+    raw = feats.combined
+    want = raw.toarray() * np.linspace(0.5, 2.0, g.n)
+    scaled = feats.scale_columns(np.linspace(0.5, 2.0, g.n))
+    got = scaled.combined
+    assert got.format == "csr" and np.array_equal(got.toarray(), want)
+    assert np.shares_memory(got.indices, raw.indices) and np.shares_memory(got.indptr, raw.indptr)
+    for a in (got.data, got.indices, got.indptr):
+        for b in (raw.data, raw.indices, raw.indptr):
+            assert not (np.shares_memory(a, b) and (a.flags.writeable or b.flags.writeable))
+    for array in (got.indices, got.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    assert np.array_equal(raw.toarray(), feats.combined.toarray())
+    with pytest.raises(ConfigError, match="scaled features keep no slices"):
+        scaled.slices
+    assert set(feats.slices) == {(2, 2), (1, 2), (2, 1)}
 
 
 def test_normalization_epsilon_guards_zero_columns(g4):
