@@ -33,13 +33,17 @@ batch is walked in sub-chunks of pairs, and that pass in blocks of nodes,
 sized by the per-node bound ``_walk_nnz_bound`` of the walk rows they hold.
 That bound and the type of the walk counts (per order) and the step A + I
 of the walk rows depend on the graph alone, so they are built once per
-graph (``Graph.memoized``), in the calling thread. One map, ``_walk_map``,
-runs the sub-chunks of the features and of the slices and the node blocks
-alike: each run may hold a worker's share of ``_NNZ_BUDGET``, its walk rows
-and the scratch of a product, and the runs go ``_WORKERS`` at a time on a
-thread pool (scipy's sparse kernels release the GIL), or on the calling
-thread when there is only one. ``theory.validate_bound`` maps its trial runs
-on it too, with its own worker count.
+graph (``Graph.memoized``), in the calling thread; the walk totals A^l·1
+behind both come from one recurrence, ``walk_totals``, which exact
+participation reads too. One map, ``_walk_map``, runs the sub-chunks of the
+features and of the slices and the node blocks alike. Every run holds at
+most one share of ``_NNZ_BUDGET``, its walk rows and the scratch of a
+product, the same on every machine, so the cuts, and with them the order in
+which ``walk_row_sums`` adds up its node blocks, do not depend on the worker
+count. The runs go ``_WORKERS`` at a time on a thread pool (scipy's sparse
+kernels release the GIL), or on the calling thread when there is only one.
+``theory.validate_bound`` maps its trial runs on it too, with its own worker
+count.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, ScaleError
+from .errors import ConfigError, InputError, ScaleError
 from .graph import Graph, PairBatch
 
 # Walk-row entries that the runs of _walk_map in flight at once may hold, by
@@ -61,12 +65,15 @@ from .graph import Graph, PairBatch
 # node may cost up to all of it.
 _NNZ_BUDGET = 1 << 22
 
+# Runs of _walk_map in flight at once, at most, on any machine: it caps
+# _WORKERS, and every run's share of _NNZ_BUDGET is cut for this many.
+_MAX_RUNS = 2
+
 # Walk counts below this fit int32 (see _count_dtype).
 _INT32_LIMIT = 1 << 31
 
-# Threads of _walk_map: two at most, since the walk rows of every run in
-# flight are held at once.
-_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+# Threads of _walk_map; they size the pool only, never a run.
+_WORKERS = min(_MAX_RUNS, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 
 
@@ -226,7 +233,8 @@ def _walk_nnz_bound(g: Graph, k_max: int) -> np.ndarray:
 
 def _walk_totals(g: Graph, k_max: int) -> tuple[np.ndarray, type]:
     """(``_walk_nnz_bound``, dtype of the walk rows up to order k_max), from
-    the walk totals w_l = A^l 1, l <= k_max: built once per graph and k_max.
+    the walk totals w_l = A^l 1, l <= k_max, of ``walk_totals``: built once
+    per graph and k_max.
 
     An entry of R_l[u] is at most w_l[u], and one of S_l[u] at most its
     row total (S_l 1)[u] = w_l[u] + w_{l-1}[u]. Every term is
@@ -235,14 +243,10 @@ def _walk_totals(g: Graph, k_max: int) -> tuple[np.ndarray, type]:
     take ``_count_dtype`` of the largest of those totals.
     """
     def build() -> tuple[np.ndarray, type]:
-        loops = _loop_adjacency(g)
-        walks = np.ones(g.n)
         bound = np.ones(g.n, dtype=np.int64)
         peak = 1.0
-        for _ in range(k_max):
-            steps = loops @ walks  # S_l 1 = w_l + w_{l-1}
+        for _, walks, steps in walk_totals(g, k_max):
             peak = float(steps.max(initial=peak))
-            walks = steps - walks
             bound += np.minimum(walks, g.n).astype(np.int64)
         bound.flags.writeable = False
         return bound, _count_dtype(peak)
@@ -250,25 +254,41 @@ def _walk_totals(g: Graph, k_max: int) -> tuple[np.ndarray, type]:
     return g.memoized(("walk_nnz_bound", k_max), build)
 
 
+def walk_totals(g: Graph, k_max: int):
+    """For l = 1..k_max, (w_{l-1}, w_l, S_l 1): the walk totals w_l = A^l 1
+    and the walk rows' row totals S_l 1 = (A + I) w_{l-1} = w_l + w_{l-1},
+    in float64, exact below 2^53. One product with the memoized A + I per
+    order; nothing is kept once the caller drops it."""
+    loops = _loop_adjacency(g)
+    walks = np.ones(g.n)
+    for _ in range(k_max):
+        steps = loops @ walks
+        prev, walks = walks, steps - walks
+        yield prev, walks, steps
+
+
 def _budget_cuts(cost: np.ndarray, item: Callable[[int], str]) -> np.ndarray:
     """Start offsets (and the end) of consecutive runs of items, each the
     longest from its start whose walk-row entries ``cost`` stay within a
-    worker's share of the budget; an item above the share sits alone.
+    run's share of the budget; an item above the share sits alone.
     Raises ScaleError, naming ``item(i)``, when a single item exceeds
     ``_NNZ_BUDGET``.
 
-    A run holds its walk rows and, while a product of them is formed,
-    scipy's scratch of one entry per entry of its operands: up to twice
-    ``cost``. So the share is ``_NNZ_BUDGET // (2 * _WORKERS)``. Runs
-    twice as large raised the peak RSS of the benchmark's stream of
-    16,384-pair K=3 batches of BA(100k, 3) from 277-279 to 300-305 MB.
+    Up to ``_MAX_RUNS`` runs are in flight at once, and a run holds its
+    walk rows and, while a product of them is formed, scipy's scratch of
+    one entry per entry of its operands: up to twice ``cost``. So the share
+    is ``_NNZ_BUDGET // (2 * _MAX_RUNS)``, whatever ``_WORKERS`` is: the
+    cuts, and the order of every sum over runs, are the same on every
+    machine. Runs twice as large raised the peak RSS of the benchmark's
+    stream of 16,384-pair K=3 batches of BA(100k, 3) from 277-279 to
+    300-305 MB.
     """
     if len(cost) and cost.max() > _NNZ_BUDGET:
         worst = int(cost.argmax())
         raise ScaleError(f"walk rows of {item(worst)} may hold {int(cost[worst])} "
                          f"entries, above the walk-row budget of {_NNZ_BUDGET}")
     total = np.concatenate([[0], np.cumsum(cost)])
-    share = _NNZ_BUDGET // (2 * _WORKERS)
+    share = _NNZ_BUDGET // (2 * _MAX_RUNS)
     cuts = [0]
     while cuts[-1] < len(cost):
         end = int(np.searchsorted(total, total[cuts[-1]] + share, side="right")) - 1
@@ -357,9 +377,12 @@ def _squared(rows: sp.csr_matrix) -> sp.csr_matrix:
 
 def adj_power_row(g: Graph, u: int, l: int) -> np.ndarray:
     """Dense row u of A^l: exact counts of l-length walks from u to every
-    node, for any l >= 0, in the dtype of the walk rows up to order l."""
+    node, for any l >= 0, in the dtype of the walk rows up to order l.
+    InputError for a node outside [0, n)."""
     if l < 0:
         raise ConfigError(f"walk length must be >= 0, got {l}")
+    if not 0 <= u < g.n:
+        raise InputError(f"node {u} is outside [0, {g.n})")
     rows = _OrderRows(_walk_steps(g, max(l, 1)), np.array([u], dtype=np.int64))
     return rows.powers(max(l, 1))[min(l, 1)].toarray()[0]
 

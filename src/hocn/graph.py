@@ -150,17 +150,15 @@ def _parse_line(line: str, fmt: str, lineno: int) -> tuple[int, int] | None:
     if not body:
         return None
     if fmt == "csv":
-        parts = body.split(",")
+        parts = [part.strip() for part in body.split(",")]
     else:
         parts = body.replace(",", "\t").split()
     if len(parts) != 2:
         raise EdgeListParseError(lineno, f"expected two ids, got {len(parts)} fields")
-    try:
-        u, v = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise EdgeListParseError(lineno, str(exc)) from None
-    if u < 0 or v < 0:
-        raise EdgeListParseError(lineno, "negative node id")
+    for part in parts:
+        if not (part.isascii() and part.isdigit()):
+            raise EdgeListParseError(lineno, f"node id {part!r} is not a run of digits 0-9")
+    u, v = int(parts[0]), int(parts[1])
     if max(u, v) > 2**62:
         raise EdgeListParseError(lineno, "node id overflow")
     return u, v
@@ -172,14 +170,12 @@ def _plain_edges(text: str, fmt: str) -> np.ndarray | None:
     per-line parser, which also reports the line of any error. That is a
     text with no id; one that numpy does not read as two columns of ids in
     [0, 2**62], such as one with a ``#`` or an id like ``1_0``; and one that
-    numpy would read otherwise than ``_parse_line`` does: with a carriage
-    return outside a CRLF line end (a line end to numpy), a non-ASCII
-    character (numpy reads some non-ASCII letters as digits) or, in csv, a
-    control character 0x1c-0x1f (numpy strips it around a field, ``int``
-    does not)."""
-    if (not text or text.isspace() or not text.isascii()
-            or text.count("\r") > text.count("\r\n")
-            or fmt == "csv" and any(c in text for c in "\x1c\x1d\x1e\x1f")):
+    numpy would read otherwise than ``_parse_line`` does: with a sign (numpy
+    reads ``+4`` as 4 and ``-0`` as 0), a carriage return outside a CRLF
+    line end (a line end to numpy) or a non-ASCII character (numpy reads
+    some non-ASCII letters as digits)."""
+    if (not text or text.isspace() or not text.isascii() or "+" in text or "-" in text
+            or text.count("\r") > text.count("\r\n")):
         return None
     try:
         edges = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2, comments=None,
@@ -193,8 +189,10 @@ def _plain_edges(text: str, fmt: str) -> np.ndarray | None:
 def load_edge_list(source, format: str = "tsv", remap: bool = False):
     """Parse an edge-list text stream (or string) into a :class:`Graph`.
 
-    Lines hold two integer ids separated by tab or comma; ``#`` starts a
-    comment. Duplicates and self-loops are silently dropped (counted in the
+    Lines hold two ids, each a run of ASCII digits 0-9, separated by tab or
+    comma; ``#`` starts a comment. Any other id, such as ``+4``, ``-0``,
+    ``1_0`` or a non-ASCII digit, is an EdgeListParseError naming its line.
+    Duplicates and self-loops are silently dropped (counted in the
     report). With ``remap=True`` sparse external ids are densified and the
     mapping is returned in the report.
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .features import OrderFeatures, cn_order_features_all, walk_row_sums
+from .features import OrderFeatures, cn_order_features_all, walk_row_sums, walk_totals
 from .graph import Graph, PairBatch
 from .ortho import RunningState
 
@@ -59,8 +59,10 @@ def exact_walk_participation(g: Graph, k: int,
     The diagonals come from each node's walk rows (``walk_row_sums``, which
     raises ScaleError for a node above the walk-row budget), never from an
     n x n power; at m = 2k - 1 and 2k that pass gives only the sum read
-    here, and diag(A) = 0 as A has no loops. Every term is an integer walk
-    count, so the result is exact.
+    here, and diag(A) = 0 as A has no loops. s_{k-1} and s_k come from
+    ``walk_totals``, the one recurrence behind the walk-row bound too,
+    recomputed here rather than kept. Every term is an integer walk count,
+    so the result is exact below 2^53.
 
     Built once per graph, k and ``exclude_endpoints``; every later call
     returns the same object, whose counts are read-only. A build that
@@ -68,16 +70,12 @@ def exact_walk_participation(g: Graph, k: int,
     """
     def build() -> ParticipationCounts:
         diag, _ = walk_row_sums(g, k)
-        adj = g.to_scipy()
-        s_k = np.ones(g.n)  # s_l = A^l·1 for l = k - 1, k
-        for _ in range(k):
-            s_prev, s_k = s_k, adj @ s_k
+        *_, (s_prev, s_k, _) = walk_totals(g, k)
         counts = s_k * s_k + 2.0 * s_prev * s_k - (diag[2 * k] + 2.0 * diag[2 * k - 1])
         if exclude_endpoints:
             # c == i and c == j terms of the slices (k, k), (k-1, k) and (k, k-1).
             d_k, d_prev = diag[k], diag[k - 1]
             counts -= 2.0 * ((d_k + d_prev) * (s_k - d_k) + d_k * (s_prev - d_prev))
-        counts[np.abs(counts) < 1e-9] = 0.0
         return ParticipationCounts(order=k, counts=counts)
 
     return g.memoized(("exact_walk_participation", k, bool(exclude_endpoints)), build)

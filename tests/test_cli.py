@@ -156,8 +156,9 @@ def test_graph_memo_builds_each_array_once_per_graph(edge_file, tmp_path, capsys
     # Per pair one request of the participation and of A + I, and two of the
     # bound memo, for the cuts and for the walk rows' dtype. Building the
     # participation makes the same two reads of the bound memo and one of
-    # A + I, and building the bound memo reads A + I.
-    assert sorted(requests.values()) == [len(pairs), len(pairs) + 2, 2 * len(pairs) + 2]
+    # A + I, and one more of A + I for its walk totals; building the bound
+    # memo reads A + I.
+    assert sorted(requests.values()) == [len(pairs), len(pairs) + 3, 2 * len(pairs) + 2]
 
     for counter in memo_counts:
         counter.clear()

@@ -403,15 +403,31 @@ def _longest_first(cost: np.ndarray, share: int) -> list:
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("workers", [1, 2])
 def test_runs_hold_half_a_worker_share(monkeypatch, seed, workers):
-    # A run's rows count twice, for the scratch of a product of them.
+    # Two runs at most are in flight, and a run's rows count twice, for the
+    # scratch of a product of them: one share of a quarter of the budget,
+    # whatever the worker count.
     rng = np.random.default_rng(seed)
     cost = rng.integers(1, 40, size=int(rng.integers(50, 400)))
     budget = int(rng.integers(240, 1200))
     monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", budget)
     monkeypatch.setattr(hocn.features, "_WORKERS", workers)
-    want = _longest_first(cost, budget // (2 * workers))
+    want = _longest_first(cost, budget // 4)
     assert len(want) > 2
     assert list(hocn.features._budget_cuts(cost, str)) == want
+
+
+def test_cuts_do_not_depend_on_the_worker_count(monkeypatch):
+    # The node blocks of walk_row_sums and the pair sub-chunks alike, so a
+    # sum over runs adds its terms in the same order on every machine.
+    g, pairs = _hub_batch(0)
+    bound = _walk_nnz_bound(g, 3)
+    monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", 5 * int(bound.max()))
+    cuts = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(hocn.features, "_WORKERS", workers)
+        cuts[workers] = (hocn.features._budget_cuts(bound, str), _sub_chunks(g, pairs, 3))
+    assert len(cuts[1][0]) > 4 and len(cuts[1][1]) > 4, cuts[1]
+    assert all(np.array_equal(a, b) for a, b in zip(cuts[1], cuts[2]))
 
 
 def _node_blocks(monkeypatch, g: Graph, k: int, workers: int) -> np.ndarray:
@@ -653,6 +669,15 @@ def test_adj_power_row_negative_length_is_a_config_error():
     g = random_graph(6, 0.4, seed=6)
     with pytest.raises(ConfigError, match="got -1"):
         adj_power_row(g, 0, -1)
+
+
+def test_adj_power_row_node_outside_the_graph_is_an_input_error():
+    g = sample_ba_graph(50, 2, seed=0)
+    for u in (-1, 50):
+        with pytest.raises(InputError, match=re.escape(f"node {u} is outside [0, 50)")):
+            adj_power_row(g, u, 2)
+    p = np.linalg.matrix_power(g.to_scipy().toarray(), 2)
+    assert np.array_equal(adj_power_row(g, 49, 2), p[49])
 
 
 def test_cn_set_order_one_is_shared_neighbors(g4):

@@ -1,4 +1,5 @@
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -52,6 +53,20 @@ def test_load_edge_list_rejects_negative_ids():
         load_edge_list("0\t-3\n")
 
 
+@pytest.mark.parametrize("fmt", ["tsv", "csv"])
+@pytest.mark.parametrize("bad", ["+4", "-0", "-3", "1_0", "\u0663", "\uff11\uff12", "1e3", "0x1"])
+def test_load_edge_list_ids_are_ascii_digits_on_both_parse_paths(bad, fmt):
+    sep = "," if fmt == "csv" else "\t"
+    for text in (f"0{sep}1\n{bad}{sep}5\n", f"0{sep}1\n5{sep}{bad}\n"):
+        for vectorized in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                if not vectorized:
+                    mp.setattr(hocn.graph, "_plain_edges", lambda text, fmt: None)
+                with pytest.raises(EdgeListParseError, match=re.escape(repr(bad))) as info:
+                    load_edge_list(text, format=fmt, remap=True)
+            assert info.value.line_number == 2, (text, vectorized)
+
+
 def test_load_edge_list_remap():
     g, report = load_edge_list("10\t70\n70\t95\n", remap=True)
     assert g.n == 3
@@ -77,7 +92,7 @@ def _load_outcome(text: str, fmt: str, remap: bool):
 # Ids up to 999, or far above the node guard, so that no draw allocates a
 # huge graph; look-alikes the per-line parser reads differently from loadtxt.
 _ID_TEXT = st.one_of(st.integers(0, 999).map(str),
-                     st.sampled_from(["007", "1_0", "-1", "+1", "\u0663", "1e3", "0x1", "",
+                     st.sampled_from(["007", "1_0", "-1", "-0", "+1", "\u0663", "1e3", "0x1", "",
                                       str(2**62), str(2**62 + 1), str(2**63), str(10**20)]))
 _SEP = st.sampled_from([" ", "\t", "  \t", ",", ", ", "\u00a0"])
 _LINE = st.one_of(
@@ -122,13 +137,13 @@ def test_plain_edge_text_takes_the_vectorized_parse():
     edges = [[0, 1], [1, 2], [2, 3]]
     for fmt, text in [("tsv", "0\t1\n1 2 \n2\t3\n"), ("tsv", "0\t1\n1 2 \n2\t3"),
                       ("tsv", "\n0 1\n\n1 2\n  \n2 3\n"), ("tsv", "0 1\r\n1 2\r\n2 3\r\n"),
-                      ("csv", "0,1\n1, 2\n\n2,3\n")]:
+                      ("csv", "0,1\n1, 2\n\n2,3\n"), ("csv", "0,\x1c1\n1 ,2\x1f\n2,3\n")]:
         assert hocn.graph._plain_edges(text, fmt).tolist() == edges, text
     for other in ("# c\n0 1\n", "0 1  # c\n", "0 1\r2 3\n", "0 1\r", "0 -1\n",
-                  f"0 {2**62 + 1}\n", "", " \n\t\n", "1_0 2\n", "0 1\u01fe\n"):
+                  f"0 {2**62 + 1}\n", "", " \n\t\n", "1_0 2\n", "0 1\u01fe\n", "+4 5\n",
+                  "-0 5\n"):
         assert hocn.graph._plain_edges(other, "tsv") is None, other
-    for other in ("0\t1\n", "0,\x1c1\n"):
-        assert hocn.graph._plain_edges(other, "csv") is None, other
+    assert hocn.graph._plain_edges("0\t1\n", "csv") is None
 
 
 def test_pair_batch_rejects_self_pairs():

@@ -86,6 +86,23 @@ def test_exact_participation_equals_matrix_power_closed_form(monkeypatch, k, exc
         assert np.array_equal(got, matrix_power_participation(g, k, exclude)), (g.n, k, exclude)
 
 
+def test_participation_reads_the_walk_totals_of_the_walk_rows(monkeypatch):
+    # s_{k-1} and s_k come from the memoized A + I of the walk rows, not
+    # from a fresh adjacency matrix.
+    g = sample_ba_graph(300, 2, seed=1)
+    want = {(k, exclude): matrix_power_participation(g, k, exclude)
+            for k in (1, 2, 3) for exclude in (False, True)}
+    hocn.features._loop_adjacency(g)
+
+    def rebuilt(self):
+        raise AssertionError("adjacency rebuilt")
+
+    monkeypatch.setattr(Graph, "to_scipy", rebuilt)
+    for (k, exclude), counts in want.items():
+        got = exact_walk_participation(g, k, exclude_endpoints=exclude).counts
+        assert np.array_equal(got, counts), (k, exclude)
+
+
 def test_exact_participation_allocates_no_dense_square():
     # The second graph is above the node count a guard used to refuse.
     for n, m, k in ((4000, 2, 2), (20000, 3, 2)):
