@@ -175,7 +175,7 @@ def _plain_edges(text: str, fmt: str) -> np.ndarray | None:
     line end (a line end to numpy) or a non-ASCII character (numpy reads
     some non-ASCII letters as digits)."""
     if (not text or text.isspace() or not text.isascii() or "+" in text or "-" in text
-            or text.count("\r") > text.count("\r\n")):
+            or "\r" in text and text.count("\r") > text.count("\r\n")):
         return None
     try:
         edges = np.loadtxt(io.StringIO(text), dtype=np.int64, ndmin=2, comments=None,
