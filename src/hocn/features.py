@@ -65,7 +65,7 @@ from .graph import Graph, PairBatch
 # node may cost up to all of it.
 _NNZ_BUDGET = 1 << 22
 
-# Runs of _walk_map in flight at once, at most, on any machine: it caps
+# Walk-row runs in flight at once, at most, on any machine: it caps
 # _WORKERS, and every run's share of _NNZ_BUDGET is cut for this many.
 _MAX_RUNS = 2
 
