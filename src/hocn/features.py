@@ -26,17 +26,28 @@ from repeated sparse row-times-matrix products, so computing features
 allocates no batch x n dense storage. They are left unsorted; each product
 is sorted instead, since it is far smaller than the rows it comes from.
 
+Walk rows are indexed by position, not by node id: the positions of one
+breadth-first order of the graph (``_walk_order``), in which neighbours sit
+near each other. scipy's kernels scatter each row into n-length arrays
+indexed by column, so on a BA graph, whose ids carry no locality, this takes
+about a quarter off a batch. Node ids go in as positions; each product's
+columns are mapped back to node ids before it is sorted, and the n-length
+results (the node blocks' diagonals, the walk totals and the rows of
+``adj_power_row``) are put back in node order once, so nothing that leaves
+this module depends on the order.
+
 One walk-row class, ``_OrderRows``, serves the features, the slices,
 ``adj_power_row`` (R_k = S_k - R_{k-1}) and ``walk_row_sums``, the one
 all-pairs pass behind exact participation and the exact Gram matrix. A
 batch is walked in sub-chunks of pairs, and that pass in blocks of nodes,
 sized by the per-node bound ``_walk_nnz_bound`` of the walk rows they hold.
-That bound and the type of the walk counts (per order) and the step A + I
-of the walk rows depend on the graph alone, so they are built once per
-graph (``Graph.memoized``), in the calling thread; the walk totals A^l·1
-behind both come from one recurrence, ``walk_totals``, which exact
-participation reads too. One map, ``_walk_map``, runs the sub-chunks of the
-features and of the slices and the node blocks alike. Every run holds at
+That bound, the type of the walk counts (per order), the walk order and
+the step A + I of the walk rows, built in that order's positions, depend on
+the graph alone, so they are built once per graph (``Graph.memoized``), in
+the calling thread; the walk totals A^l·1 behind the bound and the type
+come from one recurrence, ``walk_totals``, which exact participation reads
+too. One map, ``_walk_map``, runs the sub-chunks of the features and of the
+slices and the node blocks alike. Every run holds at
 most one share of ``_NNZ_BUDGET``, its walk rows and the scratch of a
 product, the same on every machine, so the cuts, and with them the order in
 which ``walk_row_sums`` adds up its node blocks, do not depend on the worker
@@ -136,9 +147,10 @@ class _OrderRows:
     """Rows R_{k-1} = A^{k-1} and S_k = A^{k-1}(A + I) for a list of nodes,
     for one order k at a time, moving forward.
 
-    ``loops`` is A + I, and the rows take its dtype (``_walk_steps``).
-    S_1 is the nodes' rows of A + I, and R_1 is S_1
-    without its loop entries. Then R_{k-1} = S_{k-1} - R_{k-2} and
+    ``loops`` is A + I in the positions of ``_walk_order``, and ``nodes``
+    and the rows' columns are positions too; the rows take the dtype of
+    ``loops`` (``_walk_steps``). S_1 is the nodes' rows of A + I, and R_1
+    is S_1 without its loop entries. Then R_{k-1} = S_{k-1} - R_{k-2} and
     S_k = R_{k-1}(A + I), one product per order. Only the current R_{k-1}
     and S_k are kept; R_0, the identity rows, is stored only when
     ``powers`` returns it.
@@ -183,11 +195,84 @@ class _OrderRows:
         return self.step - self.prev
 
 
+def _walk_order(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(order, position): the node at each position of the walk rows, and
+    the position of each node. Built once per graph, read-only.
+
+    Components come in the order of their lowest node id, each in the
+    breadth-first order from that node: a level's nodes in the order of the
+    first of the previous level's nodes, in their order, to reach them,
+    each node's neighbors by ascending id. Isolated nodes come last. In a
+    BA graph node ids carry no locality; in this order neighbours sit near
+    each other, so scipy's sparse kernels, which scatter into n-length
+    arrays indexed by column, touch less memory per row.
+
+    The lowest node of each component comes from hooking and shortcutting
+    (FastSV, Zhang, Azad and Hu 2020): a few passes over the edges, whatever
+    the number of components. Then one breadth-first search runs from all
+    of them at once, level by level, and a stable sort by component puts
+    each component's nodes together.
+    """
+    def build() -> tuple[np.ndarray, np.ndarray]:
+        src, dst = np.repeat(np.arange(g.n), g.degrees), g.indices
+        root = np.arange(g.n)
+        grand = root
+        while True:
+            hooked = root.copy()
+            np.minimum.at(hooked, root[src], grand[dst])
+            np.minimum.at(hooked, src, grand[dst])
+            root = np.minimum(hooked, grand)
+            grand, before = root[root], grand
+            if np.array_equal(grand, before):
+                break
+        unseen = g.degrees > 0
+        frontier = np.flatnonzero(unseen & (root == np.arange(g.n)))
+        first = np.full(g.n, np.iinfo(np.int64).max)  # where its level first reaches a node
+        levels = [frontier]
+        while frontier.size:
+            unseen[frontier] = False
+            reached = g.indices[_row_entries(g, frontier)]
+            reached = reached[unseen[reached]]
+            sequence = np.arange(reached.size)
+            np.minimum.at(first, reached, sequence)
+            frontier = reached[first[reached] == sequence]
+            levels.append(frontier)
+        found = np.concatenate(levels)
+        order = np.concatenate([found[np.argsort(root[found], kind="stable")],
+                                np.flatnonzero(g.degrees == 0)])
+        position = np.empty(g.n, dtype=np.int64)
+        position[order] = np.arange(g.n)
+        for array in (order, position):
+            array.flags.writeable = False
+        return order, position
+
+    return g.memoized("walk_order", build)
+
+
+def _row_entries(g: Graph, nodes: np.ndarray) -> np.ndarray:
+    """Offsets into ``g.indices`` of the neighbor lists of ``nodes``, one
+    list after the other."""
+    counts = g.degrees[nodes]
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(g.indptr[nodes] - ends + counts,
+                                                               counts)
+
+
 def _loop_adjacency(g: Graph) -> sp.csr_matrix:
-    """A + I in int32: built once per graph, with read-only arrays, since
-    every walk-row path shares it."""
+    """A + I in int32, in the positions of ``_walk_order``: row p holds p,
+    then the positions of node order[p]'s neighbors by ascending id. Built
+    once per graph, straight from its CSR arrays, with read-only arrays,
+    since every walk-row path shares it. scipy's kernels read rows in any
+    column order."""
     def build() -> sp.csr_matrix:
-        loops = (g.to_scipy() + sp.identity(g.n, format="csr")).astype(np.int32)
+        order, position = _walk_order(g)
+        counts = g.degrees[order]
+        indices = np.insert(position[g.indices[_row_entries(g, order)]],
+                            np.cumsum(counts) - counts, np.arange(g.n))
+        indptr = np.zeros(g.n + 1, dtype=np.int64)
+        np.cumsum(counts + 1, out=indptr[1:])
+        loops = sp.csr_matrix((np.ones(indices.size, dtype=np.int32), indices, indptr),
+                              shape=(g.n, g.n))
         for array in (loops.data, loops.indices, loops.indptr):
             array.flags.writeable = False
         return loops
@@ -257,14 +342,15 @@ def _walk_totals(g: Graph, k_max: int) -> tuple[np.ndarray, type]:
 def walk_totals(g: Graph, k_max: int):
     """For l = 1..k_max, (w_{l-1}, w_l, S_l 1): the walk totals w_l = A^l 1
     and the walk rows' row totals S_l 1 = (A + I) w_{l-1} = w_l + w_{l-1},
-    in float64, exact below 2^53. One product with the memoized A + I per
-    order; nothing is kept once the caller drops it."""
+    in float64 and node order, exact below 2^53. One product with the
+    memoized A + I per order; nothing is kept once the caller drops it."""
     loops = _loop_adjacency(g)
+    position = _walk_order(g)[1]
     walks = np.ones(g.n)
     for _ in range(k_max):
         steps = loops @ walks
         prev, walks = walks, steps - walks
-        yield prev, walks, steps
+        yield prev[position], walks[position], steps[position]
 
 
 def _budget_cuts(cost: np.ndarray, item: Callable[[int], str]) -> np.ndarray:
@@ -328,13 +414,17 @@ def walk_row_sums(g: Graph, k: int,
     ||R_l[c]||^2 = A^{2l}[c, c] and ||S_l[c]||^2 = (A^{2l} + 2 A^{2l-1} +
     A^{2l-2})[c, c] for symmetric A; and with ``loop_gram``, the lower
     triangle of the Gram matrix of Q_a = S_a o S_a - R_{a-1} o R_{a-1}, whose
-    entry (c, u) is CN^a(u, u)[c], else None. Each block writes its own
-    columns of ``diag`` and returns its part of the Gram matrix; the parts
-    are summed in block order. Only ``loop_gram`` forms R_k; without it, row
-    2k holds diag(A^{2k} + 2 A^{2k-1}) and row 2k - 1 is 0."""
+    entry (c, u) is CN^a(u, u)[c], else None. The blocks are runs of
+    consecutive positions of ``_walk_order``. Each writes its own columns
+    of ``diag``, which is put in node order once all are done, and returns
+    its part of the Gram matrix; the parts are summed in block order. Only
+    ``loop_gram`` forms R_k; without it, row 2k holds diag(A^{2k} + 2
+    A^{2k-1}) and row 2k - 1 is 0."""
     if k < 1:
         raise ConfigError(f"order must be >= 1, got {k}")
-    cuts = _budget_cuts(_walk_nnz_bound(g, k), lambda c: f"node {c} at orders 1..{k}")
+    order, position = _walk_order(g)
+    cuts = _budget_cuts(_walk_nnz_bound(g, k)[order],
+                        lambda p: f"node {order[p]} at orders 1..{k}")
     loops = _walk_steps(g, k)
     diag = np.zeros((2 * k + 1, g.n))  # row 2l - 1 holds ||S_l||^2 at first
     diag[0] = 1.0
@@ -361,6 +451,7 @@ def walk_row_sums(g: Graph, k: int,
 
     parts = _walk_map(block, cuts)
     gram = sum(parts, np.zeros((k, k))) if loop_gram else None
+    diag = diag[:, position]
     for l in range(1, k + 1):
         diag[2 * l - 1] = (diag[2 * l - 1] - diag[2 * l] - diag[2 * l - 2]) / 2.0
     if gram is None:  # row 2k was left at 0
@@ -383,8 +474,9 @@ def adj_power_row(g: Graph, u: int, l: int) -> np.ndarray:
         raise ConfigError(f"walk length must be >= 0, got {l}")
     if not 0 <= u < g.n:
         raise InputError(f"node {u} is outside [0, {g.n})")
-    rows = _OrderRows(_walk_steps(g, max(l, 1)), np.array([u], dtype=np.int64))
-    return rows.powers(max(l, 1))[min(l, 1)].toarray()[0]
+    position = _walk_order(g)[1]
+    rows = _OrderRows(_walk_steps(g, max(l, 1)), position[[u]])
+    return rows.powers(max(l, 1))[min(l, 1)].toarray()[0][position]
 
 
 def _drop_row_columns(mat: sp.csr_matrix, columns: np.ndarray) -> None:
@@ -398,17 +490,20 @@ def _slice_keys(k: int) -> tuple[tuple[int, int], ...]:
     return (k, k), (k - 1, k), (k, k - 1)
 
 
-def _product(a: sp.csr_matrix, b: sp.csr_matrix,
+def _product(a: sp.csr_matrix, b: sp.csr_matrix, order: np.ndarray,
              ends: np.ndarray | None = None) -> sp.csr_matrix:
-    """a o b as canonical CSR; with ``ends``, row x without its entries in
-    the columns ends[x]. Integer rows multiply in ``_count_dtype`` of the
-    product of their largest entries, widening ``a``'s data only when that
-    passes a's own type."""
+    """a o b of walk rows in the positions of ``order`` (``_walk_order``),
+    as canonical CSR in node columns; with ``ends``, row x without its
+    entries in the columns ends[x]. Integer rows multiply in
+    ``_count_dtype`` of the product of their largest entries, widening
+    ``a``'s data only when that passes a's own type."""
     if a.dtype.kind == "i" and a.nnz and b.nnz:
         dtype = np.promote_types(a.dtype, _count_dtype(int(a.data.max()) * int(b.data.max())))
         if dtype != a.dtype:
             a = sp.csr_matrix((a.data.astype(dtype), a.indices, a.indptr), shape=a.shape)
     mat = a.multiply(b).tocsr()
+    mat.indices[:] = order[mat.indices]
+    mat.has_sorted_indices = False
     mat.sort_indices()
     if ends is not None:
         _drop_row_columns(mat, ends)
@@ -426,13 +521,14 @@ def _explicit_slices(g: Graph, pairs: np.ndarray, k: int, exclude_endpoints: boo
     A^k1 and A^k2 rows (``_OrderRows.powers``) each, walked in the
     sub-chunks of ``_sub_chunks``."""
     loops = _walk_steps(g, k)
+    order, position = _walk_order(g)
 
     def chunk(start: int, stop: int) -> list[sp.csr_matrix]:
         ends = pairs[start:stop]
         # (R_{k-1}, R_k) of each endpoint, whose S_k is dropped before the
         # other's rows are built: R_l sits at position l - k + 1.
-        ru, rv = (_OrderRows(loops, nodes).powers(k) for nodes in ends.T)
-        return [_float_counts(_product(ru[k1 - k + 1], rv[k2 - k + 1],
+        ru, rv = (_OrderRows(loops, position[nodes]).powers(k) for nodes in ends.T)
+        return [_float_counts(_product(ru[k1 - k + 1], rv[k2 - k + 1], order,
                                        ends if exclude_endpoints else None))
                 for k1, k2 in _slice_keys(k)]
 
@@ -460,10 +556,11 @@ def cn_order_features(g: Graph, batch: PairBatch, k: int,
         return cn_order_features_all(g, batch, k, exclude_endpoints)[-1]
     (prev_u, step_u), (prev_v, step_v) = (rows.at(k) for rows in walks)
     ends = batch.pairs if exclude_endpoints else None
-    combined = _product(step_u, step_v, ends)
+    order = _walk_order(g)[0]
+    combined = _product(step_u, step_v, order, ends)
     if prev_u is not None:  # at k = 1 the term is e_u * e_v, zero since u != v
         # The difference stores no entry it cancels to zero.
-        combined = combined - _product(prev_u, prev_v, ends)
+        combined = combined - _product(prev_u, prev_v, order, ends)
     return OrderFeatures(order=k, pairs=batch.pairs, combined=_float_counts(combined), graph=g,
                          exclude_endpoints=exclude_endpoints)
 
@@ -508,9 +605,12 @@ def _orders(g: Graph, adj: sp.csr_matrix, batch: PairBatch, k_max: int,
     """Orders 1..k_max from one set of walk rows, released on return.
 
     ``adj`` is the adjacency with a loop at every node, A + I, that the
-    walk rows step with (``_walk_steps``).
+    walk rows step with (``_walk_steps``), in the positions of
+    ``_walk_order``.
     """
-    walks = _OrderRows(adj, batch.pairs[:, 0]), _OrderRows(adj, batch.pairs[:, 1])
+    position = _walk_order(g)[1]
+    walks = (_OrderRows(adj, position[batch.pairs[:, 0]]),
+             _OrderRows(adj, position[batch.pairs[:, 1]]))
     return [cn_order_features(g, batch, k, exclude_endpoints, walks)
             for k in range(1, k_max + 1)]
 

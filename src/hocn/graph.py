@@ -164,16 +164,30 @@ def _parse_line(line: str, fmt: str, lineno: int) -> tuple[int, int] | None:
     return u, v
 
 
+def _strip_comments(text: str) -> str:
+    """The text without its comments, each a ``#`` up to its line's end, the
+    line end kept: one slice per ``#``, however many lines the text has."""
+    parts, start = [], 0
+    while (mark := text.find("#", start)) >= 0:
+        parts.append(text[start:mark])
+        start = text.find("\n", mark)
+        if start < 0:
+            return "".join(parts)
+    return "".join(parts) + text[start:]
+
+
 def _plain_edges(text: str, fmt: str) -> np.ndarray | None:
     """Edges of the text in one vectorized parse (``np.loadtxt``, fields split
-    at commas for csv, else at whitespace), or None when the text needs the
-    per-line parser, which also reports the line of any error. That is a
-    text with no id; one that numpy does not read as two columns of ids in
-    [0, 2**62], such as one with a ``#`` or an id like ``1_0``; and one that
-    numpy would read otherwise than ``_parse_line`` does: with a sign (numpy
-    reads ``+4`` as 4 and ``-0`` as 0), a carriage return outside a CRLF
-    line end (a line end to numpy) or a non-ASCII character (numpy reads
-    some non-ASCII letters as digits)."""
+    at commas for csv, else at whitespace) once its comments are stripped,
+    or None when the text needs the per-line parser, which also reports the
+    line of any error. That is a text with no id; one that numpy does not
+    read as two columns of ids in [0, 2**62], such as one with an id like
+    ``1_0``; and one that numpy would read otherwise than ``_parse_line``
+    does: with a sign (numpy reads ``+4`` as 4 and ``-0`` as 0), a carriage
+    return outside a CRLF line end (a line end to numpy) or a non-ASCII
+    character (numpy reads some non-ASCII letters as digits). A comment may
+    hold any of these."""
+    text = _strip_comments(text)
     if (not text or text.isspace() or not text.isascii() or "+" in text or "-" in text
             or "\r" in text and text.count("\r") > text.count("\r\n")):
         return None

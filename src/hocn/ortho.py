@@ -22,10 +22,17 @@ from .graph import Graph, PairBatch
 DEGENERATE_NORM = 1e-12
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x . y of 1-D arrays, without BLAS: OpenBLAS splits a long dot product
+    by thread, so its rounding would depend on the BLAS thread count, and
+    its threads spin on after the call."""
+    return float(np.einsum("i,i->", x, y))
+
+
 def frobenius_inner(a, b) -> float:
     if sp.issparse(a) and sp.issparse(b):
         return float(a.multiply(b).sum())
-    return float(np.vdot(a, b))
+    return _dot(np.ravel(a), np.ravel(b))
 
 
 def frobenius_norm(a) -> float:
@@ -33,7 +40,7 @@ def frobenius_norm(a) -> float:
     duplicate entries: feature matrices are canonical CSR (see
     ``hocn.features``), and scipy's sums and scalings of them stay so."""
     data = a.tocsr().data if sp.issparse(a) else np.asarray(a).ravel()
-    return float(np.sqrt(np.dot(data, data)))
+    return float(np.sqrt(_dot(data, data)))
 
 
 @dataclass
@@ -163,9 +170,10 @@ def _all_pairs_gram(g: Graph, k_max: int, exclude_endpoints: bool) -> np.ndarray
         for a in range(k_max):
             for b in range(a + 1):
                 terms = [(i, j, p, q) for i, j in slices[a] for p, q in slices[b]]
-                total = sum(diag[i + p] @ diag[j + q] for i, j, p, q in terms) - loop_gram[a, b]
+                total = (sum(_dot(diag[i + p], diag[j + q]) for i, j, p, q in terms)
+                         - loop_gram[a, b])
                 if exclude_endpoints:
-                    total -= 2.0 * sum(diag[i] * diag[p] @ (diag[j + q] - diag[j] * diag[q])
+                    total -= 2.0 * sum(_dot(diag[i] * diag[p], diag[j + q] - diag[j] * diag[q])
                                        for i, j, p, q in terms)
                 gram[a, b] = gram[b, a] = total / 2.0
         gram.flags.writeable = False

@@ -66,11 +66,11 @@ def heuristic_scores(g: Graph, pairs: np.ndarray, kind: str) -> np.ndarray:
 
 
 def normalized_adjacency(g: Graph) -> sp.csr_matrix:
-    """Symmetrically degree-normalized adjacency with self-loops, from the
-    graph's A + I of the walk rows (``features._loop_adjacency``)."""
+    """Symmetrically degree-normalized adjacency with self-loops, in node
+    order."""
     inv_sqrt = 1.0 / np.sqrt(g.degrees + 1.0)
     d = sp.diags(inv_sqrt)
-    return (d @ features._loop_adjacency(g) @ d).tocsr()
+    return (d @ (g.to_scipy() + sp.identity(g.n, format="csr")) @ d).tocsr()
 
 
 def default_node_features(g: Graph, dim: int = 16, seed: int = 0) -> np.ndarray:

@@ -17,16 +17,17 @@ allocates one set of them per call and every trial it runs writes into that
 set with ``out=``, so trials after the first allocate no n x n memory.
 The distances are one pass over the coordinates in row blocks whose work
 buffers stay in cache. The radius mask, kept beside the graph, is the
-adjacency; the graph's CSR arrays are read off it on first read, which
-unnormalized trials never do. The pair pick needs only which pairs a 2k-step
+adjacency; the graph's CSR arrays are read off it on first read, which no
+trial does. The pair pick needs only which pairs a 2k-step
 walk joins. That is the nonzero pattern of A^k (A^k)^T, found from float32
 0/1 products with each A^l clamped to 1; every term is non-negative, so the
 pattern is exact in any precision and summation order. The pair is located
 from per-row counts of the eligible upper-triangle entries. Only its walk
 count is taken exactly, as (A^k e_i).(A^k e_j): two columns of A and k - 1
-float64 products with A, cast one row block at a time. A sample or a run
-whose n x n arrays would exceed a fixed byte budget raises ScaleError before
-it allocates any of them.
+float64 products with A, cast one row block at a time; the normalized
+bound reads the pair's common neighbors at order k off the same columns.
+A sample or a run whose n x n arrays would exceed a fixed byte budget
+raises ScaleError before it allocates any of them.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BoundDomainError, InputError, ScaleError
-from .features import _walk_map, cn_set
+from .features import _walk_map
 from .graph import Graph
 
 INV_E = math.exp(-1.0)
@@ -395,7 +396,7 @@ def _product_planes(k: int) -> int:
 
 def _pick_pair(adjacency: np.ndarray, k: int, seed: int, buffers: _TrialBuffers):
     """A pair i < j drawn uniformly among those joined by a 2k-step walk
-    (k >= 1), as (i, j, walk count); None if there is none.
+    (k >= 1), as (i, j, walk count, columns); None if there is none.
 
     ``adjacency`` is the n x n bool adjacency matrix of an undirected graph.
     A 2k-step walk joins i and j exactly when (A^k (A^k)^T)[i, j] > 0. Its
@@ -404,8 +405,10 @@ def _pick_pair(adjacency: np.ndarray, k: int, seed: int, buffers: _TrialBuffers)
     located from per-row counts of eligible pairs, in the row-major order of
     np.triu_indices. The count, (A^k e_i).(A^k e_j), is a sum of
     non-negative integers and exact in float64 below 2^53; A is cast to
-    float64 one row block at a time. ``buffers``, a set for this n and k,
-    holds every n x n array; what it held before is overwritten.
+    float64 one row block at a time. The columns are the (n, 2) arrays
+    (R_{k-1} e_i, R_{k-1} e_j) and (R_k e_i, R_k e_j), R_l = A^l, that it
+    forms on the way. ``buffers``, a set for this n and k, holds every
+    n x n array; what it held before is overwritten.
     """
     n = adjacency.shape[0]
     adj, *spare = buffers.products
@@ -428,6 +431,8 @@ def _pick_pair(adjacency: np.ndarray, k: int, seed: int, buffers: _TrialBuffers)
     pick = int(np.random.default_rng(seed + 1).integers(0, total))
     i = int(np.searchsorted(ends, pick, side="right"))
     j = int(np.flatnonzero(eligible[i])[pick - (ends[i] - counts[i])])
+    prev = np.zeros((n, 2))
+    prev[[i, j], [0, 1]] = 1.0
     cols = adjacency[:, [i, j]].astype(np.float64)
     block = buffers.blocks[0]
     for _ in range(k - 1):
@@ -436,7 +441,18 @@ def _pick_pair(adjacency: np.ndarray, k: int, seed: int, buffers: _TrialBuffers)
             part = block[:n - start]
             np.copyto(part, adjacency[start:start + len(part)])
             np.matmul(part, prev, out=cols[start:start + len(part)])
-    return i, j, float(cols[:, 0] @ cols[:, 1])
+    return i, j, float(cols[:, 0] @ cols[:, 1]), (prev, cols)
+
+
+def _cn_members(i: int, j: int, columns) -> np.ndarray:
+    """The nodes c outside {i, j} with a positive order-k combined count,
+    R_k[i] R_k[j] + R_{k-1}[i] R_k[j] + R_k[i] R_{k-1}[j] at c, from the
+    walk columns of ``_pick_pair``: ``features.cn_set`` of the pair with its
+    endpoints excluded, without building the graph or walking it."""
+    prev, cols = columns
+    counts = cols[:, 0] * cols[:, 1] + prev[:, 0] * cols[:, 1] + cols[:, 0] * prev[:, 1]
+    counts[[i, j]] = 0.0
+    return np.flatnonzero(counts > 0)
 
 
 def _latent_trial(params: LatentModelParams, bound_kind: str, k: int,
@@ -445,13 +461,12 @@ def _latent_trial(params: LatentModelParams, bound_kind: str, k: int,
     picked = _pick_pair(sample.adjacency, k, seed, buffers)
     if picked is None:
         return None
-    i, j, eta = picked
+    i, j, eta, columns = picked
     if bound_kind == "unnormalized":
         bound, extra = bound_unnormalized, {}
     else:
-        g = sample.graph
-        members = cn_set(g, i, j, k, exclude_endpoints=True)
-        zeta = int(max((g.degrees[c] for c in members), default=2))
+        members = _cn_members(i, j, columns)
+        zeta = int(np.count_nonzero(sample.adjacency[members], axis=1).max(initial=2))
         rho = 0.5 ** (1.0 / (params.dim * (k - 1)))
         bound, extra = bound_normalized, dict(zeta=max(zeta, 2), rho=rho)
     # The guarantee asserts the existence of a split index along the

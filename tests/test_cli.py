@@ -141,7 +141,7 @@ def test_graph_memo_builds_each_array_once_per_graph(edge_file, tmp_path, capsys
     assert main(["eval", "--input", edge_file, "--kind", "model", "--model", model_path,
                  "--seed", "1"]) == 0
     capsys.readouterr()
-    assert _built_once(memo_counts) == {"loop_adjacency", ("walk_nnz_bound", 2)}
+    assert _built_once(memo_counts) == {"walk_order", "loop_adjacency", ("walk_nnz_bound", 2)}
     assert max(requests.values()) > 1  # each feature batch reads the bound
 
     for counter in memo_counts:
@@ -151,21 +151,24 @@ def test_graph_memo_builds_each_array_once_per_graph(edge_file, tmp_path, capsys
     pairs = [(int(u), int(v)) for u, v in zip(g.neighbors(hub)[:10], g.neighbors(hub)[1:11])]
     scores = [heuristic_score(g, pair, "normalized_cn_2") for pair in pairs]
     assert all(s > 0 for s in scores)
-    assert _built_once(memo_counts) == {"loop_adjacency", ("walk_nnz_bound", 2),
+    assert _built_once(memo_counts) == {"walk_order", "loop_adjacency", ("walk_nnz_bound", 2),
                                         ("exact_walk_participation", 2, True)}
-    # Per pair one request of the participation and of A + I, and two of the
-    # bound memo, for the cuts and for the walk rows' dtype. Building the
-    # participation makes the same two reads of the bound memo and one of
-    # A + I, and one more of A + I for its walk totals; building the bound
-    # memo reads A + I.
-    assert sorted(requests.values()) == [len(pairs), len(pairs) + 3, 2 * len(pairs) + 2]
+    # Per pair one request of the participation and of A + I, two of the
+    # bound memo, for the cuts and for the walk rows' dtype, and three of the
+    # walk order, for the endpoints' positions and for the products of each
+    # order. Building the participation makes the same two reads of the
+    # bound memo and one of A + I and of the walk order, and one more of
+    # each for its walk totals; building the bound memo reads A + I and the
+    # walk order, and building A + I reads the walk order.
+    assert sorted(requests.values()) == [len(pairs), len(pairs) + 3, 2 * len(pairs) + 2,
+                                         3 * len(pairs) + 4]
 
     for counter in memo_counts:
         counter.clear()
     code, out = run_cli(["score", "--input", edge_file, "--kind", "normalized-cn",
                          "--seed", "3", "--split", "test", "--k-max", "2"], capsys)
     assert code == 0
-    assert _built_once(memo_counts) == {"loop_adjacency", ("walk_nnz_bound", 2),
+    assert _built_once(memo_counts) == {"walk_order", "loop_adjacency", ("walk_nnz_bound", 2),
                                         ("exact_walk_participation", 2, True)}
     _, rows = parse_csv(out)
     with open(edge_file) as fh:

@@ -1,7 +1,9 @@
 import re
 import sys
 import threading
+import time
 import tracemalloc
+from collections import deque
 from itertools import combinations
 
 import numpy as np
@@ -11,7 +13,8 @@ import scipy.sparse as sp
 import hocn.features
 from hocn import (ConfigError, FeatureConfig, Graph, InputError, PairBatch, RunningState,
                   ScaleError, adj_power_row, cn_order_features, cn_order_features_all, cn_set,
-                  heuristic_scores, normalized_cn_scores, sample_ba_graph)
+                  exact_walk_participation, heuristic_scores, normalized_cn_scores,
+                  sample_ba_graph)
 from hocn.features import _sub_chunks, _walk_nnz_bound
 from hocn.scoring import basis_matrices, batch_features
 
@@ -152,13 +155,15 @@ def test_order_rows_are_powers_held_within_the_bound(edges):
     adj = g.to_scipy()
     a = adj.toarray()
     loops = a + np.eye(g.n)
-    rows = hocn.features._OrderRows(hocn.features._loop_adjacency(g), np.arange(g.n))
+    # Row x holds node x, whose columns sit at the positions of the walk order.
+    position = hocn.features._walk_order(g)[1]
+    rows = hocn.features._OrderRows(hocn.features._loop_adjacency(g), position)
     prev_held = 0
     for k in range(1, 5):
         prev, step = rows.at(k)
         power = np.linalg.matrix_power(a, k - 1)
-        assert prev is None if k == 1 else np.array_equal(prev.toarray(), power)
-        assert np.array_equal(step.toarray(), power @ loops)
+        assert prev is None if k == 1 else np.array_equal(prev.toarray()[:, position], power)
+        assert np.array_equal(step.toarray()[:, position], power @ loops)
         held = np.diff(step.indptr) + (0 if prev is None else np.diff(prev.indptr))
         assert (held <= _walk_nnz_bound(g, k)).all()
         if k >= 3:
@@ -548,7 +553,9 @@ def test_loop_adjacency_is_built_once_per_graph_and_read_only(monkeypatch):
     loops = hocn.features._loop_adjacency(g)
     assert hocn.features._loop_adjacency(g) is loops
     assert hocn.features._loop_adjacency(sample_ba_graph(50, 2, seed=3)) is not loops
-    assert np.array_equal(loops.toarray(), g.to_scipy().toarray() + np.eye(g.n))
+    order = hocn.features._walk_order(g)[0]
+    want = g.to_scipy().toarray() + np.eye(g.n)
+    assert np.array_equal(loops.toarray(), want[np.ix_(order, order)])
     for array in (loops.data, loops.indices, loops.indptr):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 2
@@ -628,9 +635,10 @@ def test_walk_rows_past_the_int32_limit_are_int64(monkeypatch):
     # Rows up to order 2 stay int32 and order-3 rows take int64; products
     # of order-2 rows pass the lowered limit and are formed in int64.
     monkeypatch.setattr(hocn.features, "_INT32_LIMIT", peaks[1] + 1)
-    step = hocn.features._OrderRows(hocn.features._walk_steps(make_graph(), 2),
-                                    pairs[:, 0]).at(2)[1]
-    assert step.dtype == np.int32 and hocn.features._product(step, step).dtype == np.int64
+    g = make_graph()
+    step = hocn.features._OrderRows(hocn.features._walk_steps(g, 2), pairs[:, 0]).at(2)[1]
+    order = hocn.features._walk_order(g)[0]
+    assert step.dtype == np.int32 and hocn.features._product(step, step, order).dtype == np.int64
     assert hocn.features._walk_steps(make_graph(), 3).dtype == np.int64
     for k in (2, 3):
         _assert_same_counts(_counts(make_graph, pairs, k), want[k])
@@ -644,7 +652,7 @@ def test_product_past_the_int32_limit_is_formed_in_int64(monkeypatch):
     rows = hocn.features._OrderRows(hocn.features._walk_steps(g, 4), pairs[:, 0])
     step = rows.at(4)[1]
     assert step.dtype == np.int32 and int(step.data.max()) ** 2 > 2 ** 31
-    product = hocn.features._product(step, step)
+    product = hocn.features._product(step, step, hocn.features._walk_order(g)[0])
     assert product.dtype == np.int64 and product.data.max() == 64000 ** 2
     _assert_same_counts(_counts(lambda: _bipartite(40), pairs, 4),
                         _float64_counts(monkeypatch, lambda: _bipartite(40), pairs, 4))
@@ -711,3 +719,146 @@ def test_endpoint_outside_the_graph_is_an_input_error(pairs, named):
     inside = PairBatch([[0, 49], [49, 1]])
     assert cn_order_features_all(g, inside, 2)[1].combined.shape == (2, 50)
     assert heuristic_scores(g, inside.pairs, "cn").shape == (2,)
+
+
+def _components_graph(seed: int) -> Graph:
+    """A BA graph, a cycle, a star, a path and single edges, with isolated
+    nodes, their ids shuffled so that the components interleave."""
+    parts = [sample_ba_graph(40, 2, seed=seed).edge_array(),
+             [(i, (i + 1) % 7) for i in range(7)], [(0, i) for i in range(1, 6)],
+             [(i, i + 1) for i in range(5)], [(0, 1)], [(0, 1)]]
+    edges, n = [], 0
+    for part in parts:
+        part = np.asarray(part)
+        edges.append(part + n)
+        n += int(part.max()) + 1
+    n += 6  # isolated
+    label = np.random.default_rng(seed).permutation(n)
+    return Graph.from_edges(n, label[np.concatenate(edges)])
+
+
+def _bfs_order(g: Graph) -> list:
+    """Breadth-first order of each component from its lowest id, components
+    by their lowest id, neighbors by ascending id, isolated nodes last."""
+    order, seen = [], np.zeros(g.n, dtype=bool)
+    for root in range(g.n):
+        if seen[root] or not g.degrees[root]:
+            continue
+        seen[root] = True
+        queue = deque([root])
+        while queue:
+            node = queue.popleft()
+            order.append(node)
+            for nb in g.neighbors(node):
+                if not seen[nb]:
+                    seen[nb] = True
+                    queue.append(int(nb))
+    return order + [int(c) for c in np.flatnonzero(g.degrees == 0)]
+
+
+def _walk_order_graphs() -> list:
+    return [lambda: _components_graph(0), lambda: _components_graph(1),
+            lambda: Graph.from_edges(2, [(0, 1)]), lambda: Graph.from_edges(2, []),
+            lambda: random_graph(30, 0.08, seed=3)]
+
+
+def test_walk_order_is_the_breadth_first_order_of_each_component():
+    for make_graph in _walk_order_graphs():
+        g = make_graph()
+        order, position = hocn.features._walk_order(g)
+        assert order.tolist() == _bfs_order(g)
+        assert np.array_equal(position[order], np.arange(g.n))
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        n = int(rng.integers(2, 40))
+        g = Graph.from_edges(n, rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2)))
+        assert hocn.features._walk_order(g)[0].tolist() == _bfs_order(g)
+
+
+def _identity_order(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    ids = np.arange(g.n)
+    ids.flags.writeable = False
+    return ids, ids
+
+
+def _walk_outputs(g: Graph) -> dict:
+    """Everything that walk rows give, by name: features and slices at
+    K = 1..3 with both endpoint settings, the diagonals and Gram of
+    ``walk_row_sums``, exact participation, ``adj_power_row`` and
+    ``cn_set``, for all pairs of ``g``."""
+    pairs = np.array(list(combinations(range(g.n), 2)))
+    out = {}
+    for exclude in (False, True):
+        for f in cn_order_features_all(g, batch_of(pairs), 3, exclude_endpoints=exclude):
+            out[f"combined{f.order}{exclude}"] = f.combined
+            out.update({f"slice{f.order}{key}{exclude}": m for key, m in f.slices.items()})
+        for k in (1, 2, 3):
+            out[f"participation{k}{exclude}"] = exact_walk_participation(g, k, exclude).counts
+    out["diag"], out["gram"] = hocn.features.walk_row_sums(g, 3, loop_gram=True)
+    for u in range(0, g.n, 7):
+        for length in range(5):
+            out[f"row{u}-{length}"] = adj_power_row(g, u, length)
+    for i, j in pairs[::37]:
+        for k in (1, 2, 3):
+            for exclude in (False, True):
+                members = sorted(cn_set(g, int(i), int(j), k, exclude_endpoints=exclude))
+                out[f"cn_set{i}-{j}-{k}{exclude}"] = np.array(members, dtype=np.int64)
+    return out
+
+
+def test_walk_order_changes_no_output(monkeypatch):
+    # The oracle walks in node order: every output, stored order and dtype
+    # included, is the same whatever the order of the walk rows.
+    for make_graph in _walk_order_graphs():
+        got = _walk_outputs(make_graph())
+        with monkeypatch.context() as patch:
+            patch.setattr(hocn.features, "_walk_order", _identity_order)
+            want = _walk_outputs(make_graph())
+        _assert_same_counts(got, want)
+    assert sum(not np.array_equal(hocn.features._walk_order(make_graph())[0], np.arange(
+        make_graph().n)) for make_graph in _walk_order_graphs()) == 3
+
+
+def test_walk_order_is_read_only_and_built_once_in_the_calling_thread(monkeypatch):
+    builds = []
+    memoized = Graph.memoized
+
+    def recording(g, key, build):
+        def recorded():
+            builds.append((key, threading.current_thread()))
+            return build()
+
+        return memoized(g, key, recorded if key == "walk_order" else build)
+
+    monkeypatch.setattr(Graph, "memoized", recording)
+    g = sample_ba_graph(600, 3, seed=2)
+    pairs = _hub_pairs(g, 200)
+    monkeypatch.setattr(hocn.features, "_WORKERS", 2)
+    monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", 8 * int(_walk_nnz_bound(g, 3).max()))
+    assert len(_sub_chunks(g, pairs, 3)) > 3
+    feats = cn_order_features_all(g, batch_of(pairs), 3)
+    feats[2].slices
+    hocn.features.walk_row_sums(g, 3, loop_gram=True)
+    adj_power_row(g, 5, 3)
+    assert builds == [("walk_order", threading.main_thread())]
+    order, position = hocn.features._walk_order(g)
+    assert np.array_equal(np.sort(order), np.arange(g.n))
+    assert np.array_equal(order[position], np.arange(g.n))
+    for array in (order, position):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+
+def test_many_components_take_no_rescan_per_component():
+    # 20,000 components of one edge each: a search that looked for the next
+    # unvisited node from the start, or ran one loop per component, would take
+    # seconds here.
+    edges = np.arange(40_000).reshape(-1, 2)
+    elapsed = []
+    for _ in range(3):
+        g = Graph.from_edges(40_000, edges)
+        start = time.perf_counter()
+        order = hocn.features._walk_order(g)[0]
+        elapsed.append(time.perf_counter() - start)
+        assert np.array_equal(order, np.arange(40_000))
+    assert min(elapsed) < 0.25, elapsed

@@ -96,9 +96,11 @@ _ID_TEXT = st.one_of(st.integers(0, 999).map(str),
                                       str(2**62), str(2**62 + 1), str(2**63), str(10**20)]))
 _SEP = st.sampled_from([" ", "\t", "  \t", ",", ", ", "\u00a0"])
 _LINE = st.one_of(
-    st.tuples(_ID_TEXT, _SEP, _ID_TEXT, st.sampled_from(["", " ", "\t", "  # c", ",", " 5"]))
+    st.tuples(_ID_TEXT, _SEP, _ID_TEXT, st.sampled_from(["", " ", "\t", "  # c", ",", " 5",
+                                                        "#-1", " # \u0663\r", "# x,y"]))
     .map("".join),
-    st.sampled_from(["", "# comment", "   ", "1 2 3", "\r"]))
+    st.sampled_from(["", "# comment", "   ", "1 2 3", "\r", "# CA-GrQc.txt", "#\r",
+                     "# +4 -0 \u0663", "#1 2", " # a\rb"]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -112,6 +114,9 @@ _LINE = st.one_of(
 @example(["", "1 2"], False, "tsv", False)
 @example(["1,2", "", "3, 4"], True, "csv", True)
 @example(["1 2", "# c", "3 4  # c"], True, "tsv", False)
+@example(["# Directed graph (each unordered pair of nodes is saved once): CA-GrQc.txt",
+          "# Nodes: 5242 Edges: 28980", "# FromNodeId\tToNodeId", "3466\t937"], True, "tsv", True)
+@example(["1,2 # c", "# -1", "3,4"], True, "csv", False)
 @example(["1 2\r3 4"], True, "tsv", False)
 @example(["1 2\r"], False, "tsv", False)
 @example(["1 2", "\r", "3 4"], True, "tsv", False)
@@ -139,7 +144,10 @@ def test_plain_edge_text_takes_the_vectorized_parse():
                       ("tsv", "\n0 1\n\n1 2\n  \n2 3\n"), ("tsv", "0 1\r\n1 2\r\n2 3\r\n"),
                       ("csv", "0,1\n1, 2\n\n2,3\n"), ("csv", "0,\x1c1\n1 ,2\x1f\n2,3\n")]:
         assert hocn.graph._plain_edges(text, fmt).tolist() == edges, text
-    for other in ("# c\n0 1\n", "0 1  # c\n", "0 1\r2 3\n", "0 1\r", "0 -1\n",
+    # Comments are stripped first, whatever they hold.
+    for text in ("# c\n0 1\n", "0 1  # c\n", "# CA-GrQc.txt +4 -0 \u0663\r\n0 1\n", "0 1 #\r"):
+        assert hocn.graph._plain_edges(text, "tsv").tolist() == [[0, 1]], text
+    for other in ("0 1\r2 3\n", "0 1\r", "0 -1\n",
                   f"0 {2**62 + 1}\n", "", " \n\t\n", "1_0 2\n", "0 1\u01fe\n", "+4 5\n",
                   "-0 5\n"):
         assert hocn.graph._plain_edges(other, "tsv") is None, other

@@ -1,6 +1,11 @@
 import io
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,3 +423,33 @@ def test_gram_schmidt_peak_memory_near_one_combined_matrix():
             tracemalloc.stop()
         # The returned basis alone is about one combined matrix per order.
         assert peak < 1.5 * largest, (training, peak, largest)
+
+
+_REDUCTIONS = textwrap.dedent("""
+    import numpy as np
+    from hocn import frobenius_inner, frobenius_norm, sample_ba_graph
+    from hocn.ortho import _all_pairs_gram
+
+    x, y = np.random.default_rng(0).random((2, 2_900_000)) / 1e4
+    values = [frobenius_norm(x), frobenius_norm(x.reshape(1000, -1)),
+              frobenius_inner(x.reshape(1000, -1), y.reshape(1000, -1))]
+    g = sample_ba_graph(20000, 3, seed=0)
+    for exclude in (False, True):
+        values += list(_all_pairs_gram(g, 2, exclude).ravel())
+    print(" ".join(float(v).hex() for v in values))
+""")
+
+
+def test_reductions_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot product of more than 10,000 entries by thread,
+    # so a sum through it rounds differently on one and on two threads.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", _REDUCTIONS], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.add(done.stdout)
+    assert len(outputs) == 1, outputs

@@ -18,7 +18,7 @@ from hocn import (BoundDomainError, BoundInputs, Graph, InputError,
                   log_double_factorial_ratio, sample_ba_graph,
                   sample_latent_model, torus_distances, unit_ball_volume,
                   validate_bound)
-from hocn.theory import _BLOCK_ENTRIES, _TrialBuffers, _pick_pair
+from hocn.theory import _BLOCK_ENTRIES, _TrialBuffers, _cn_members, _pick_pair
 
 from conftest import random_graph
 
@@ -375,8 +375,15 @@ def test_pick_pair_matches_matrix_power_oracle():
             for seed in range(5):
                 want = _matrix_power_pick(adjacency, k, seed)
                 fresh = _TrialBuffers(len(adjacency), k)
-                assert _pick_pair(adjacency, k, seed, fresh) == want, (case, k, seed)
-                assert _pick_pair(adjacency, k, seed, reused) == want, (case, k, seed)
+                for buffers in (fresh, reused):
+                    got = _pick_pair(adjacency, k, seed, buffers)
+                    assert (got and got[:3]) == want, (case, k, seed)
+                    if got:
+                        # The walk columns (A^{k-1} e_i, A^{k-1} e_j), (A^k e_i, A^k e_j).
+                        powers = [np.linalg.matrix_power(adjacency.astype(np.int64), l)
+                                  for l in (k - 1, k)]
+                        for columns, power in zip(got[3], powers):
+                            assert np.array_equal(columns, power[:, want[:2]]), (case, k)
                 # only the empty graph has no pair to pick
                 assert (want is None) == (case == 3), (case, k, seed)
 
@@ -450,6 +457,23 @@ def _reference_normalized_trial(params, k, delta, seed):
         if not result.vacuous and (best is None or result.value > best):
             best = result.value
     return None if best is None else best - float(sample.distances[i, j])
+
+
+def test_trial_members_are_the_cn_set_of_the_pair():
+    # The normalized trials take the pair's members from the walk columns of
+    # the pair pick, not from cn_set on the sample's graph.
+    checked = 0
+    for seed in range(30):
+        sample = sample_latent_model(LatentModelParams(n=120, dim=2, radius=0.2, seed=seed))
+        for k in (2, 3):
+            picked = _pick_pair(sample.adjacency, k, seed, _TrialBuffers(120, k))
+            if picked is None:
+                continue
+            i, j, _, columns = picked
+            members = _cn_members(i, j, columns)
+            assert set(members.tolist()) == cn_set(sample.graph, i, j, k), (seed, k)
+            checked += bool(members.size)
+    assert checked > 40
 
 
 def test_validate_bound_normalized_matches_per_split_reference():
