@@ -503,7 +503,6 @@ def _product(a: sp.csr_matrix, b: sp.csr_matrix, order: np.ndarray,
             a = sp.csr_matrix((a.data.astype(dtype), a.indices, a.indptr), shape=a.shape)
     mat = a.multiply(b).tocsr()
     mat.indices[:] = order[mat.indices]
-    mat.has_sorted_indices = False
     mat.sort_indices()
     if ends is not None:
         _drop_row_columns(mat, ends)
