@@ -27,7 +27,7 @@ allocates no batch x n dense storage. They are left unsorted; each product
 is sorted instead, since it is far smaller than the rows it comes from.
 
 Walk rows are indexed by position, not by node id: the positions of one
-breadth-first order of the graph (``_walk_order``), in which neighbours sit
+breadth-first order of the graph (``_walk_order``), in which neighbors sit
 near each other. scipy's kernels scatter each row into n-length arrays
 indexed by column, so on a BA graph, whose ids carry no locality, this takes
 about a quarter off a batch. Node ids go in as positions; each product's
@@ -200,10 +200,9 @@ def _walk_order(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     the position of each node. Built once per graph, read-only.
 
     Components come in the order of their lowest node id, each in the
-    breadth-first order from that node: a level's nodes in the order of the
-    first of the previous level's nodes, in their order, to reach them,
-    each node's neighbors by ascending id. Isolated nodes come last. In a
-    BA graph node ids carry no locality; in this order neighbours sit near
+    queue order of a breadth-first search from that node that takes each
+    node's neighbors by ascending id. Isolated nodes come last. In a BA
+    graph node ids carry no locality; in this order neighbors sit near
     each other, so scipy's sparse kernels, which scatter into n-length
     arrays indexed by column, touch less memory per row.
 
