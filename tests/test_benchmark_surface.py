@@ -37,6 +37,9 @@ def test_names_the_workloads_read():
     params = theory.LatentModelParams(n=500, dim=2, radius=0.45, seed=0)
     inspect.signature(theory.validate_bound).bind("latent", params, "unnormalized", 2, 0.1,
                                                   100, 0, threads=1)
+    assert {"trials", "eligible"} <= {f.name for f in dataclasses.fields(theory.ViolationReport)}
+    assert isinstance(vars(theory.ViolationReport)["violation_fraction"], property)
+    assert {"hits", "mrr"} <= {f.name for f in dataclasses.fields(metrics.EvalReport)}
 
 
 def test_calls_train_eval_makes():

@@ -1,9 +1,10 @@
 """Seeded command-line outputs pinned to values committed in
 ``tests/pinned_outputs.json``.
 
-``train``, ``eval --kind model``, ``score --kind ocn|ocnp`` (K = 2 and 3,
-with and without ``--exclude-endpoints``), ``diagnose`` and ``theory`` run
-with fixed seeds on small graphs. Every cell of their CSV rows, and every
+``prepare``, ``train``, ``eval --kind model|cn|aa|ra``, ``score --kind
+cn|aa|ra|normalized-cn`` and ``score --kind ocn|ocnp`` (K = 2 and 3, with and
+without ``--exclude-endpoints``), ``diagnose``, ``theory`` and ``bounds
+--model latent|ba`` run with fixed seeds on small graphs. Every cell of their CSV rows, and every
 word of the model files that train writes, must equal the committed value:
 integers exactly, other numbers to 1e-12 relative, text exactly. The commands
 that read an edge list read the same edges as plain tab-separated text, as
@@ -38,6 +39,8 @@ _TRAINED = {"ocn-k2": ["--variant", "ocn", "--k-max", "2"],
 _SCORED = {f"{kind}-k{k}{'-excl' * excl}": ["--kind", kind, "--k-max", str(k)]
            + ["--exclude-endpoints"] * excl
            for kind in ("ocn", "ocnp") for k in (2, 3) for excl in (False, True)}
+_SCORED.update({kind: ["--kind", kind] for kind in ("cn", "aa", "ra")})
+_SCORED["normalized-cn-k3"] = ["--kind", "normalized-cn", "--k-max", "3"]
 _THEORY = {"unnormalized-k1": ["--bound", "unnormalized", "--k", "1"],
            "normalized-k2-threads2": ["--bound", "normalized", "--k", "2", "--threads", "2"]}
 
@@ -62,10 +65,16 @@ def pinned_outputs(tmp: Path) -> dict:
         outputs[f"theory {name}"] = _rows(
             ["theory", "--n", "60", "--radius", "0.35", "--trials", "100", "--seed", "3",
              *argv], out)
+    for model in ("latent", "ba"):
+        outputs[f"bounds {model}"] = _rows(["bounds", "--model", model], out)
     for text_name, (fmt, text) in _INPUTS.items():
         edges = tmp / f"edges.{text_name}"
         edges.write_text(text)
         source = ["--input", str(edges), "--format", fmt]
+        outputs[f"{text_name} prepare"] = _rows(["prepare", *source, "--seed", "1"], out)
+        for kind in ("cn", "aa", "ra"):
+            outputs[f"{text_name} eval {kind}"] = _rows(
+                ["eval", *source, "--kind", kind, "--seed", "1", "--ks", "5,20"], out)
         for name, argv in _TRAINED.items():
             model = tmp / f"{name}.{text_name}.model"
             outputs[f"{text_name} train {name}"] = _rows(
