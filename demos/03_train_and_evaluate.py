@@ -28,7 +28,7 @@ def main():
                                  exclude=exclude)
 
     cn_report = evaluate(lambda p: heuristic_scores(base, p, "cn"),
-                         split.test, negatives, ks=(20, 50, 100), seed=SEED)
+                         split.test, negatives, ks=(20, 50, 100))
     print("\ncommon-neighbors baseline:")
     for k in sorted(cn_report.hits):
         print(f"  hits@{k:<3} {cn_report.hits[k]:.4f}")
@@ -43,7 +43,7 @@ def main():
     h = propagate_features(base, x, fc.depth)
     model_report = evaluate(
         lambda p: model_scores(base, p, result.model, result.state, h, fc),
-        split.test, negatives, ks=(20, 50, 100), seed=SEED)
+        split.test, negatives, ks=(20, 50, 100))
     print("trained model:")
     for k in sorted(model_report.hits):
         print(f"  hits@{k:<3} {model_report.hits[k]:.4f}")

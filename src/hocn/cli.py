@@ -250,7 +250,7 @@ def cmd_eval(args) -> int:
         score_fn = lambda pairs: model_scores(base, pairs, model, state, h, fc)
     else:
         raise InputError(f"unknown eval kind {args.kind!r}")
-    report = evaluate(score_fn, batch, negatives, ks=ks, seed=args.seed)
+    report = evaluate(score_fn, batch, negatives, ks=ks)
     rows = [("hits", k, repr(report.hits[k]), report.n_pos, report.n_neg)
             for k in sorted(report.hits)]
     rows.append(("mrr", None, repr(report.mrr), report.n_pos, report.n_neg))

@@ -46,7 +46,7 @@ the step A + I of the walk rows, built in that order's positions, depend on
 the graph alone, so they are built once per graph (``Graph.memoized``), in
 the calling thread; the walk totals A^l·1 behind the bound and the type
 come from one recurrence, ``walk_totals``, which exact participation reads
-too. One map, ``_walk_map``, runs the sub-chunks of the features and of the
+too. One map, ``walk_map``, runs the sub-chunks of the features and of the
 slices and the node blocks alike. Every run holds at
 most one share of ``_NNZ_BUDGET``, its walk rows and the scratch of a
 product, the same on every machine, so the cuts, and with them the order in
@@ -70,7 +70,7 @@ import scipy.sparse as sp
 from .errors import ConfigError, InputError, ScaleError
 from .graph import Graph, PairBatch
 
-# Walk-row entries that the runs of _walk_map in flight at once may hold, by
+# Walk-row entries that the runs of walk_map in flight at once may hold, by
 # the per-node bound of _walk_nnz_bound, counting the scratch of a product
 # as much again (about 32 MB of int32 CSR data and indices); one pair or
 # node may cost up to all of it.
@@ -83,7 +83,7 @@ _MAX_RUNS = 2
 # Walk counts below this fit int32 (see _count_dtype).
 _INT32_LIMIT = 1 << 31
 
-# Threads of _walk_map; they size the pool only, never a run.
+# Threads of walk_map; they size the pool only, never a run.
 _WORKERS = min(_MAX_RUNS, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 
@@ -208,19 +208,22 @@ def _walk_order(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
     The lowest node of each component comes from hooking and shortcutting
     (FastSV, Zhang, Azad and Hu 2020): a few passes over the edges, whatever
-    the number of components. Then one breadth-first search runs from all
-    of them at once, level by level, and a stable sort by component puts
-    each component's nodes together.
+    the number of components. Each pass takes every node's least grandparent
+    among its neighbors with one reduction per row, and hooks with those
+    n-length minima, so it scatters nothing edge by edge. Then one
+    breadth-first search runs from all of them at once, level by level, and
+    a stable sort by component puts each component's nodes together.
     """
     def build() -> tuple[np.ndarray, np.ndarray]:
-        src, dst = np.repeat(np.arange(g.n), g.degrees), g.indices
+        live = np.flatnonzero(g.degrees)
         root = np.arange(g.n)
         grand = root
-        while True:
+        while live.size:
+            near = np.minimum.reduceat(grand[g.indices], g.indptr[live])
             hooked = root.copy()
-            np.minimum.at(hooked, root[src], grand[dst])
-            np.minimum.at(hooked, src, grand[dst])
+            np.minimum.at(hooked, root[live], near)
             root = np.minimum(hooked, grand)
+            root[live] = np.minimum(root[live], near)
             grand, before = root[root], grand
             if np.array_equal(grand, before):
                 break
@@ -252,9 +255,9 @@ def _row_entries(g: Graph, nodes: np.ndarray) -> np.ndarray:
     """Offsets into ``g.indices`` of the neighbor lists of ``nodes``, one
     list after the other."""
     counts = g.degrees[nodes]
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1] if ends.size else 0) + np.repeat(g.indptr[nodes] - ends + counts,
-                                                               counts)
+    offsets = np.repeat(g.indptr[nodes] - np.cumsum(counts) + counts, counts)
+    offsets += np.arange(offsets.size)
+    return offsets
 
 
 def _loop_adjacency(g: Graph) -> sp.csr_matrix:
@@ -262,14 +265,20 @@ def _loop_adjacency(g: Graph) -> sp.csr_matrix:
     then the positions of node order[p]'s neighbors by ascending id. Built
     once per graph, straight from its CSR arrays, with read-only arrays,
     since every walk-row path shares it. scipy's kernels read rows in any
-    column order."""
+    column order. Its index arrays are built in int32 when their values fit,
+    each neighbor list moved to its row by one scatter, so no int64 copy of
+    the edges is made for scipy to narrow."""
     def build() -> sp.csr_matrix:
         order, position = _walk_order(g)
-        counts = g.degrees[order]
-        indices = np.insert(position[g.indices[_row_entries(g, order)]],
-                            np.cumsum(counts) - counts, np.arange(g.n))
-        indptr = np.zeros(g.n + 1, dtype=np.int64)
-        np.cumsum(counts + 1, out=indptr[1:])
+        index = np.int32 if g.indices.size + g.n <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(g.n + 1, dtype=index)
+        np.cumsum(g.degrees[order] + 1, out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=index)
+        indices[indptr[:-1]] = np.arange(g.n)
+        # Entry e of node u's list goes to row position[u], after its loop.
+        slots = np.repeat((indptr[position] + 1 - g.indptr[:-1]).astype(index), g.degrees)
+        slots += np.arange(slots.size, dtype=index)
+        indices[slots] = position.astype(index)[g.indices]
         loops = sp.csr_matrix((np.ones(indices.size, dtype=np.int32), indices, indptr),
                               shape=(g.n, g.n))
         for array in (loops.data, loops.indices, loops.indptr):
@@ -390,7 +399,17 @@ def _sub_chunks(g: Graph, pairs: np.ndarray, k_max: int) -> np.ndarray:
                         lambda x: f"pair ({pairs[x, 0]}, {pairs[x, 1]}) at orders 1..{k_max}")
 
 
-def _walk_map(run: Callable[[int, int], object], cuts, workers: int | None = None) -> list:
+def features_fit_budget(g: Graph, pairs: np.ndarray, k_max: int) -> bool:
+    """Whether the combined rows of orders 1..k_max of ``pairs`` are sure to
+    hold at most ``_NNZ_BUDGET`` entries in all, decided before any row is
+    built. Order k's row of (u, v) has an entry only where S_k[u] and
+    S_k[v] both do, and each holds at most its endpoint's walk-row bound
+    (``_walk_nnz_bound``), so K * sum(min(bound[u], bound[v])) bounds them."""
+    bound = _walk_nnz_bound(g, k_max)
+    return k_max * np.minimum(bound[pairs[:, 0]], bound[pairs[:, 1]]).sum() <= _NNZ_BUDGET
+
+
+def walk_map(run: Callable[[int, int], object], cuts, workers: int | None = None) -> list:
     """``run(start, stop)`` for each run between consecutive ``cuts``, in
     order: on the calling thread when there is one run or one worker, else
     ``workers`` at a time on a thread pool. A run's exception reaches the
@@ -409,7 +428,7 @@ def walk_row_sums(g: Graph, k: int,
                   loop_gram: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
     """Per node c, sums over its walk rows R_{l-1} and S_l, l <= k, of
     ``_OrderRows``, in the node blocks of ``_budget_cuts`` mapped by
-    ``_walk_map``: ``diag``, row m = diag(A^m) for m = 0..2k, as
+    ``walk_map``: ``diag``, row m = diag(A^m) for m = 0..2k, as
     ||R_l[c]||^2 = A^{2l}[c, c] and ||S_l[c]||^2 = (A^{2l} + 2 A^{2l-1} +
     A^{2l-2})[c, c] for symmetric A; and with ``loop_gram``, the lower
     triangle of the Gram matrix of Q_a = S_a o S_a - R_{a-1} o R_{a-1}, whose
@@ -448,7 +467,7 @@ def walk_row_sums(g: Graph, k: int,
             diag[2 * k, start:stop] = _squared(rows.powers(k)[1]).sum(axis=1).A1
         return part
 
-    parts = _walk_map(block, cuts)
+    parts = walk_map(block, cuts)
     gram = sum(parts, np.zeros((k, k))) if loop_gram else None
     diag = diag[:, position]
     for l in range(1, k + 1):
@@ -485,7 +504,7 @@ def _drop_row_columns(mat: sp.csr_matrix, columns: np.ndarray) -> None:
     mat.eliminate_zeros()
 
 
-def _slice_keys(k: int) -> tuple[tuple[int, int], ...]:
+def slice_keys(k: int) -> tuple[tuple[int, int], ...]:
     return (k, k), (k - 1, k), (k, k - 1)
 
 
@@ -528,10 +547,10 @@ def _explicit_slices(g: Graph, pairs: np.ndarray, k: int, exclude_endpoints: boo
         ru, rv = (_OrderRows(loops, position[nodes]).powers(k) for nodes in ends.T)
         return [_float_counts(_product(ru[k1 - k + 1], rv[k2 - k + 1], order,
                                        ends if exclude_endpoints else None))
-                for k1, k2 in _slice_keys(k)]
+                for k1, k2 in slice_keys(k)]
 
-    parts = _walk_map(chunk, _sub_chunks(g, pairs, k))
-    return {key: sp.vstack(mats, format="csr") for key, mats in zip(_slice_keys(k), zip(*parts))}
+    parts = walk_map(chunk, _sub_chunks(g, pairs, k))
+    return {key: sp.vstack(mats, format="csr") for key, mats in zip(slice_keys(k), zip(*parts))}
 
 
 def cn_order_features(g: Graph, batch: PairBatch, k: int,
@@ -568,7 +587,7 @@ def cn_order_features_all(g: Graph, batch: PairBatch, k_max: int,
     """Orders 1..k_max for one batch, sharing the endpoints' walk rows.
 
     The batch is walked in consecutive sub-chunks of pairs (see
-    ``_sub_chunks``), mapped by ``_walk_map``; each sub-chunk's walk rows
+    ``_sub_chunks``), mapped by ``walk_map``; each sub-chunk's walk rows
     serve all orders and are dropped when its orders are done. Every matrix
     is canonical CSR, so a pair's row, stored order included, does not
     depend on the other pairs of its batch and the sub-chunks' matrices are
@@ -585,7 +604,7 @@ def cn_order_features_all(g: Graph, batch: PairBatch, k_max: int,
     # The parts are stacked where the workers built them. Copying them into
     # this thread as they arrive made the peak RSS of a 16,384-pair K=3 batch
     # of BA(100k, 3) swing by about 50 MB with the threads' timing.
-    chunks = _walk_map(chunk, _sub_chunks(g, batch.pairs, k_max))
+    chunks = walk_map(chunk, _sub_chunks(g, batch.pairs, k_max))
     if len(chunks) == 1:
         return chunks[0]
     feats = []

@@ -98,11 +98,6 @@ class Graph:
         data = np.ones(self.indices.size, dtype=np.float64)
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
-    def to_edge_list(self, stream) -> None:
-        """Write one tab-separated ``u v`` line per edge, u < v."""
-        for u, v in self.edge_array():
-            stream.write(f"{u}\t{v}\n")
-
 
 @dataclass(frozen=True)
 class PairBatch:
@@ -142,7 +137,6 @@ class SplitResult:
     train: PairBatch
     valid: PairBatch
     test: PairBatch
-    split_seed: int
 
 
 def _parse_line(line: str, fmt: str, lineno: int) -> tuple[int, int] | None:
@@ -263,7 +257,6 @@ def split_edges(g: Graph, ratios, seed: int) -> SplitResult:
         train=PairBatch(train_edges),
         valid=PairBatch(edges[np.sort(valid_idx)]),
         test=PairBatch(edges[np.sort(test_idx)]),
-        split_seed=int(seed),
     )
 
 

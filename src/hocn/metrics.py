@@ -19,7 +19,6 @@ class EvalReport:
     mrr: float
     n_pos: int
     n_neg: int
-    seed: int = 0
 
 
 def hits_at_k(pos_scores, neg_scores, k: int) -> float:
@@ -63,7 +62,7 @@ def mrr(pos_scores, neg_scores) -> float:
 
 
 def evaluate(score_fn, positives: PairBatch, negatives: PairBatch,
-             ks=(20, 50, 100), seed: int = 0) -> EvalReport:
+             ks=(20, 50, 100)) -> EvalReport:
     """Score both batches with ``score_fn(pairs) -> array`` and build a report.
 
     The negative set is shared: Hits@K thresholds on it directly, MRR ranks
@@ -81,5 +80,4 @@ def evaluate(score_fn, positives: PairBatch, negatives: PairBatch,
             raise EvaluationError(f"non-finite score for {name} pair ({u}, {v})")
     hits = {int(k): hits_at_k(pos_scores, neg_scores, int(k)) for k in ks}
     mean_rr = mrr(pos_scores, neg_scores)
-    return EvalReport(hits=hits, mrr=mean_rr, n_pos=len(positives),
-                      n_neg=len(negatives), seed=seed)
+    return EvalReport(hits=hits, mrr=mean_rr, n_pos=len(positives), n_neg=len(negatives))

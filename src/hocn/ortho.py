@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from numpy.polynomial import Chebyshev, Legendre, Polynomial
 
 from .errors import ConfigError
-from .features import OrderFeatures, _slice_keys, cn_order_features_all, walk_row_sums
+from .features import OrderFeatures, cn_order_features_all, slice_keys, walk_row_sums
 from .graph import Graph, PairBatch
 
 DEGENERATE_NORM = 1e-12
@@ -165,7 +165,7 @@ def _all_pairs_gram(g: Graph, k_max: int, exclude_endpoints: bool) -> np.ndarray
     graph, k_max and endpoint setting, read-only."""
     def build() -> np.ndarray:
         diag, loop_gram = walk_row_sums(g, k_max, loop_gram=True)
-        slices = [_slice_keys(a) for a in range(1, k_max + 1)]
+        slices = [slice_keys(a) for a in range(1, k_max + 1)]
         gram = np.empty((k_max, k_max))
         for a in range(k_max):
             for b in range(a + 1):

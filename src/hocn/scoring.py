@@ -17,9 +17,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import scipy.sparse as sp
 
-from . import features
 from .errors import ConfigError, InputError, TrainingError
-from .features import OrderFeatures, cn_order_features_all
+from .features import OrderFeatures, cn_order_features_all, features_fit_budget
 from .graph import Graph, PairBatch, SplitResult, sample_negatives
 from .normalize import (apply_normalization, normalized_cn_score, running_counts,
                         update_running_participation)
@@ -29,6 +28,9 @@ from .ortho import (RunningState, apply_polynomial_filter,
 MODEL_FORMAT_VERSION = 2
 
 MAX_PROPAGATION_DEPTH = 8
+
+# Descent steps on each epoch's fixed feature arrays.
+STEPS_PER_EPOCH = 60
 
 
 def heuristic_score(g: Graph, pair, kind: str) -> float:
@@ -126,6 +128,11 @@ _SCALARS = {**{f.name: _setting(f.default) for f in fields(FeatureConfig)},
             "head_b": float, "t": int}
 
 
+def _line_name(key) -> str:
+    """A model-file key as its line starts: ``xi 2 1`` for ("xi", 2, 1)."""
+    return " ".join(map(str, key)) if isinstance(key, tuple) else key
+
+
 def _float_words(values) -> str:
     return " ".join(map(repr, np.asarray(values, dtype=np.float64).tolist()))
 
@@ -162,46 +169,63 @@ class ScoreModel:
     @classmethod
     def load(cls, stream) -> tuple["ScoreModel", RunningState]:
         """(model, running statistics) from a file that ``save`` wrote.
-        Anything malformed is a ConfigError that names its line."""
+        Anything malformed is a ConfigError that names its line, and so is
+        a second line with the key of another (the key of an ``xi`` or
+        ``psi`` line includes its orders), an ``xi k i`` line without
+        1 <= i < k <= k_max and a ``psi k`` line with k outside 1..k_max.
+        A missing line, such as the ``psi`` line of some order, is a
+        ConfigError too."""
         header = stream.readline().strip()
         if header != f"hocn-model v{MODEL_FORMAT_VERSION}":
             raise ConfigError(f"model file line 1: expected 'hocn-model "
                               f"v{MODEL_FORMAT_VERSION}', got {header[:40]!r}")
-        state = RunningState()
-        found, where = {}, {}  # the lines that appear once: value, line
+        found, where = {}, {}  # by key, orders included: value, line
         for lineno, line in enumerate(stream, start=2):
             if not line.strip():
                 continue
             key, *words = line.split()
-            where[key] = f"model file line {lineno}"
-            if key in found:
-                raise ConfigError(f"{where[key]}: a second {key} line")
+            here = f"model file line {lineno}"
             try:
                 if key == "xi":
                     k, i, value = words
-                    state.xi_hat[(int(k), int(i))] = float(value)
+                    key, value = ("xi", int(k), int(i)), float(value)
                 elif key == "psi":
-                    k = int(words[0])
-                    state.psi_t[k] = int(words[1])
-                    state.psi_hat[k] = np.array(words[2:], dtype=np.float64)
+                    key, value = ("psi", int(words[0])), (int(words[1]), np.array(
+                        words[2:], dtype=np.float64))
                 elif key in ("alpha", "head_w"):
-                    found[key] = np.array(words, dtype=np.float64)
+                    value = np.array(words, dtype=np.float64)
                 elif key in _SCALARS:
                     (word,) = words
-                    found[key] = _SCALARS[key](word)
+                    value = _SCALARS[key](word)
                 else:
-                    raise ConfigError(f"{where[key]}: unknown key {key!r}")
+                    raise ConfigError(f"{here}: unknown key {key!r}")
             except (ValueError, KeyError, IndexError):
-                raise ConfigError(f"{where[key]}: malformed {key} line") from None
-        missing = [key for key in (*_SCALARS, "alpha", "head_w") if key not in found]
+                raise ConfigError(f"{here}: malformed {key} line") from None
+            if key in found:
+                raise ConfigError(f"{here}: a second {_line_name(key)} line")
+            found[key], where[key] = value, here
+        k_max = found.get("k_max", 0)
+        missing = [key for key in (*_SCALARS, "alpha", "head_w",
+                                   *(("psi", k) for k in range(1, k_max + 1)))
+                   if key not in found]
         if missing:
-            raise ConfigError(f"model file: no {', '.join(missing)} line")
+            raise ConfigError("model file: " + ", ".join(f"no {_line_name(key)} line"
+                                                         for key in missing))
         features = FeatureConfig(**{f.name: found[f.name] for f in fields(FeatureConfig)})
-        for key, length in (("alpha", features.k_max), ("head_w", features.feature_dim + 1)):
+        for key, length in (("alpha", k_max), ("head_w", features.feature_dim + 1)):
             if len(found[key]) != length:
                 raise ConfigError(f"{where[key]}: {key} has {len(found[key])} values, "
                                   f"expected {length}")
-        state.t = found["t"]
+        state = RunningState(t=found["t"])
+        for key in filter(lambda key: isinstance(key, tuple), found):
+            kind, k, *i = key
+            if not (1 <= k <= k_max and all(1 <= j < k for j in i)):
+                raise ConfigError(f"{where[key]}: {_line_name(key)} outside "
+                                  f"1 <= {'i < k' if i else 'k'} <= {k_max}")
+            if i:
+                state.xi_hat[(k, *i)] = found[key]
+            else:
+                state.psi_t[k], state.psi_hat[k] = found[key]
         return cls(features, found["alpha"], found["head_w"], found["head_b"]), state
 
 
@@ -323,7 +347,6 @@ class TrainConfig:
     features: FeatureConfig = field(default_factory=FeatureConfig)
     learning_rate: float = 0.5
     epochs: int = 4
-    steps_per_epoch: int = 60
     seed: int = 0
 
 
@@ -337,13 +360,9 @@ class TrainResult:
 
 def _positive_rows(g: Graph, positives: PairBatch, cfg: FeatureConfig) -> list:
     """Raw feature rows per order of the training positives, built once per
-    run, or none when they might hold more than ``features._NNZ_BUDGET``
-    entries. Order k's row of (u, v) lies within S_k[u] and S_k[v], each
-    within the walk-row bound, so K * sum(min(bound[u], bound[v])) bounds
-    them before any row is built."""
-    bound = features._walk_nnz_bound(g, cfg.k_max)
-    u, v = positives.pairs.T
-    if cfg.k_max * np.minimum(bound[u], bound[v]).sum() > features._NNZ_BUDGET:
+    run, or none when ``features_fit_budget`` cannot show that they fit the
+    walk-row budget."""
+    if not features_fit_budget(g, positives.pairs, cfg.k_max):
         return []
     return [f.combined for f in cn_order_features_all(
         g, positives, cfg.k_max, exclude_endpoints=cfg.exclude_endpoints)]
@@ -384,7 +403,7 @@ def train_model(split: SplitResult, config: TrainConfig) -> TrainResult:
         pairs = np.concatenate([pos, neg.pairs], axis=0)
         y = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
         m, q = pair_features(g, pairs, h, cfg, state, training=True, known_rows=pos_rows)
-        for _ in range(config.steps_per_epoch):
+        for _ in range(STEPS_PER_EPOCH):
             loss, g_alpha, g_w, g_b = logistic_loss_and_grads(
                 alpha, head_w, head_b, m, q, y)
             if not math.isfinite(loss):

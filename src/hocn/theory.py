@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BoundDomainError, InputError, ScaleError
-from .features import _walk_map
+from .features import walk_map
 from .graph import Graph
 
 INV_E = math.exp(-1.0)
@@ -255,12 +255,6 @@ class BoundInputs:
 class BoundResult:
     value: float | None
     vacuous: bool = False
-    reason: str = ""
-
-    def __float__(self) -> float:
-        if self.vacuous:
-            raise ValueError(f"vacuous bound: {self.reason}")
-        return self.value
 
 
 def _concentration_terms(b: BoundInputs) -> tuple[float, float]:
@@ -276,11 +270,11 @@ def bound_unnormalized(b: BoundInputs) -> BoundResult:
     """Latent-space distance bound from raw k-hop walk counts."""
     iota, alpha = _concentration_terms(b)
     if iota <= alpha:
-        return BoundResult(None, vacuous=True, reason="iota <= alpha")
+        return BoundResult(None, vacuous=True)
     term = (iota - alpha) ** (2.0 / (b.dim * (2 * b.k - 1)))
     radicand = b.r_m_max ** 2 - term
     if radicand < 0.0:
-        return BoundResult(None, vacuous=True, reason="negative radicand")
+        return BoundResult(None, vacuous=True)
     return BoundResult(b.r_sum + 2.0 * math.sqrt(radicand))
 
 
@@ -291,13 +285,13 @@ def bound_normalized(b: BoundInputs) -> BoundResult:
     iota, alpha = _concentration_terms(b)
     gamma = iota - alpha
     if gamma <= 0.0:
-        return BoundResult(None, vacuous=True, reason="gamma <= 0")
+        return BoundResult(None, vacuous=True)
     pair_count = b.zeta * (b.zeta - 1) / 2.0
     inner = (gamma * pair_count) ** (1.0 / (b.dim * (b.k - 1))) * b.rho ** b.n
     term = inner ** ((2.0 * b.k - 2.0) / (2.0 * b.k - 1.0))
     radicand = b.r_m_max ** 2 - term
     if radicand < 0.0:
-        return BoundResult(None, vacuous=True, reason="negative radicand")
+        return BoundResult(None, vacuous=True)
     return BoundResult(b.r_sum + 2.0 * math.sqrt(radicand))
 
 
@@ -362,7 +356,6 @@ class ViolationReport:
     eligible: int
     violations: int
     mean_slack: float
-    seed: int
 
     @property
     def violation_fraction(self) -> float:
@@ -500,7 +493,7 @@ def validate_bound(model: str, params, bound_kind: str, k: int, delta: float,
     "unnormalized" or "normalized" (k >= 2); every input is checked before
     the first trial. Per-trial seeds derive from the run seed; reduction
     order fixed. The trials are cut into min(threads, trials) consecutive
-    runs, mapped by ``features._walk_map`` with a worker per run (one run
+    runs, mapped by ``features.walk_map`` with a worker per run (one run
     stays on the calling thread), and each run reuses one set of n x n
     buffers for all of its trials; ``ScaleError`` is raised first when
     ``threads`` such sets would exceed the buffer budget.
@@ -529,11 +522,10 @@ def validate_bound(model: str, params, bound_kind: str, k: int, delta: float,
 
     workers = min(threads, trials)
     cuts = [w * trials // workers for w in range(workers + 1)]
-    slacks = [s for part in _walk_map(run, cuts, workers) for s in part]
+    slacks = [s for part in walk_map(run, cuts, workers) for s in part]
     valid = [s for s in slacks if s is not None]
     violations = sum(1 for s in valid if s < 0)
     mean_slack = float(np.mean(valid)) if valid else float("nan")
     return ViolationReport(model=model, bound=bound_kind, k=k, delta=delta,
                            trials=trials, eligible=len(valid),
-                           violations=violations, mean_slack=mean_slack,
-                           seed=seed)
+                           violations=violations, mean_slack=mean_slack)

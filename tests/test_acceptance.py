@@ -55,7 +55,7 @@ def cora_eval(g, seed, score_kind, split_name="test"):
         [split.train.pairs, split.valid.pairs, split.test.pairs], axis=0)]
     negatives = sample_negatives(base, len(batch), seed + 7, exclude=exclude)
     score_fn = lambda pairs: heuristic_scores(base, pairs, score_kind)
-    return evaluate(score_fn, batch, negatives, ks=(100,), seed=seed)
+    return evaluate(score_fn, batch, negatives, ks=(100,))
 
 
 def test_criterion_01_heuristic_baselines_on_cora():
@@ -83,16 +83,14 @@ def test_criterion_02_trained_model_beats_cn_on_cora():
         negatives = sample_negatives(base, len(split.valid), seed + 7,
                                      exclude=exclude)
         cn_fn = lambda pairs: heuristic_scores(base, pairs, "cn")
-        cn_hits = evaluate(cn_fn, split.valid, negatives, ks=(100,),
-                           seed=seed).hits[100]
+        cn_hits = evaluate(cn_fn, split.valid, negatives, ks=(100,)).hits[100]
         fc = FeatureConfig(seed=seed)
         result = train_model(split, TrainConfig(features=fc, seed=seed))
         x = default_node_features(base, dim=fc.feature_dim, seed=fc.seed)
         h = propagate_features(base, x, fc.depth)
         model_fn = lambda pairs: model_scores(base, pairs, result.model,
                                               result.state, h, fc)
-        model_hits = evaluate(model_fn, split.valid, negatives, ks=(100,),
-                              seed=seed).hits[100]
+        model_hits = evaluate(model_fn, split.valid, negatives, ks=(100,)).hits[100]
         wins += model_hits >= cn_hits
     assert wins >= 8
 

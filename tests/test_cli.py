@@ -624,15 +624,15 @@ _MODEL = ScoreModel(FeatureConfig(), alpha=np.array([0.1, 0.2]),
 
 def _model_text(drop=(), add=""):
     buf = io.StringIO()
-    _MODEL.save(buf, RunningState(t=1, xi_hat={(2, 1): 0.5}, psi_hat={1: np.ones(80)},
-                                  psi_t={1: 1}))
+    _MODEL.save(buf, RunningState(t=1, xi_hat={(2, 1): 0.5},
+                                  psi_hat={1: np.ones(80), 2: np.ones(80)}, psi_t={1: 1, 2: 1}))
     return "".join(ln for ln in buf.getvalue().splitlines(True)
                    if ln.split()[0] not in drop) + add
 
 
 @pytest.mark.parametrize("model_text,names", [
     (_model_text(drop=("alpha",)), "no alpha line"),
-    (_model_text(add="xi 1\n"), "line 16: malformed xi line"),
+    (_model_text(add="xi 1\n"), "line 17: malformed xi line"),
     (_model_text(drop=("t", "xi", "psi")), "no t line"),
     (_model_text(add="alpha 0.1 0.2 0.3\n"), "second alpha line"),
     (_model_text(drop=("alpha",), add="alpha 0.1 0.2 0.3\n"),
@@ -640,8 +640,16 @@ def _model_text(drop=(), add=""):
     (_model_text(drop=("head_w",), add="head_w 0.1 0.2\n"),
      "head_w has 2 values, expected 17"),
     ("kind,k,i,value\nt,,,0\n", "line 1: expected 'hocn-model v2'"),
+    (_model_text(add="psi 1 7 1.0\n"), "line 17: a second psi 1 line"),
+    (_model_text(add="xi 2 1 123.0\n"), "line 17: a second xi 2 1 line"),
+    (_model_text(add="xi 2 2 1.0\n"), "line 17: xi 2 2 outside 1 <= i < k <= 2"),
+    (_model_text(add="xi 3 1 1.0\n"), "line 17: xi 3 1 outside 1 <= i < k <= 2"),
+    (_model_text(add="psi 9 1 1.0 2.0\n"), "line 17: psi 9 outside 1 <= k <= 2"),
+    (_model_text(add="psi 0 1 1.0\n"), "line 17: psi 0 outside 1 <= k <= 2"),
+    (_model_text(drop=("psi",), add="psi 1 1 1.0\n"), "model file: no psi 2 line"),
 ], ids=["no-alpha", "short-row", "empty-state", "second-alpha", "alpha-length",
-        "head-w-length", "state-csv"])
+        "head-w-length", "state-csv", "second-psi", "second-xi", "xi-same-orders",
+        "xi-above-k-max", "psi-above-k-max", "psi-0", "no-psi-2"])
 def test_eval_malformed_model_or_state_is_a_config_error(edge_file, tmp_path, capsys,
                                                          model_text, names):
     (tmp_path / "model.txt").write_text(model_text)
@@ -784,7 +792,7 @@ def test_eval_takes_the_node_feature_seed_from_the_model_file(edge_file, tmp_pat
         h = propagate_features(base, default_node_features(base, dim=cfg.feature_dim,
                                                            seed=feature_seed), cfg.depth)
         report = evaluate(lambda pairs: model_scores(base, pairs, model, state, h, cfg),
-                          split.test, negatives, ks=(20, 50, 100), seed=2)
+                          split.test, negatives, ks=(20, 50, 100))
         return ([("hits", str(k), repr(report.hits[k])) for k in sorted(report.hits)]
                 + [("mrr", "", repr(report.mrr))])
 

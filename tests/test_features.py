@@ -144,6 +144,23 @@ def test_walk_nnz_bound_covers_walk_rows():
     assert np.array_equal(_walk_nnz_bound(g, 1), 1 + g.degrees)
 
 
+@pytest.mark.parametrize("exclude", [False, True])
+def test_features_fit_budget_bounds_the_rows_it_admits(monkeypatch, exclude):
+    g = sample_ba_graph(300, 3, seed=2)
+    pairs = _hub_pairs(g, 40)
+    for k_max in (1, 2, 3):
+        bound = _walk_nnz_bound(g, k_max)
+        total = k_max * int(np.minimum(bound[pairs[:, 0]], bound[pairs[:, 1]]).sum())
+        held = sum(f.combined.nnz for f in cn_order_features_all(
+            g, batch_of(pairs), k_max, exclude_endpoints=exclude))
+        assert held <= total
+        monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", total)
+        assert hocn.features.features_fit_budget(g, pairs, k_max)
+        monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", total - 1)
+        assert not hocn.features.features_fit_budget(g, pairs, k_max)
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize("edges", [
     [(0, i) for i in range(1, 6)],
     [(i, i + 1) for i in range(6)],
@@ -773,6 +790,25 @@ def test_walk_order_is_the_breadth_first_order_of_each_component():
         n = int(rng.integers(2, 40))
         g = Graph.from_edges(n, rng.integers(0, n, size=(int(rng.integers(0, 2 * n)), 2)))
         assert hocn.features._walk_order(g)[0].tolist() == _bfs_order(g)
+
+
+def _traced_peak(build) -> int:
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_walk_order_and_loop_adjacency_make_no_edge_length_int64_copies():
+    # Each would cost the edge array's bytes again: a scatter per edge in the
+    # hooking passes, or an int64 copy of the indices for scipy to narrow.
+    g = sample_ba_graph(20000, 3, seed=0)
+    edge_bytes = g.indices.nbytes
+    assert _traced_peak(lambda: hocn.features._walk_order(g)) < 3.4 * edge_bytes
+    # The walk order is memoized now, so this traces A + I alone.
+    assert _traced_peak(lambda: hocn.features._loop_adjacency(g)) < 2.5 * edge_bytes
 
 
 def _identity_order(g: Graph) -> tuple[np.ndarray, np.ndarray]:

@@ -105,8 +105,9 @@ def test_state_checkpoint_round_trip():
                          xi_hat={(2, 1): 1.2345678901234567, (3, 1): -0.25,
                                  (3, 2): 1e-17},
                          psi_hat={1: np.array([0.5, 0.0, 7.25]),
-                                  2: np.array([1 / 3, 0.1 + 0.2, 0.0])},
-                         psi_t={1: 4, 2: 3})
+                                  2: np.array([1 / 3, 0.1 + 0.2, 0.0]),
+                                  3: np.array([2.0, 1e-300, 0.0])},
+                         psi_t={1: 4, 2: 3, 3: 1})
     model = ScoreModel(FeatureConfig(k_max=3), alpha=np.zeros(3), head_w=np.zeros(17),
                        head_b=0.0)
     buf = io.StringIO()

@@ -86,6 +86,13 @@ def test_default_node_features_deterministic(g4):
     assert a.shape == (4, 9)
 
 
+def _participation_state(k_max: int) -> RunningState:
+    """Running statistics with the participation estimate of every order,
+    which a model file must hold, and no Gram-Schmidt batch."""
+    return RunningState(psi_hat={k: np.full(3, 0.5 * k) for k in range(1, k_max + 1)},
+                        psi_t={k: 1 for k in range(1, k_max + 1)})
+
+
 def test_model_file_round_trip():
     features = FeatureConfig(k_max=2, depth=3, feature_dim=2, variant="ocnp",
                              poly_basis="legendre", batch_size=64, exclude_endpoints=True,
@@ -93,21 +100,21 @@ def test_model_file_round_trip():
     model = ScoreModel(features, alpha=np.array([0.125, -3.5e-7]),
                        head_w=np.array([1.0, -2.0, 0.1 + 0.2]), head_b=-0.75)
     buf = io.StringIO()
-    model.save(buf, RunningState())
+    model.save(buf, _participation_state(2))
     buf.seek(0)
     loaded, state = ScoreModel.load(buf)
     assert loaded.features == features
     assert np.array_equal(loaded.alpha, model.alpha)
     assert np.array_equal(loaded.head_w, model.head_w)
     assert loaded.head_b == model.head_b
-    assert state == RunningState()
+    assert _same_state(_state_snapshot(state), _state_snapshot(_participation_state(2)))
 
 
 def test_model_file_records_exclude_endpoints():
     model = ScoreModel(FeatureConfig(k_max=1, feature_dim=0, exclude_endpoints=True),
                        alpha=np.array([0.5]), head_w=np.array([1.0]), head_b=0.0)
     buf = io.StringIO()
-    model.save(buf, RunningState())
+    model.save(buf, _participation_state(1))
     buf.seek(0)
     assert ScoreModel.load(buf)[0].features.exclude_endpoints is True
 
@@ -125,7 +132,7 @@ def test_batch_size_below_one_is_a_config_error_before_any_walk(batch_size, monk
     features = FeatureConfig(k_max=2, feature_dim=4, batch_size=batch_size)
     buf = io.StringIO()
     ScoreModel(features, alpha=np.full(2, 0.1), head_w=np.full(5, 0.1),
-               head_b=0.0).save(buf, RunningState())
+               head_b=0.0).save(buf, _participation_state(2))
     buf.seek(0)
     model, state = ScoreModel.load(buf)
     h = propagate_features(g, default_node_features(g, dim=4, seed=0), 2)
@@ -248,7 +255,7 @@ def _per_batch_training(split, config):
         pairs = np.concatenate([pos, neg.pairs])
         y = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
         m, q = pair_features(g, pairs, h, cfg, state, training=True)
-        for _ in range(config.steps_per_epoch):
+        for _ in range(hocn.scoring.STEPS_PER_EPOCH):
             loss, g_alpha, g_w, g_b = logistic_loss_and_grads(alpha, head_w, head_b, m, q, y)
             losses.append(loss)
             alpha = alpha - config.learning_rate * g_alpha
@@ -272,7 +279,7 @@ def test_positive_features_kept_across_epochs_are_exact(variant, exclude, monkey
     split = split_edges(g, (0.7, 0.1, 0.2), seed=1)
     features = FeatureConfig(k_max=3, feature_dim=6, variant=variant, batch_size=64,
                              exclude_endpoints=exclude)
-    config = TrainConfig(features=features, epochs=3, steps_per_epoch=5, seed=5)
+    config = TrainConfig(features=features, epochs=3, seed=5)
     pos = split.train.pairs
     assert len(pos) % features.batch_size != 0  # a batch holds positives and negatives
 
@@ -305,7 +312,7 @@ def test_training_reduces_loss_and_is_deterministic():
     g = sample_ba_graph(80, 3, seed=1)
     split = split_edges(g, (0.7, 0.1, 0.2), seed=0)
     cfg = TrainConfig(features=FeatureConfig(k_max=2, feature_dim=8, seed=0),
-                      epochs=2, steps_per_epoch=40, seed=0)
+                      epochs=2, seed=0)
     r1 = train_model(split, cfg)
     r2 = train_model(split, cfg)
     assert r1.losses == r2.losses
@@ -317,7 +324,7 @@ def test_model_scores_finite_on_heldout():
     g = sample_ba_graph(80, 3, seed=2)
     split = split_edges(g, (0.7, 0.1, 0.2), seed=1)
     cfg = TrainConfig(features=FeatureConfig(k_max=2, feature_dim=8, seed=0),
-                      epochs=1, steps_per_epoch=20, seed=1)
+                      epochs=1, seed=1)
     result = train_model(split, cfg)
     scores = model_scores(split.train_graph, split.test.pairs, result.model,
                           result.state, result.h, cfg.features)
@@ -351,8 +358,7 @@ def test_model_scores_training_flag(variant):
     g = sample_ba_graph(120, 3, seed=6)
     split = split_edges(g, (0.7, 0.1, 0.2), seed=2)
     features = FeatureConfig(k_max=3, feature_dim=8, variant=variant, batch_size=32)
-    result = train_model(split, TrainConfig(features=features, epochs=1,
-                                            steps_per_epoch=10, seed=2))
+    result = train_model(split, TrainConfig(features=features, epochs=1, seed=2))
     model, h, pairs = result.model, result.h, split.test.pairs
     before = _state_snapshot(result.state)
 
