@@ -44,17 +44,23 @@ sized by the per-node bound ``_walk_nnz_bound`` of the walk rows they hold.
 That bound, the type of the walk counts (per order), the walk order and
 the step A + I of the walk rows, built in that order's positions, depend on
 the graph alone, so they are built once per graph (``Graph.memoized``), in
-the calling thread; the walk totals A^l·1 behind the bound and the type
-come from one recurrence, ``walk_totals``, which exact participation reads
-too. One map, ``walk_map``, runs the sub-chunks of the features and of the
-slices and the node blocks alike. Every run holds at
-most one share of ``_NNZ_BUDGET``, its walk rows and the scratch of a
-product, the same on every machine, so the cuts, and with them the order in
-which ``walk_row_sums`` adds up its node blocks, do not depend on the worker
+the calling thread: the walk order's hooking passes scatter nothing edge
+by edge, and A + I's index arrays are built in their final type. The walk
+totals A^l·1 behind the bound and the type come from one recurrence,
+``walk_totals``, which exact participation reads too. One map,
+``walk_map``, runs the sub-chunks of the features and of the slices
+and the node blocks alike. Every run holds at most one share of
+``_NNZ_BUDGET``, its walk rows and the scratch of a product, the same on
+every machine, so the cuts, and with them the order in which
+``walk_row_sums`` adds up its node blocks, do not depend on the worker
 count. The runs go ``_WORKERS`` at a time on a thread pool (scipy's sparse
 kernels release the GIL), or on the calling thread when there is only one.
 ``theory.validate_bound`` maps its trial runs on it too, with its own worker
 count.
+
+The same bound tells, before any row is built, whether a pair array's rows
+of all orders surely fit ``_NNZ_BUDGET`` (``features_fit_budget``, which
+decides whether training keeps its positives' rows across epochs).
 """
 
 from __future__ import annotations

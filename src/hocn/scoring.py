@@ -128,11 +128,6 @@ _SCALARS = {**{f.name: _setting(f.default) for f in fields(FeatureConfig)},
             "head_b": float, "t": int}
 
 
-def _line_name(key) -> str:
-    """A model-file key as its line starts: ``xi 2 1`` for ("xi", 2, 1)."""
-    return " ".join(map(str, key)) if isinstance(key, tuple) else key
-
-
 def _float_words(values) -> str:
     return " ".join(map(repr, np.asarray(values, dtype=np.float64).tolist()))
 
@@ -179,7 +174,7 @@ class ScoreModel:
         if header != f"hocn-model v{MODEL_FORMAT_VERSION}":
             raise ConfigError(f"model file line 1: expected 'hocn-model "
                               f"v{MODEL_FORMAT_VERSION}', got {header[:40]!r}")
-        found, where = {}, {}  # by key, orders included: value, line
+        found, where = {}, {}  # by key ("xi k i" and "psi k" with orders): value, line
         for lineno, line in enumerate(stream, start=2):
             if not line.strip():
                 continue
@@ -188,9 +183,9 @@ class ScoreModel:
             try:
                 if key == "xi":
                     k, i, value = words
-                    key, value = ("xi", int(k), int(i)), float(value)
+                    key, value = f"xi {int(k)} {int(i)}", float(value)
                 elif key == "psi":
-                    key, value = ("psi", int(words[0])), (int(words[1]), np.array(
+                    key, value = f"psi {int(words[0])}", (int(words[1]), np.array(
                         words[2:], dtype=np.float64))
                 elif key in ("alpha", "head_w"):
                     value = np.array(words, dtype=np.float64)
@@ -202,30 +197,33 @@ class ScoreModel:
             except (ValueError, KeyError, IndexError):
                 raise ConfigError(f"{here}: malformed {key} line") from None
             if key in found:
-                raise ConfigError(f"{here}: a second {_line_name(key)} line")
+                raise ConfigError(f"{here}: a second {key} line")
             found[key], where[key] = value, here
-        k_max = found.get("k_max", 0)
-        missing = [key for key in (*_SCALARS, "alpha", "head_w",
-                                   *(("psi", k) for k in range(1, k_max + 1)))
-                   if key not in found]
+        missing = [key for key in (*_SCALARS, "alpha", "head_w") if key not in found]
         if missing:
-            raise ConfigError("model file: " + ", ".join(f"no {_line_name(key)} line"
-                                                         for key in missing))
+            raise ConfigError(f"model file: no {', '.join(missing)} line")
         features = FeatureConfig(**{f.name: found[f.name] for f in fields(FeatureConfig)})
+        k_max = features.k_max
         for key, length in (("alpha", k_max), ("head_w", features.feature_dim + 1)):
             if len(found[key]) != length:
                 raise ConfigError(f"{where[key]}: {key} has {len(found[key])} values, "
                                   f"expected {length}")
+        for k in range(1, k_max + 1):  # as many as alpha has values
+            if f"psi {k}" not in found:
+                raise ConfigError(f"model file: no psi {k} line")
         state = RunningState(t=found["t"])
-        for key in filter(lambda key: isinstance(key, tuple), found):
-            kind, k, *i = key
+        for key, value in found.items():
+            kind, *orders = key.split()
+            if kind not in ("xi", "psi"):
+                continue
+            k, *i = map(int, orders)
             if not (1 <= k <= k_max and all(1 <= j < k for j in i)):
-                raise ConfigError(f"{where[key]}: {_line_name(key)} outside "
+                raise ConfigError(f"{where[key]}: {key} outside "
                                   f"1 <= {'i < k' if i else 'k'} <= {k_max}")
             if i:
-                state.xi_hat[(k, *i)] = found[key]
+                state.xi_hat[(k, *i)] = value
             else:
-                state.psi_t[k], state.psi_hat[k] = found[key]
+                state.psi_t[k], state.psi_hat[k] = value
         return cls(features, found["alpha"], found["head_w"], found["head_b"]), state
 
 
