@@ -35,7 +35,7 @@ def main():
     print(f"  mrr      {cn_report.mrr:.4f}")
 
     fc = FeatureConfig(seed=SEED)
-    result = train_model(split, TrainConfig(features=fc, seed=SEED))
+    result = train_model(split, TrainConfig(features=fc))
     print(f"\ntrained model: loss {result.losses[0]:.4f} -> "
           f"{result.losses[-1]:.4f} over {len(result.losses)} steps")
 

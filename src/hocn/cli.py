@@ -220,7 +220,7 @@ def cmd_train(args) -> int:
     g, split = _load_split(args)
     tc = TrainConfig(features=_feature_config(args, variant=args.variant),
                      learning_rate=float(args.learning_rate),
-                     epochs=int(args.epochs), seed=args.seed)
+                     epochs=int(args.epochs))
     result = train_model(split, tc)
     with open(args.model_out, "w") as fh:
         result.model.save(fh, result.state)

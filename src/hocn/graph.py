@@ -126,7 +126,6 @@ class LoadReport:
     lines_read: int = 0
     self_loops_dropped: int = 0
     duplicates_dropped: int = 0
-    id_mapping: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -194,15 +193,14 @@ def _plain_edges(text: str, fmt: str) -> np.ndarray | None:
     return edges if ok else None
 
 
-def load_edge_list(source, format: str = "tsv", remap: bool = False):
+def load_edge_list(source, format: str = "tsv"):
     """Parse an edge-list text stream (or string) into a :class:`Graph`.
 
     Lines hold two ids, each a run of ASCII digits 0-9, separated by tab or
     comma; ``#`` starts a comment. Any other id, such as ``+4``, ``-0``,
     ``1_0`` or a non-ASCII digit, is an EdgeListParseError naming its line.
     Duplicates and self-loops are silently dropped (counted in the
-    report). With ``remap=True`` sparse external ids are densified and the
-    mapping is returned in the report.
+    report). The graph has nodes 0..max id.
 
     Returns ``(graph, report)``.
     """
@@ -212,42 +210,37 @@ def load_edge_list(source, format: str = "tsv", remap: bool = False):
         parsed = (_parse_line(line, format, lineno)
                   for lineno, line in enumerate(io.StringIO(text), start=1))
         edges = np.array([e for e in parsed if e is not None], dtype=np.int64).reshape(-1, 2)
-    mapping = None
-    if remap and edges.size:
-        uniq = _sorted_unique(edges.ravel())
-        mapping = {int(old): i for i, old in enumerate(uniq)}
-        edges = np.searchsorted(uniq, edges)
-        n = uniq.size
-    else:
-        n = int(edges.max()) + 1 if edges.size else 0
+    n = int(edges.max()) + 1 if edges.size else 0
     self_loops = int((edges[:, 0] == edges[:, 1]).sum())
     g = Graph.from_edges(n, edges)
     report = LoadReport(
         lines_read=text.count("\n") + (bool(text) and not text.endswith("\n")),
         self_loops_dropped=self_loops,
         duplicates_dropped=edges.shape[0] - self_loops - g.num_edges,
-        id_mapping=mapping,
     )
     return g, report
 
 
 def split_edges(g: Graph, ratios, seed: int) -> SplitResult:
-    """Random train/valid/test split of the edge set; targets removed from train graph."""
+    """Random train/valid/test split of the edge set; targets removed from train graph.
+    A ratio that leaves its part with no edge is a SplitError naming the part."""
     r_train, r_valid, r_test = (float(x) for x in ratios)
     if abs(r_train + r_valid + r_test - 1.0) > 1e-9:
         raise SplitError(f"ratios sum to {r_train + r_valid + r_test}, expected 1")
     if min(r_train, r_valid, r_test) < 0:
         raise SplitError("negative split ratio")
-    edges = g.edge_array()
-    m = edges.shape[0]
+    m = g.num_edges
     if m < 3:
         raise SplitError(f"graph has {m} edges; need at least 3 to split")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(m)
     n_test = int(round(r_test * m))
     n_valid = int(round(r_valid * m))
-    if n_test + n_valid > m:
-        raise SplitError("valid+test ratios leave no training edges")
+    for part, ratio, size in (("train", r_train, m - n_valid - n_test),
+                              ("valid", r_valid, n_valid), ("test", r_test, n_test)):
+        if size < 1:
+            raise SplitError(f"{part} ratio {ratio} leaves the {part} part of {m} edges empty")
+    edges = g.edge_array()
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(m)
     test_idx = perm[:n_test]
     valid_idx = perm[n_test:n_test + n_valid]
     train_idx = perm[n_test + n_valid:]

@@ -13,6 +13,7 @@ import math
 import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,7 +26,7 @@ from .normalize import (apply_normalization, normalized_cn_score, running_counts
 from .ortho import (RunningState, apply_polynomial_filter,
                     degree_filter_argument, gram_schmidt_batch, polynomial_weights)
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 MAX_PROPAGATION_DEPTH = 8
 
@@ -103,16 +104,18 @@ def propagate_features(g: Graph, x: np.ndarray, depth: int) -> np.ndarray:
 
 @dataclass
 class FeatureConfig:
-    """Settings for the structural-feature pipeline feeding the model."""
+    """Settings for the structural-feature pipeline feeding the model;
+    ``seed`` draws the node features and the run. The class constants are
+    the same for every model."""
 
     k_max: int = 2
-    depth: int = 2
-    feature_dim: int = 16
     variant: str = "ocn"
-    poly_basis: str = "chebyshev"
-    batch_size: int = 2048
     exclude_endpoints: bool = False
     seed: int = 0
+    depth: ClassVar[int] = 2
+    feature_dim: ClassVar[int] = 16
+    poly_basis: ClassVar[str] = "chebyshev"
+    batch_size: ClassVar[int] = 2048
 
 
 def _setting(default):
@@ -138,7 +141,7 @@ class ScoreModel:
     ``FeatureConfig`` they were trained with.
 
     ``save`` writes them and the running statistics of training as one
-    file of ``key value...`` lines after a ``hocn-model v2`` header: one
+    file of ``key value...`` lines after a ``hocn-model v3`` header: one
     line per ``FeatureConfig`` field; ``alpha``, ``head_w``, ``head_b``;
     ``t``, one ``xi k i value`` line per running inner product and one
     ``psi k psi_t v0 v1 ...`` line per order. Floats are written with
@@ -281,8 +284,6 @@ def basis_batches(g: Graph, pairs: np.ndarray, cfg: FeatureConfig, state: Runnin
     matrices). A basis row is used times ``scale``: sqrt(batch size) for
     "ocn", whose basis has unit Frobenius norm per batch, 1.0 for "ocnp".
     That only approximates a per-pair scale (ROADMAP item 5)."""
-    if cfg.batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {cfg.batch_size}")
     for start in range(0, pairs.shape[0], cfg.batch_size):
         chunk = PairBatch(pairs[start:start + cfg.batch_size])
         normalized = batch_features(g, chunk, cfg, state, training,
@@ -340,12 +341,12 @@ def logistic_loss_and_grads(alpha, head_w, head_b, m, q, y):
 
 @dataclass
 class TrainConfig:
-    """Trainer settings for the full-batch gradient-descent fit."""
+    """Trainer settings for the full-batch gradient-descent fit; the run seed is
+    ``features.seed``."""
 
     features: FeatureConfig = field(default_factory=FeatureConfig)
     learning_rate: float = 0.5
     epochs: int = 4
-    seed: int = 0
 
 
 @dataclass
@@ -387,7 +388,7 @@ def train_model(split: SplitResult, config: TrainConfig) -> TrainResult:
     x = default_node_features(g, dim=cfg.feature_dim, seed=cfg.seed)
     h = propagate_features(g, x, cfg.depth)
     state = RunningState()
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(cfg.seed)
     alpha = np.full(cfg.k_max, 0.1)
     head_w = np.full(h.shape[1], 0.1)
     head_b = 0.0

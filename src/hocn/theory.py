@@ -205,15 +205,18 @@ def sample_ba_graph(n: int, m: int, seed: int = 0) -> Graph:
     if not n > m >= 1:
         raise InputError("need n > m >= 1")
     rng = np.random.default_rng(seed)
-    # repeated-node list makes degree-proportional sampling O(1)
-    targets = [0, 1, 1, 0]  # seed: edge (0, 1)
-    edges = [(0, 1)]
+    # Degree-proportional sampling draws a uniform entry of ``ends``: [0, 1, 1, 0]
+    # for the seed edge (0, 1), then v, w per edge (v, w), so ends[2:] holds the edges.
+    ends = np.empty(4 + 2 * m * (n - 2), dtype=np.int64)
+    ends[:4] = (0, 1, 1, 0)
+    size = 4
     for v in range(2, n):
-        picks = {int(targets[rng.integers(0, len(targets))]) for _ in range(m)}
+        picks = {int(ends[rng.integers(0, size)]) for _ in range(m)}
         for w in picks:
-            edges.append((v, w))
-            targets.extend((v, w))
-    return Graph.from_edges(n, edges)
+            ends[size] = v
+            ends[size + 1] = w
+            size += 2
+    return Graph.from_edges(n, ends[2:size].reshape(-1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ def test_criterion_02_trained_model_beats_cn_on_cora():
         cn_fn = lambda pairs: heuristic_scores(base, pairs, "cn")
         cn_hits = evaluate(cn_fn, split.valid, negatives, ks=(100,)).hits[100]
         fc = FeatureConfig(seed=seed)
-        result = train_model(split, TrainConfig(features=fc, seed=seed))
+        result = train_model(split, TrainConfig(features=fc))
         x = default_node_features(base, dim=fc.feature_dim, seed=fc.seed)
         h = propagate_features(base, x, fc.depth)
         model_fn = lambda pairs: model_scores(base, pairs, result.model,

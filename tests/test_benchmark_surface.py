@@ -40,6 +40,9 @@ def test_names_the_workloads_read():
     assert {"trials", "eligible"} <= {f.name for f in dataclasses.fields(theory.ViolationReport)}
     assert isinstance(vars(theory.ViolationReport)["violation_fraction"], property)
     assert {"hits", "mrr"} <= {f.name for f in dataclasses.fields(metrics.EvalReport)}
+    cfg = scoring.TrainConfig().features
+    assert isinstance(cfg.feature_dim, int) and isinstance(cfg.depth, int)
+    assert isinstance(cfg.seed, int)
 
 
 def test_calls_train_eval_makes():
@@ -74,8 +77,9 @@ def test_pair_features_calls_the_traced_stages_through_scoring(monkeypatch):
 
     for name in ("update_running_participation", "apply_normalization", "gram_schmidt_batch"):
         monkeypatch.setattr(scoring, name, counting(name, getattr(scoring, name)))
+    monkeypatch.setattr(scoring.FeatureConfig, "batch_size", 16)
     g = theory.sample_ba_graph(60, 2, seed=0)
-    cfg = scoring.FeatureConfig(k_max=3, feature_dim=4, batch_size=16)
+    cfg = scoring.FeatureConfig(k_max=3)
     pairs = graph.sample_negatives(g, 40, 0).pairs  # batches of 16, 16 and 8
     h = scoring.propagate_features(g, scoring.default_node_features(g, dim=4), 1)
     state = ortho.RunningState()

@@ -363,6 +363,19 @@ def test_bad_ratios_is_runtime_error(edge_file, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("ratios,error", [
+    ("1,0,0", "valid ratio 0.0 leaves the valid part"),
+    ("0,1,0", "train ratio 0.0 leaves the train part"),
+    ("0.99,0.01,0", "test ratio 0.0 leaves the test part"),
+])
+def test_ratio_with_an_empty_part_is_a_split_error_line(edge_file, capsys, ratios, error):
+    code = main(["prepare", "--input", edge_file, "--ratios", ratios])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"error: SplitError: {error}")
+    assert captured.out == ""
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["score"])  # missing required --input
@@ -632,24 +645,26 @@ def _model_text(drop=(), add=""):
 
 @pytest.mark.parametrize("model_text,names", [
     (_model_text(drop=("alpha",)), "no alpha line"),
-    (_model_text(add="xi 1\n"), "line 17: malformed xi line"),
+    (_model_text(add="xi 1\n"), "line 13: malformed xi line"),
     (_model_text(drop=("t", "xi", "psi")), "no t line"),
     (_model_text(add="alpha 0.1 0.2 0.3\n"), "second alpha line"),
     (_model_text(drop=("alpha",), add="alpha 0.1 0.2 0.3\n"),
      "alpha has 3 values, expected 2"),
     (_model_text(drop=("head_w",), add="head_w 0.1 0.2\n"),
      "head_w has 2 values, expected 17"),
-    ("kind,k,i,value\nt,,,0\n", "line 1: expected 'hocn-model v2'"),
-    (_model_text(add="psi 1 7 1.0\n"), "line 17: a second psi 1 line"),
-    (_model_text(add="xi 2 1 123.0\n"), "line 17: a second xi 2 1 line"),
-    (_model_text(add="xi 2 2 1.0\n"), "line 17: xi 2 2 outside 1 <= i < k <= 2"),
-    (_model_text(add="xi 3 1 1.0\n"), "line 17: xi 3 1 outside 1 <= i < k <= 2"),
-    (_model_text(add="psi 9 1 1.0 2.0\n"), "line 17: psi 9 outside 1 <= k <= 2"),
-    (_model_text(add="psi 0 1 1.0\n"), "line 17: psi 0 outside 1 <= k <= 2"),
+    ("kind,k,i,value\nt,,,0\n", "line 1: expected 'hocn-model v3'"),
+    (_model_text().replace("v3", "v2", 1), "line 1: expected 'hocn-model v3', got 'hocn-model v2'"),
+    (_model_text(add="batch_size 2048\n"), "line 13: unknown key 'batch_size'"),
+    (_model_text(add="psi 1 7 1.0\n"), "line 13: a second psi 1 line"),
+    (_model_text(add="xi 2 1 123.0\n"), "line 13: a second xi 2 1 line"),
+    (_model_text(add="xi 2 2 1.0\n"), "line 13: xi 2 2 outside 1 <= i < k <= 2"),
+    (_model_text(add="xi 3 1 1.0\n"), "line 13: xi 3 1 outside 1 <= i < k <= 2"),
+    (_model_text(add="psi 9 1 1.0 2.0\n"), "line 13: psi 9 outside 1 <= k <= 2"),
+    (_model_text(add="psi 0 1 1.0\n"), "line 13: psi 0 outside 1 <= k <= 2"),
     (_model_text(drop=("psi",), add="psi 1 1 1.0\n"), "model file: no psi 2 line"),
 ], ids=["no-alpha", "short-row", "empty-state", "second-alpha", "alpha-length",
-        "head-w-length", "state-csv", "second-psi", "second-xi", "xi-same-orders",
-        "xi-above-k-max", "psi-above-k-max", "psi-0", "no-psi-2"])
+        "head-w-length", "state-csv", "v2-file", "batch-size-line", "second-psi", "second-xi",
+        "xi-same-orders", "xi-above-k-max", "psi-above-k-max", "psi-0", "no-psi-2"])
 def test_eval_malformed_model_or_state_is_a_config_error(edge_file, tmp_path, capsys,
                                                          model_text, names):
     (tmp_path / "model.txt").write_text(model_text)
@@ -738,22 +753,6 @@ def test_eval_builds_features_the_model_was_trained_on(edge_file, tmp_path, caps
     got = [(r["metric"], r["K"], r["value"]) for r in rows]
     assert got == expected_rows(True)
     assert got != expected_rows(False)
-
-
-@pytest.mark.parametrize("batch_size", ["0", "-5"])
-def test_eval_model_batch_size_below_one_is_an_error_line(edge_file, tmp_path, capsys,
-                                                          batch_size):
-    text = _model_text()
-    assert "\nbatch_size 2048\n" in text
-    (tmp_path / "model.txt").write_text(
-        text.replace("\nbatch_size 2048\n", f"\nbatch_size {batch_size}\n"))
-    code = main(["eval", "--input", edge_file, "--kind", "model",
-                 "--model", str(tmp_path / "model.txt")])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err.startswith(f"error: ConfigError: batch_size must be >= 1, "
-                                   f"got {batch_size}")
-    assert captured.out == ""
 
 
 def test_eval_model_of_another_graph_is_a_config_error(edge_file, tmp_path, capsys):

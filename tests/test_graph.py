@@ -62,14 +62,8 @@ def test_load_edge_list_ids_are_ascii_digits_on_both_parse_paths(bad, fmt):
                 if not vectorized:
                     mp.setattr(hocn.graph, "_plain_edges", lambda text, fmt: None)
                 with pytest.raises(EdgeListParseError, match=re.escape(repr(bad))) as info:
-                    load_edge_list(text, format=fmt, remap=True)
+                    load_edge_list(text, format=fmt)
             assert info.value.line_number == 2, (text, vectorized)
-
-
-def test_load_edge_list_remap():
-    g, report = load_edge_list("10\t70\n70\t95\n", remap=True)
-    assert g.n == 3
-    assert report.id_mapping == {10: 0, 70: 1, 95: 2}
 
 
 def test_load_edge_list_counts_drops():
@@ -78,9 +72,9 @@ def test_load_edge_list_counts_drops():
     assert report.self_loops_dropped == 1
 
 
-def _load_outcome(text: str, fmt: str, remap: bool):
+def _load_outcome(text: str, fmt: str):
     try:
-        g, report = load_edge_list(text, format=fmt, remap=remap)
+        g, report = load_edge_list(text, format=fmt)
     except EdgeListParseError as exc:
         return "parse error", exc.line_number
     except ScaleError as exc:
@@ -103,37 +97,36 @@ _LINE = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_LINE, max_size=6), st.booleans(), st.sampled_from(["tsv", "csv"]),
-       st.booleans())
-@example(["1\t2", "3 4"], True, "tsv", False)
-@example(["1_0 2"], True, "tsv", False)
-@example([], True, "tsv", False)
-@example([f"0 {2**62}"], True, "tsv", True)
-@example(["1 2", "", "  ", "3 4", ""], True, "tsv", False)
-@example(["", "1 2"], False, "tsv", False)
-@example(["1,2", "", "3, 4"], True, "csv", True)
-@example(["1 2", "# c", "3 4  # c"], True, "tsv", False)
+@given(st.lists(_LINE, max_size=6), st.booleans(), st.sampled_from(["tsv", "csv"]))
+@example(["1\t2", "3 4"], True, "tsv")
+@example(["1_0 2"], True, "tsv")
+@example([], True, "tsv")
+@example([f"0 {2**62}"], True, "tsv")
+@example(["1 2", "", "  ", "3 4", ""], True, "tsv")
+@example(["", "1 2"], False, "tsv")
+@example(["1,2", "", "3, 4"], True, "csv")
+@example(["1 2", "# c", "3 4  # c"], True, "tsv")
 @example(["# Directed graph (each unordered pair of nodes is saved once): CA-GrQc.txt",
-          "# Nodes: 5242 Edges: 28980", "# FromNodeId\tToNodeId", "3466\t937"], True, "tsv", True)
-@example(["1,2 # c", "# -1", "3,4"], True, "csv", False)
-@example(["1 2\r3 4"], True, "tsv", False)
-@example(["1 2\r"], False, "tsv", False)
-@example(["1 2", "\r", "3 4"], True, "tsv", False)
-@example(["1 -2"], True, "tsv", False)
-@example([f"0 {2**62 + 1}"], True, "tsv", False)
-@example(["   ", "\t"], True, "tsv", False)
-@example(["1\x0b2", "3\x1c4"], True, "tsv", False)
-@example(["1\x852", "3\u20284"], True, "tsv", False)
-@example(["1\u30002"], True, "tsv", False)
-@example(["1\u200b2"], True, "tsv", False)
-@example(["1 2\u01fe"], True, "tsv", False)
-@example(["1,\x1c2"], True, "csv", False)
-def test_vectorized_edge_list_parse_matches_per_line_parser(lines, newline_at_end, fmt, remap):
+          "# Nodes: 5242 Edges: 28980", "# FromNodeId\tToNodeId", "3466\t937"], True, "tsv")
+@example(["1,2 # c", "# -1", "3,4"], True, "csv")
+@example(["1 2\r3 4"], True, "tsv")
+@example(["1 2\r"], False, "tsv")
+@example(["1 2", "\r", "3 4"], True, "tsv")
+@example(["1 -2"], True, "tsv")
+@example([f"0 {2**62 + 1}"], True, "tsv")
+@example(["   ", "\t"], True, "tsv")
+@example(["1\x0b2", "3\x1c4"], True, "tsv")
+@example(["1\x852", "3\u20284"], True, "tsv")
+@example(["1\u30002"], True, "tsv")
+@example(["1\u200b2"], True, "tsv")
+@example(["1 2\u01fe"], True, "tsv")
+@example(["1,\x1c2"], True, "csv")
+def test_vectorized_edge_list_parse_matches_per_line_parser(lines, newline_at_end, fmt):
     text = "\n".join(lines) + ("\n" if newline_at_end and lines else "")
-    got = _load_outcome(text, fmt, remap)
+    got = _load_outcome(text, fmt)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hocn.graph, "_plain_edges", lambda text, fmt: None)
-        want = _load_outcome(text, fmt, remap)
+        want = _load_outcome(text, fmt)
     assert got == want
 
 
@@ -191,6 +184,22 @@ def test_split_deterministic_in_seed():
 def test_split_rejects_bad_ratios(g4):
     with pytest.raises(SplitError):
         split_edges(g4, (0.5, 0.2, 0.2), seed=0)
+
+
+@pytest.mark.parametrize("ratios,part", [
+    ((1, 0, 0), "valid ratio 0.0"), ((0, 1, 0), "train ratio 0.0"),
+    ((0.5, 0.5, 0), "test ratio 0.0"), ((0.92, 0.04, 0.04), "valid ratio 0.04"),
+    ((0.06, 0.47, 0.47), "train ratio 0.06"),  # valid and test round up to 5 edges each
+])
+def test_split_with_an_empty_part_names_it_before_building_arrays(ratios, part, monkeypatch):
+    g = Graph.from_edges(11, [(i, i + 1) for i in range(10)])
+    built = []
+    monkeypatch.setattr(Graph, "edge_array", lambda self: built.append(self))
+    monkeypatch.setattr(Graph, "from_edges", classmethod(lambda cls, *args: built.append(args)))
+    with pytest.raises(SplitError, match=f"^{re.escape(part)} leaves the "
+                                         f"{part.split()[0]} part of 10 edges empty"):
+        split_edges(g, ratios, seed=0)
+    assert built == []
 
 
 def test_merged_graph_adds_valid_edges():

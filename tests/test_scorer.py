@@ -93,14 +93,29 @@ def _participation_state(k_max: int) -> RunningState:
                         psi_t={k: 1 for k in range(1, k_max + 1)})
 
 
+def test_feature_config_sets_only_what_a_user_chooses():
+    assert [f.name for f in dataclasses.fields(FeatureConfig)] == [
+        "k_max", "variant", "exclude_endpoints", "seed"]
+    assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+        "features", "learning_rate", "epochs"]
+    cfg = FeatureConfig()
+    assert (cfg.depth, cfg.feature_dim, cfg.poly_basis, cfg.batch_size) == (
+        2, 16, "chebyshev", 2048)
+    for name in ("depth", "feature_dim", "poly_basis", "batch_size"):
+        with pytest.raises(TypeError):
+            FeatureConfig(**{name: getattr(cfg, name)})
+    with pytest.raises(TypeError):
+        TrainConfig(seed=0)
+
+
 def test_model_file_round_trip():
-    features = FeatureConfig(k_max=2, depth=3, feature_dim=2, variant="ocnp",
-                             poly_basis="legendre", batch_size=64, exclude_endpoints=True,
-                             seed=7)
+    features = FeatureConfig(k_max=2, variant="ocnp", exclude_endpoints=True, seed=7)
     model = ScoreModel(features, alpha=np.array([0.125, -3.5e-7]),
-                       head_w=np.array([1.0, -2.0, 0.1 + 0.2]), head_b=-0.75)
+                       head_w=np.linspace(-2.0, 0.1 + 0.2, 17), head_b=-0.75)
     buf = io.StringIO()
     model.save(buf, _participation_state(2))
+    assert buf.getvalue().splitlines()[:5] == [
+        "hocn-model v3", "k_max 2", "variant ocnp", "exclude_endpoints True", "seed 7"]
     buf.seek(0)
     loaded, state = ScoreModel.load(buf)
     assert loaded.features == features
@@ -111,8 +126,8 @@ def test_model_file_round_trip():
 
 
 def test_model_file_records_exclude_endpoints():
-    model = ScoreModel(FeatureConfig(k_max=1, feature_dim=0, exclude_endpoints=True),
-                       alpha=np.array([0.5]), head_w=np.array([1.0]), head_b=0.0)
+    model = ScoreModel(FeatureConfig(k_max=1, exclude_endpoints=True),
+                       alpha=np.array([0.5]), head_w=np.ones(17), head_b=0.0)
     buf = io.StringIO()
     model.save(buf, _participation_state(1))
     buf.seek(0)
@@ -124,32 +139,11 @@ def test_model_load_rejects_garbage():
         ScoreModel.load(io.StringIO("not a model\n"))
 
 
-@pytest.mark.parametrize("batch_size", [0, -5])
-def test_batch_size_below_one_is_a_config_error_before_any_walk(batch_size, monkeypatch):
-    # Without the check, -5 scored every pair with q = 0 and 0 ended in
-    # range()'s bare ValueError.
-    g = sample_ba_graph(60, 2, seed=0)
-    features = FeatureConfig(k_max=2, feature_dim=4, batch_size=batch_size)
-    buf = io.StringIO()
-    ScoreModel(features, alpha=np.full(2, 0.1), head_w=np.full(5, 0.1),
-               head_b=0.0).save(buf, _participation_state(2))
-    buf.seek(0)
-    model, state = ScoreModel.load(buf)
-    h = propagate_features(g, default_node_features(g, dim=4, seed=0), 2)
-    walked = []
-    monkeypatch.setattr(hocn.scoring, "cn_order_features_all",
-                        lambda *args, **kwargs: walked.append(args))
-    with pytest.raises(ConfigError, match=f"batch_size must be >= 1, got {batch_size}"):
-        model_scores(g, np.array([(0, 5), (3, 9)]), model, state, h, model.features)
-    assert walked == []
-
-
 def test_alpha_zero_degenerates_to_inner_product():
     g = random_graph(25, 0.25, seed=2)
     h = propagate_features(g, default_node_features(g, dim=4, seed=0), 2)
     pairs = np.array([(0, 5), (3, 9), (11, 20)])
-    m, q = pair_features(g, pairs, h, FeatureConfig(k_max=2, feature_dim=4),
-                         RunningState(), training=True)
+    m, q = pair_features(g, pairs, h, FeatureConfig(k_max=2), RunningState(), training=True)
     logits = _logits(np.zeros(2), np.ones(h.shape[1]), 0.0, m, q)
     want = (h[pairs[:, 0]] * h[pairs[:, 1]]).sum(axis=1)
     assert np.allclose(logits, want)
@@ -246,7 +240,7 @@ def _per_batch_training(split, config):
     h = propagate_features(g, default_node_features(g, dim=cfg.feature_dim, seed=cfg.seed),
                            cfg.depth)
     state = RunningState()
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(cfg.seed)
     alpha, head_w, head_b, losses = np.full(cfg.k_max, 0.1), np.full(h.shape[1], 0.1), 0.0, []
     pos = split.train.pairs
     exclude = np.concatenate([pos, split.valid.pairs, split.test.pairs])
@@ -277,9 +271,9 @@ def _same_fit(result, alpha, head_w, head_b, losses, state):
 def test_positive_features_kept_across_epochs_are_exact(variant, exclude, monkeypatch):
     g = sample_ba_graph(150, 3, seed=4)
     split = split_edges(g, (0.7, 0.1, 0.2), seed=1)
-    features = FeatureConfig(k_max=3, feature_dim=6, variant=variant, batch_size=64,
-                             exclude_endpoints=exclude)
-    config = TrainConfig(features=features, epochs=3, seed=5)
+    monkeypatch.setattr(FeatureConfig, "batch_size", 64)
+    features = FeatureConfig(k_max=3, variant=variant, exclude_endpoints=exclude, seed=5)
+    config = TrainConfig(features=features, epochs=3)
     pos = split.train.pairs
     assert len(pos) % features.batch_size != 0  # a batch holds positives and negatives
 
@@ -291,28 +285,27 @@ def test_positive_features_kept_across_epochs_are_exact(variant, exclude, monkey
         walked.append(sum(int(u) * g.n + int(v) in keys for u, v in batch.pairs))
         return walk(graph, batch, *args, **kwargs)
 
-    monkeypatch.setattr(hocn.scoring, "cn_order_features_all", counting)
-    kept = train_model(split, config)
-    assert sum(walked) == len(pos) and walked[0] == len(pos)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hocn.scoring, "cn_order_features_all", counting)
+        kept = train_model(split, config)
+        assert sum(walked) == len(pos) and walked[0] == len(pos)
 
-    walked.clear()
-    held = sum(f.combined.nnz for f in walk(split.train_graph, split.train, features.k_max,
-                                            exclude_endpoints=exclude))
-    # Below what the positives' features hold, so below any bound on it.
-    monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", held - 1)
-    per_batch = train_model(split, config)
-    assert sum(walked) == config.epochs * len(pos)
+        walked.clear()
+        held = sum(f.combined.nnz for f in walk(split.train_graph, split.train, features.k_max,
+                                                exclude_endpoints=exclude))
+        # Below what the positives' features hold, so below any bound on it.
+        mp.setattr(hocn.features, "_NNZ_BUDGET", held - 1)
+        per_batch = train_model(split, config)
+        assert sum(walked) == config.epochs * len(pos)
     _same_fit(kept, per_batch.model.alpha, per_batch.model.head_w, per_batch.model.head_b,
               per_batch.losses, per_batch.state)
-    monkeypatch.undo()
     _same_fit(kept, *_per_batch_training(split, config))
 
 
 def test_training_reduces_loss_and_is_deterministic():
     g = sample_ba_graph(80, 3, seed=1)
     split = split_edges(g, (0.7, 0.1, 0.2), seed=0)
-    cfg = TrainConfig(features=FeatureConfig(k_max=2, feature_dim=8, seed=0),
-                      epochs=2, seed=0)
+    cfg = TrainConfig(features=FeatureConfig(k_max=2, seed=0), epochs=2)
     r1 = train_model(split, cfg)
     r2 = train_model(split, cfg)
     assert r1.losses == r2.losses
@@ -323,8 +316,7 @@ def test_training_reduces_loss_and_is_deterministic():
 def test_model_scores_finite_on_heldout():
     g = sample_ba_graph(80, 3, seed=2)
     split = split_edges(g, (0.7, 0.1, 0.2), seed=1)
-    cfg = TrainConfig(features=FeatureConfig(k_max=2, feature_dim=8, seed=0),
-                      epochs=1, seed=1)
+    cfg = TrainConfig(features=FeatureConfig(k_max=2, seed=1), epochs=1)
     result = train_model(split, cfg)
     scores = model_scores(split.train_graph, split.test.pairs, result.model,
                           result.state, result.h, cfg.features)
@@ -336,7 +328,7 @@ def test_pair_features_ocnp_variant():
     g = random_graph(30, 0.2, seed=3)
     h = propagate_features(g, default_node_features(g, dim=4, seed=0), 1)
     pairs = np.array([(0, 7), (2, 12)])
-    cfg = FeatureConfig(k_max=2, feature_dim=4, variant="ocnp")
+    cfg = FeatureConfig(k_max=2, variant="ocnp")
     m, q = pair_features(g, pairs, h, cfg, RunningState(), training=True)
     assert m.shape == (2, h.shape[1])
     assert q.shape == (2, 2, h.shape[1])
@@ -354,11 +346,12 @@ def _same_state(a, b):
 
 
 @pytest.mark.parametrize("variant", ["ocn", "ocnp"])
-def test_model_scores_training_flag(variant):
+def test_model_scores_training_flag(variant, monkeypatch):
+    monkeypatch.setattr(FeatureConfig, "batch_size", 32)
     g = sample_ba_graph(120, 3, seed=6)
     split = split_edges(g, (0.7, 0.1, 0.2), seed=2)
-    features = FeatureConfig(k_max=3, feature_dim=8, variant=variant, batch_size=32)
-    result = train_model(split, TrainConfig(features=features, epochs=1, seed=2))
+    features = FeatureConfig(k_max=3, variant=variant, seed=2)
+    result = train_model(split, TrainConfig(features=features, epochs=1))
     model, h, pairs = result.model, result.h, split.test.pairs
     before = _state_snapshot(result.state)
 

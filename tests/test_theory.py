@@ -207,6 +207,38 @@ def test_ba_graph_shape():
         sample_ba_graph(3, 3)
 
 
+def _ba_graph_from_lists(n, m, seed):
+    """Reference oracle: the same draws, with the endpoint list and the
+    edges held as Python lists."""
+    rng = np.random.default_rng(seed)
+    targets = [0, 1, 1, 0]
+    edges = [(0, 1)]
+    for v in range(2, n):
+        picks = {int(targets[rng.integers(0, len(targets))]) for _ in range(m)}
+        for w in picks:
+            edges.append((v, w))
+            targets.extend((v, w))
+    return Graph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("n,m,seed", [(2, 1, 0), (40, 1, 3), (300, 1, 1), (300, 3, 2),
+                                      (500, 5, 7), (60, 59, 4)])
+def test_ba_graph_equals_the_list_based_sampler(n, m, seed):
+    got, want = sample_ba_graph(n, m, seed), _ba_graph_from_lists(n, m, seed)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+
+
+def test_ba_graph_peak_memory_is_a_few_edge_arrays():
+    # Lists of Python ints and tuples peaked at 10.6 edge arrays here.
+    tracemalloc.start()
+    try:
+        g = sample_ba_graph(20_000, 3, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 16 * g.num_edges
+
 def test_count_paths_matches_matrix_power():
     # Walk counts between node pairs, diagonal (closed walks) included, read
     # off the one walk counter, adj_power_row.
