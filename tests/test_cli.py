@@ -654,7 +654,6 @@ def _model_text(drop=(), add=""):
      "head_w has 2 values, expected 17"),
     ("kind,k,i,value\nt,,,0\n", "line 1: expected 'hocn-model v3'"),
     (_model_text().replace("v3", "v2", 1), "line 1: expected 'hocn-model v3', got 'hocn-model v2'"),
-    (_model_text(add="batch_size 2048\n"), "line 13: unknown key 'batch_size'"),
     (_model_text(add="psi 1 7 1.0\n"), "line 13: a second psi 1 line"),
     (_model_text(add="xi 2 1 123.0\n"), "line 13: a second xi 2 1 line"),
     (_model_text(add="xi 2 2 1.0\n"), "line 13: xi 2 2 outside 1 <= i < k <= 2"),
@@ -663,7 +662,7 @@ def _model_text(drop=(), add=""):
     (_model_text(add="psi 0 1 1.0\n"), "line 13: psi 0 outside 1 <= k <= 2"),
     (_model_text(drop=("psi",), add="psi 1 1 1.0\n"), "model file: no psi 2 line"),
 ], ids=["no-alpha", "short-row", "empty-state", "second-alpha", "alpha-length",
-        "head-w-length", "state-csv", "v2-file", "batch-size-line", "second-psi", "second-xi",
+        "head-w-length", "state-csv", "v2-file", "second-psi", "second-xi",
         "xi-same-orders", "xi-above-k-max", "psi-above-k-max", "psi-0", "no-psi-2"])
 def test_eval_malformed_model_or_state_is_a_config_error(edge_file, tmp_path, capsys,
                                                          model_text, names):
@@ -673,6 +672,23 @@ def test_eval_malformed_model_or_state_is_a_config_error(edge_file, tmp_path, ca
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ConfigError") and names in err
+
+
+@pytest.mark.parametrize("batch_size", ["0", "-5"])
+def test_eval_model_batch_size_below_one_is_an_error_line(edge_file, tmp_path, capsys,
+                                                          batch_size):
+    # batch_size is a constant of FeatureConfig, so a model file has no
+    # batch_size line and any value in one, valid or not, is refused.
+    text = _model_text()
+    assert "\nbatch_size " not in text
+    (tmp_path / "model.txt").write_text(text + f"batch_size {batch_size}\n")
+    code = main(["eval", "--input", edge_file, "--kind", "model",
+                 "--model", str(tmp_path / "model.txt")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: ConfigError")
+    assert "line 13: unknown key 'batch_size'" in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 @pytest.mark.parametrize("argv,config,error", [
