@@ -117,31 +117,26 @@ def _effective_config(args: argparse.Namespace) -> dict:
             if k not in skip and v is not None and not callable(v)}
 
 
-def emit(args, fieldnames, rows, stream=None) -> None:
-    """Write rows as commented-header CSV, or as JSON with --json."""
-    close = False
-    if stream is None:
-        if getattr(args, "output", None):
-            stream = open(args.output, "w")
-            close = True
-        else:
-            stream = sys.stdout
+def emit(args, fieldnames, rows) -> None:
+    """Write rows as commented-header CSV, or as JSON with --json, to
+    --output or else standard output."""
+    stream = open(args.output, "w") if args.output else sys.stdout
     try:
-        if getattr(args, "json", False):
+        if args.json:
             payload = [dict(zip(fieldnames, row)) for row in rows]
             json.dump({"version": __version__, "config": _effective_config(args),
                        "rows": payload}, stream, indent=1, default=str)
             stream.write("\n")
             return
         stream.write(f"# version={__version__}\n")
-        stream.write(f"# seed={getattr(args, 'seed', 0)}\n")
+        stream.write(f"# seed={args.seed}\n")
         pairs = " ".join(f"{k}={v}" for k, v in _effective_config(args).items())
         stream.write(f"# config: {pairs}\n")
         stream.write(",".join(fieldnames) + "\n")
         for row in rows:
             stream.write(",".join("" if v is None else str(v) for v in row) + "\n")
     finally:
-        if close:
+        if args.output:
             stream.close()
 
 
@@ -516,6 +511,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = resolve(parser, argv)
+        if args.seed < 0:
+            raise InputError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except HocnError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ class ScaleError(HocnError):
 
 
 class ConfigError(HocnError):
-    """Invalid configuration value (unknown basis, order out of range, ...)."""
+    """Invalid configuration value (unknown variant, order out of range, ...)."""
 
 
 class InputError(HocnError):
@@ -42,11 +42,7 @@ class EvaluationError(HocnError):
 
 
 class TrainingError(HocnError):
-    """Training diverged; carries the last finite parameter state."""
-
-    def __init__(self, message, last_state=None):
-        self.last_state = last_state
-        super().__init__(message)
+    """Training cannot start (too few positives) or its loss diverged."""
 
 
 class BoundDomainError(HocnError):

@@ -1,9 +1,10 @@
 """Cross-order redundancy removal.
 
 Streaming Gram-Schmidt over mini-batches with running (simple-moving-average)
-Frobenius inner products, an exact full-graph orthogonalizer used as their
-oracle at any scale the walk-row budget admits, and the polynomial-filter
-variant that trades exact orthogonality for a per-node diagonal rescaling.
+Frobenius inner products, an exact full-graph orthogonalizer in coefficient
+form used as their oracle at any scale the walk-row budget admits, and the
+polynomial-filter variant (OCNP) that trades exact orthogonality for a
+per-node diagonal rescaling by a Chebyshev polynomial of the first kind.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from numpy.polynomial import Chebyshev, Legendre, Polynomial
+from numpy.polynomial import Chebyshev
 
 from .errors import ConfigError
-from .features import OrderFeatures, cn_order_features_all, slice_keys, walk_row_sums
-from .graph import Graph, PairBatch
+from .features import OrderFeatures, slice_keys, walk_row_sums
+from .graph import Graph
 
 DEGENERATE_NORM = 1e-12
 
@@ -127,12 +128,9 @@ class ExactOrthoBasis:
 
     OCN^k = sum_j coeffs[k-1, j-1] * CN^j over the all-pairs batch. The Gram
     matrix of the raw CN^k matrices is kept so inner products of arbitrary
-    combinations are exact without materializing (P, n) matrices.
+    combinations are exact without forming any (P, n) matrix.
     """
 
-    graph: Graph
-    k_max: int
-    exclude_endpoints: bool
     gram: np.ndarray
     coeffs: np.ndarray
     degenerate: list
@@ -144,14 +142,6 @@ class ExactOrthoBasis:
     def cn_ocn_inner(self, k: int, i: int) -> float:
         """<CN^k, OCN^i>: the exact counterpart of the running xi."""
         return float(self.gram[k - 1] @ self.coeffs[i - 1])
-
-    def materialize(self, batch: PairBatch) -> OrthoBasis:
-        """Realize the basis rows of ``batch`` as canonical CSR matrices."""
-        feats = cn_order_features_all(self.graph, batch, self.k_max,
-                                      exclude_endpoints=self.exclude_endpoints)
-        out = [sum((c * f.combined for c, f in zip(row, feats)), 0.0 * feats[0].combined)
-               for row in self.coeffs]
-        return OrthoBasis(matrices=out, degenerate=list(self.degenerate))
 
 
 def _all_pairs_gram(g: Graph, k_max: int, exclude_endpoints: bool) -> np.ndarray:
@@ -198,22 +188,14 @@ def full_graph_orthogonalize(g: Graph, k_max: int,
         norm = math.sqrt(max(float(c @ gram @ c), 0.0))
         degenerate.append(norm < DEGENERATE_NORM)
         coeffs[k] = 0.0 if degenerate[-1] else c / norm
-    return ExactOrthoBasis(graph=g, k_max=k_max, exclude_endpoints=exclude_endpoints,
-                           gram=gram, coeffs=coeffs, degenerate=degenerate)
+    return ExactOrthoBasis(gram=gram, coeffs=coeffs, degenerate=degenerate)
 
 
-_POLYNOMIAL_BASES = {"monomial": Polynomial, "chebyshev": Chebyshev, "legendre": Legendre}
-
-
-def polynomial_weights(basis_kind: str, k: int, x) -> np.ndarray:
-    """k-th basis polynomial (``numpy.polynomial`` monomial, Chebyshev or
-    Legendre) evaluated elementwise; x is clamped to [-1, 1]."""
+def polynomial_weights(k: int, x) -> np.ndarray:
+    """Chebyshev polynomial T_k evaluated elementwise on x clamped to [-1, 1]."""
     if k < 0:
         raise ConfigError("polynomial order must be >= 0")
-    if basis_kind not in _POLYNOMIAL_BASES:
-        raise ConfigError(f"unknown polynomial basis {basis_kind!r}")
-    x = np.clip(np.asarray(x, dtype=np.float64), -1.0, 1.0)
-    return _POLYNOMIAL_BASES[basis_kind].basis(k)(x)
+    return Chebyshev.basis(k)(np.clip(np.asarray(x, dtype=np.float64), -1.0, 1.0))
 
 
 def degree_filter_argument(g: Graph) -> np.ndarray:

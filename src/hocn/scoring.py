@@ -114,7 +114,6 @@ class FeatureConfig:
     seed: int = 0
     depth: ClassVar[int] = 2
     feature_dim: ClassVar[int] = 16
-    poly_basis: ClassVar[str] = "chebyshev"
     batch_size: ClassVar[int] = 2048
 
 
@@ -170,9 +169,9 @@ class ScoreModel:
         Anything malformed is a ConfigError that names its line, and so is
         a second line with the key of another (the key of an ``xi`` or
         ``psi`` line includes its orders), an ``xi k i`` line without
-        1 <= i < k <= k_max and a ``psi k`` line with k outside 1..k_max.
-        A missing line, such as the ``psi`` line of some order, is a
-        ConfigError too."""
+        1 <= i < k <= k_max, a ``psi k`` line with k outside 1..k_max and a
+        ``seed`` or ``t`` below 0. A missing line, such as the ``psi`` line
+        of some order, is a ConfigError too."""
         header = stream.readline().strip()
         if header != f"hocn-model v{MODEL_FORMAT_VERSION}":
             raise ConfigError(f"model file line 1: expected 'hocn-model "
@@ -205,6 +204,9 @@ class ScoreModel:
         missing = [key for key in (*_SCALARS, "alpha", "head_w") if key not in found]
         if missing:
             raise ConfigError(f"model file: no {', '.join(missing)} line")
+        for key in ("seed", "t"):
+            if found[key] < 0:
+                raise ConfigError(f"{where[key]}: {key} {found[key]} is below 0")
         features = FeatureConfig(**{f.name: found[f.name] for f in fields(FeatureConfig)})
         k_max = features.k_max
         for key, length in (("alpha", k_max), ("head_w", features.feature_dim + 1)):
@@ -271,7 +273,7 @@ def basis_matrices(g: Graph, normalized: list, cfg: FeatureConfig,
         return gram_schmidt_batch(normalized, state, training=training).matrices
     if cfg.variant == "ocnp":
         x = degree_filter_argument(g)
-        return [apply_polynomial_filter(f, polynomial_weights(cfg.poly_basis, f.order, x)).combined
+        return [apply_polynomial_filter(f, polynomial_weights(f.order, x)).combined
                 for f in normalized]
     raise ConfigError(f"unknown variant {cfg.variant!r}")
 
@@ -406,9 +408,7 @@ def train_model(split: SplitResult, config: TrainConfig) -> TrainResult:
             loss, g_alpha, g_w, g_b = logistic_loss_and_grads(
                 alpha, head_w, head_b, m, q, y)
             if not math.isfinite(loss):
-                raise TrainingError(
-                    "training loss diverged",
-                    last_state=ScoreModel(cfg, alpha, head_w, head_b))
+                raise TrainingError("training loss diverged")
             losses.append(loss)
             alpha = alpha - config.learning_rate * g_alpha
             head_w = head_w - config.learning_rate * g_w

@@ -256,8 +256,13 @@ class BoundInputs:
 
 @dataclass(frozen=True)
 class BoundResult:
+    """A closed-form latent bound: its value, or None where it is vacuous."""
+
     value: float | None
-    vacuous: bool = False
+
+    @property
+    def vacuous(self) -> bool:
+        return self.value is None
 
 
 def _concentration_terms(b: BoundInputs) -> tuple[float, float]:
@@ -273,11 +278,11 @@ def bound_unnormalized(b: BoundInputs) -> BoundResult:
     """Latent-space distance bound from raw k-hop walk counts."""
     iota, alpha = _concentration_terms(b)
     if iota <= alpha:
-        return BoundResult(None, vacuous=True)
+        return BoundResult(None)
     term = (iota - alpha) ** (2.0 / (b.dim * (2 * b.k - 1)))
     radicand = b.r_m_max ** 2 - term
     if radicand < 0.0:
-        return BoundResult(None, vacuous=True)
+        return BoundResult(None)
     return BoundResult(b.r_sum + 2.0 * math.sqrt(radicand))
 
 
@@ -288,13 +293,13 @@ def bound_normalized(b: BoundInputs) -> BoundResult:
     iota, alpha = _concentration_terms(b)
     gamma = iota - alpha
     if gamma <= 0.0:
-        return BoundResult(None, vacuous=True)
+        return BoundResult(None)
     pair_count = b.zeta * (b.zeta - 1) / 2.0
     inner = (gamma * pair_count) ** (1.0 / (b.dim * (b.k - 1))) * b.rho ** b.n
     term = inner ** ((2.0 * b.k - 2.0) / (2.0 * b.k - 1.0))
     radicand = b.r_m_max ** 2 - term
     if radicand < 0.0:
-        return BoundResult(None, vacuous=True)
+        return BoundResult(None)
     return BoundResult(b.r_sum + 2.0 * math.sqrt(radicand))
 
 
@@ -496,10 +501,10 @@ def validate_bound(model: str, params, bound_kind: str, k: int, delta: float,
     "unnormalized" or "normalized" (k >= 2); every input is checked before
     the first trial. Per-trial seeds derive from the run seed; reduction
     order fixed. The trials are cut into min(threads, trials) consecutive
-    runs, mapped by ``features.walk_map`` with a worker per run (one run
-    stays on the calling thread), and each run reuses one set of n x n
-    buffers for all of its trials; ``ScaleError`` is raised first when
-    ``threads`` such sets would exceed the buffer budget.
+    runs, mapped by ``features.walk_map`` with a worker per run up to the
+    CPU count (one run stays on the calling thread), and each run reuses
+    one set of n x n buffers for all of its trials; ``ScaleError`` is
+    raised first when ``threads`` such sets would exceed the buffer budget.
     """
     if trials < 100:
         raise InputError("need at least 100 trials")

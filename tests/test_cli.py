@@ -397,9 +397,8 @@ def _structural_scores_reference(g, pairs, variant, k_max, exclude):
             normalized.append(apply_normalization(f, running_counts(state, f.order)))
         if variant == "ocnp":
             x = degree_filter_argument(g)
-            mats = [apply_polynomial_filter(
-                f, polynomial_weights(cfg.poly_basis, f.order, x)).combined
-                for f in normalized]
+            mats = [apply_polynomial_filter(f, polynomial_weights(f.order, x)).combined
+                    for f in normalized]
         else:
             mats = gram_schmidt_batch(normalized, state, training=True).matrices
         scale = np.sqrt(len(chunk)) if variant == "ocn" else 1.0
@@ -661,17 +660,21 @@ def _model_text(drop=(), add=""):
     (_model_text(add="psi 9 1 1.0 2.0\n"), "line 13: psi 9 outside 1 <= k <= 2"),
     (_model_text(add="psi 0 1 1.0\n"), "line 13: psi 0 outside 1 <= k <= 2"),
     (_model_text(drop=("psi",), add="psi 1 1 1.0\n"), "model file: no psi 2 line"),
+    (_model_text(drop=("seed",), add="seed -1\n"), "line 12: seed -1 is below 0"),
+    (_model_text(drop=("t",), add="t -1\n"), "line 12: t -1 is below 0"),
 ], ids=["no-alpha", "short-row", "empty-state", "second-alpha", "alpha-length",
         "head-w-length", "state-csv", "v2-file", "second-psi", "second-xi",
-        "xi-same-orders", "xi-above-k-max", "psi-above-k-max", "psi-0", "no-psi-2"])
+        "xi-same-orders", "xi-above-k-max", "psi-above-k-max", "psi-0", "no-psi-2",
+        "negative-seed", "negative-t"])
 def test_eval_malformed_model_or_state_is_a_config_error(edge_file, tmp_path, capsys,
                                                          model_text, names):
     (tmp_path / "model.txt").write_text(model_text)
     code = main(["eval", "--input", edge_file, "--kind", "model",
                  "--model", str(tmp_path / "model.txt")])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     assert code == 1
-    assert err.startswith("error: ConfigError") and names in err
+    assert captured.err.startswith("error: ConfigError") and names in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 @pytest.mark.parametrize("batch_size", ["0", "-5"])
@@ -689,6 +692,30 @@ def test_eval_model_batch_size_below_one_is_an_error_line(edge_file, tmp_path, c
     assert captured.err.startswith("error: ConfigError")
     assert "line 13: unknown key 'batch_size'" in captured.err
     assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+_EVERY_SUBCOMMAND = [["prepare"], ["score"], ["train", "--model-out", "model.txt"], ["eval"],
+                     ["diagnose", "--synthetic", "30,2"], ["theory", "--trials", "100"],
+                     ["bounds"], ["bench", "--nodes", "50", "--batch-sizes", "16"]]
+
+
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("in_config", [False, True], ids=["flag", "config"])
+def test_negative_seed_is_an_error_line(edge_file, tmp_path, monkeypatch, capsys,
+                                        argv, in_config):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] in ("prepare", "score", "train", "eval"):
+        argv = [*argv, "--input", edge_file]
+    if in_config:
+        (tmp_path / "run.cfg").write_text("seed=-1\n")
+        argv = [*argv, "--config", "run.cfg"]
+    else:
+        argv = [*argv, "--seed", "-1"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: InputError: --seed must be >= 0, got -1\n"
+    assert captured.out == "" and not (tmp_path / "model.txt").exists()
 
 
 @pytest.mark.parametrize("argv,config,error", [

@@ -134,16 +134,6 @@ def test_full_graph_exact_orthogonality(seed):
             assert basis.inner(a, a) == pytest.approx(1.0)
 
 
-def test_full_graph_materialize_matches_coefficients():
-    g = random_graph(15, 0.3, seed=5)
-    basis = full_graph_orthogonalize(g, 2)
-    mats = basis.materialize(all_pairs_batch(g.n))
-    assert all(sp.isspmatrix_csr(m) and m.has_canonical_format for m in mats.matrices)
-    got = frobenius_inner(mats.matrix(1), mats.matrix(2))
-    assert got == pytest.approx(basis.inner(1, 2), abs=1e-9)
-    assert frobenius_norm(mats.matrix(2)) == pytest.approx(1.0)
-
-
 def brute_force_basis(g: Graph, k_max: int, exclude_endpoints: bool):
     """Gram matrix, coefficients and degenerate flags of the exact basis,
     with the Gram matrix summed over every unordered pair's features and the
@@ -260,47 +250,35 @@ def test_streaming_converges_to_exact_mean():
 
 def test_chebyshev_weights():
     x = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-    assert np.allclose(polynomial_weights("chebyshev", 0, x), 1.0)
-    assert np.allclose(polynomial_weights("chebyshev", 1, x), x)
-    assert np.allclose(polynomial_weights("chebyshev", 2, x), 2 * x ** 2 - 1)
-    assert np.allclose(polynomial_weights("chebyshev", 3, x), 4 * x ** 3 - 3 * x)
-
-
-def test_legendre_and_monomial_weights():
-    x = np.linspace(-1, 1, 7)
-    assert np.allclose(polynomial_weights("legendre", 2, x), (3 * x ** 2 - 1) / 2)
-    assert np.allclose(polynomial_weights("monomial", 3, x), x ** 3)
+    assert np.allclose(polynomial_weights(0, x), 1.0)
+    assert np.allclose(polynomial_weights(1, x), x)
+    assert np.allclose(polynomial_weights(2, x), 2 * x ** 2 - 1)
+    assert np.allclose(polynomial_weights(3, x), 4 * x ** 3 - 3 * x)
 
 
 def test_polynomial_argument_clamped():
-    got = polynomial_weights("chebyshev", 2, np.array([-5.0, 5.0]))
+    got = polynomial_weights(2, np.array([-5.0, 5.0]))
     assert np.allclose(got, [1.0, 1.0])
 
 
-def _three_term_recurrence(kind, k, x):
-    """T_{m+1} = 2x T_m - T_{m-1} and (m+1) P_{m+1} = (2m+1) x P_m - m P_{m-1}."""
+def _chebyshev_recurrence(k, x):
+    """T_0 = 1, T_1 = x and T_{m+1} = 2x T_m - T_{m-1}."""
     prev, cur = np.ones_like(x), x
-    for m in range(1, k):
-        if kind == "chebyshev":
-            prev, cur = cur, 2.0 * x * cur - prev
-        else:
-            prev, cur = cur, ((2 * m + 1) * x * cur - m * prev) / (m + 1)
+    for _ in range(1, k):
+        prev, cur = cur, 2.0 * x * cur - prev
     return prev if k == 0 else cur
 
 
-@pytest.mark.parametrize("kind", ["chebyshev", "legendre"])
-def test_polynomial_weights_match_three_term_recurrence(kind):
+def test_polynomial_weights_match_three_term_recurrence():
     x = np.linspace(-1.0, 1.0, 1001)
     for k in range(8):
-        got = polynomial_weights(kind, k, x)
-        assert np.abs(got - _three_term_recurrence(kind, k, x)).max() <= 1e-14, k
+        got = polynomial_weights(k, x)
+        assert np.abs(got - _chebyshev_recurrence(k, x)).max() <= 1e-14, k
 
 
-def test_polynomial_weights_reject_negative_order_and_unknown_basis():
+def test_polynomial_weights_reject_negative_order():
     with pytest.raises(ConfigError, match="order"):
-        polynomial_weights("chebyshev", -1, np.zeros(3))
-    with pytest.raises(ConfigError, match="unknown polynomial basis"):
-        polynomial_weights("hermite", 2, np.zeros(3))
+        polynomial_weights(-1, np.zeros(3))
 
 
 def test_degree_filter_argument_range():
@@ -313,7 +291,7 @@ def test_degree_filter_argument_range():
 def test_apply_polynomial_filter_scales_columns():
     g = random_graph(20, 0.3, seed=9)
     feats = cn_order_features(g, batch_of([(0, 3), (2, 8)]), 2)
-    w = polynomial_weights("chebyshev", 2, degree_filter_argument(g))
+    w = polynomial_weights(2, degree_filter_argument(g))
     filtered = apply_polynomial_filter(feats, w)
     assert np.allclose(as_dense(filtered.combined),
                        as_dense(feats.combined) * w)

@@ -99,9 +99,9 @@ def test_feature_config_sets_only_what_a_user_chooses():
     assert [f.name for f in dataclasses.fields(TrainConfig)] == [
         "features", "learning_rate", "epochs"]
     cfg = FeatureConfig()
-    assert (cfg.depth, cfg.feature_dim, cfg.poly_basis, cfg.batch_size) == (
-        2, 16, "chebyshev", 2048)
-    for name in ("depth", "feature_dim", "poly_basis", "batch_size"):
+    assert (cfg.depth, cfg.feature_dim, cfg.batch_size) == (2, 16, 2048)
+    assert not hasattr(cfg, "poly_basis")  # the OCNP filter is always Chebyshev
+    for name in ("depth", "feature_dim", "batch_size"):
         with pytest.raises(TypeError):
             FeatureConfig(**{name: getattr(cfg, name)})
     with pytest.raises(TypeError):

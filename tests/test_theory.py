@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 import scipy.special as spfn
 
+import hocn.features
 import hocn.theory
-from hocn import (BoundDomainError, BoundInputs, Graph, InputError,
+from hocn import (BoundDomainError, BoundInputs, BoundResult, Graph, InputError,
                   LatentModelParams, ScaleError, adj_power_row, ba_bound_normalized,
                   ba_bound_unnormalized, bound_normalized,
                   bound_unnormalized, cn_set, lambert_w,
@@ -126,6 +127,8 @@ def test_latent_bound_vacuous_marker():
     out = bound_unnormalized(BoundInputs(n=100, delta=0.1, k=2, dim=2,
                                          eta_2k=0.0))
     assert out.vacuous and out.value is None
+    # vacuous is read off the value, so no vacuous bound carries one
+    assert BoundResult(None).vacuous and not BoundResult(0.3).vacuous
 
 
 def test_ba_unnormalized_frozen_and_affine():
@@ -266,6 +269,35 @@ def test_validate_bound_thread_invariance():
     b = validate_bound("latent", params, "unnormalized", k=1, delta=0.2,
                        trials=100, seed=3, threads=4)
     assert a == b
+
+
+def test_validate_bound_starts_at_most_one_pool_thread_per_cpu(monkeypatch):
+    requested = []
+
+    class SerialPool:
+        """Records the pool size it is asked for and maps on the calling thread."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(hocn.features, "ThreadPoolExecutor", SerialPool)
+    params = LatentModelParams(n=40, dim=2, radius=0.3, seed=0)
+    one = validate_bound("latent", params, "unnormalized", k=1, delta=0.2,
+                         trials=100, seed=3, threads=1)
+    assert requested == []
+    many = validate_bound("latent", params, "unnormalized", k=1, delta=0.2,
+                          trials=100, seed=3, threads=64)
+    assert all(w <= len(os.sched_getaffinity(0)) for w in requested), requested
+    assert one.eligible > 0 and many == one
 
 
 @pytest.mark.parametrize("kind,k", [("unnormalized", 2), ("normalized", 2),
