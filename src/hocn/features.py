@@ -89,10 +89,10 @@ _MAX_RUNS = 2
 # Walk counts below this fit int32 (see _count_dtype).
 _INT32_LIMIT = 1 << 31
 
-# CPUs this process may run on: walk_map starts no more threads than this.
+# CPUs this process may run on; no walk_map caller asks for more threads.
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-# Threads of the walk loops' maps; they size the pool only, never a run.
+# Threads of walk_map; they size the pool only, never a run.
 _WORKERS = min(_MAX_RUNS, _CPUS)
 
 
@@ -420,11 +420,10 @@ def features_fit_budget(g: Graph, pairs: np.ndarray, k_max: int) -> bool:
 def walk_map(run: Callable[[int, int], object], cuts, workers: int | None = None) -> list:
     """``run(start, stop)`` for each run between consecutive ``cuts``, in
     order: on the calling thread when there is one run or one worker, else
-    ``workers`` at a time on a thread pool, never more than ``_CPUS``. A
-    run's exception reaches the caller once the pool's threads have ended.
-    The walk loops leave ``workers`` at ``_WORKERS``; ``theory.validate_bound``
-    passes one per run."""
-    workers = min(_WORKERS if workers is None else workers, _CPUS)
+    ``workers`` at a time on a thread pool. A run's exception reaches the
+    caller once the pool's threads have ended. The walk loops leave
+    ``workers`` at ``_WORKERS``; ``theory.validate_bound`` passes one per run."""
+    workers = _WORKERS if workers is None else workers
     if len(cuts) == 2 or workers == 1:
         # One pool thread gains nothing and raises the peak RSS: the K=3 Gram
         # of BA(100k, 3) peaked at 339 MB on one pool thread, 261 MB here.

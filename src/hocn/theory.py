@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BoundDomainError, InputError, ScaleError
-from .features import walk_map
+from .features import _CPUS, walk_map
 from .graph import Graph
 
 INV_E = math.exp(-1.0)
@@ -530,7 +530,7 @@ def validate_bound(model: str, params, bound_kind: str, k: int, delta: float,
 
     workers = min(threads, trials)
     cuts = [w * trials // workers for w in range(workers + 1)]
-    slacks = [s for part in walk_map(run, cuts, workers) for s in part]
+    slacks = [s for part in walk_map(run, cuts, min(workers, _CPUS)) for s in part]
     valid = [s for s in slacks if s is not None]
     violations = sum(1 for s in valid if s < 0)
     mean_slack = float(np.mean(valid)) if valid else float("nan")

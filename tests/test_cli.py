@@ -694,28 +694,10 @@ def test_eval_model_batch_size_below_one_is_an_error_line(edge_file, tmp_path, c
     assert captured.err.count("\n") == 1 and captured.out == ""
 
 
-_EVERY_SUBCOMMAND = [["prepare"], ["score"], ["train", "--model-out", "model.txt"], ["eval"],
+_EVERY_SUBCOMMAND = [["prepare"], ["score"], ["train"], ["eval"],
                      ["diagnose", "--synthetic", "30,2"], ["theory", "--trials", "100"],
                      ["bounds"], ["bench", "--nodes", "50", "--batch-sizes", "16"]]
-
-
-@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
-@pytest.mark.parametrize("in_config", [False, True], ids=["flag", "config"])
-def test_negative_seed_is_an_error_line(edge_file, tmp_path, monkeypatch, capsys,
-                                        argv, in_config):
-    monkeypatch.chdir(tmp_path)
-    if argv[0] in ("prepare", "score", "train", "eval"):
-        argv = [*argv, "--input", edge_file]
-    if in_config:
-        (tmp_path / "run.cfg").write_text("seed=-1\n")
-        argv = [*argv, "--config", "run.cfg"]
-    else:
-        argv = [*argv, "--seed", "-1"]
-    code = main(argv)
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err == "error: InputError: --seed must be >= 0, got -1\n"
-    assert captured.out == "" and not (tmp_path / "model.txt").exists()
+_NEGATIVE_SEED = "InputError: --seed must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("argv,config,error", [
@@ -742,22 +724,28 @@ def test_negative_seed_is_an_error_line(edge_file, tmp_path, monkeypatch, capsys
     (["bench", "--batch-sizes", "64,-5"], None, "InputError: --batch-sizes"),
     (["bench", "--probe-size", "0"], None, "InputError: --probe-size"),
     (["bench", "--probe-size", "-3"], None, "InputError: --probe-size"),
+    *[([*argv, "--seed", "-1"], None, _NEGATIVE_SEED) for argv in _EVERY_SUBCOMMAND],
+    *[(argv, "seed=-1\n", _NEGATIVE_SEED) for argv in _EVERY_SUBCOMMAND],
 ], ids=["ratios", "ks", "config-k-max", "config-negatives", "synthetic", "synthetic-count",
         "batch-sizes", "ks-0", "ks-negative", "negatives-0", "negatives-negative", "pairs-0",
         "theory-k-0", "theory-k-negative", "theory-threads-0",
         "theory-threads-negative", "batch-sizes-0", "batch-sizes-negative",
-        "probe-size-0", "probe-size-negative"])
+        "probe-size-0", "probe-size-negative",
+        *[f"seed-{argv[0]}" for argv in _EVERY_SUBCOMMAND],
+        *[f"config-seed-{argv[0]}" for argv in _EVERY_SUBCOMMAND]])
 def test_malformed_number_is_an_error_line(edge_file, tmp_path, capsys, argv, config, error):
-    if argv[0] in ("prepare", "score", "eval"):
+    if argv[0] in ("prepare", "score", "train", "eval"):
         argv = [*argv, "--input", edge_file]
+    if argv[0] == "train":
+        argv = [*argv, "--model-out", str(tmp_path / "model.txt")]
     if config:
         (tmp_path / "run.cfg").write_text(config)
         argv = [*argv, "--config", str(tmp_path / "run.cfg")]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err.startswith(f"error: {error}")
-    assert captured.out == ""
+    assert captured.err.startswith(f"error: {error}") and captured.err.count("\n") == 1
+    assert captured.out == "" and not (tmp_path / "model.txt").exists()
 
 
 def test_eval_builds_features_the_model_was_trained_on(edge_file, tmp_path, capsys):

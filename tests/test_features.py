@@ -362,7 +362,6 @@ def test_worker_count_does_not_change_features(monkeypatch, k_max, exclude):
     monkeypatch.setattr(hocn.features, "_NNZ_BUDGET", int(_pair_costs(g, pairs, k_max).max()))
     results = {}
     switch = sys.getswitchinterval()
-    monkeypatch.setattr(hocn.features, "_CPUS", 4)  # lift walk_map's cap at the CPU count
     try:
         # Four workers on a short switch interval stress the shared adjacency.
         for workers in (1, 2, 4):
