@@ -32,8 +32,8 @@ from .scoring import (FeatureConfig, ScoreModel, TrainConfig, TrainResult,
                       default_node_features, heuristic_score,
                       heuristic_scores, model_scores, pair_features,
                       propagate_features, train_model)
-from .theory import (BoundInputs, BoundResult, LatentModelParams,
-                     LatentSample, ViolationReport, ba_bound_normalized,
+from .theory import (BoundInputs, LatentModelParams, LatentSample,
+                     ViolationReport, ba_bound_normalized,
                      ba_bound_unnormalized, bound_normalized,
                      bound_unnormalized, lambert_w,
                      log_double_factorial_ratio, sample_ba_graph,

@@ -44,8 +44,8 @@ from . import __version__
 from .diagnostics import coefficient_of_variation, edge_jsd, order_correlation
 from .errors import ConfigError, HocnError, InputError
 from .features import cn_order_features_all
-from .graph import (Graph, PairBatch, _draw_distinct_pairs, load_edge_list,
-                    merged_graph, sample_negatives, split_edges)
+from .graph import (EDGE_LIST_FORMATS, Graph, PairBatch, _draw_distinct_pairs,
+                    load_edge_list, merged_graph, sample_negatives, split_edges)
 from .metrics import evaluate
 from .normalize import apply_normalization, exact_walk_participation, normalized_cn_scores
 from .ortho import RunningState
@@ -317,10 +317,8 @@ def cmd_bounds(args) -> int:
             b = BoundInputs(n=args.n, delta=args.delta, k=k, dim=args.dim,
                             r_sum=args.r_sum, r_m_max=args.r_m_max, eta_2k=args.eta,
                             zeta=args.zeta, rho=args.rho)
-            u = bound_unnormalized(b)
-            v = bound_normalized(b)
-            rows.append((k, None if u.vacuous else repr(u.value),
-                         None if v.vacuous else repr(v.value)))
+            rows.append((k, *(None if x is None else repr(x)
+                              for x in (bound_unnormalized(b), bound_normalized(b)))))
         else:
             b = BoundInputs(n=args.n, delta=args.delta, k=k, dim=args.dim, m=args.m,
                             steepness=args.steepness, zeta=args.zeta, eta_2k=args.eta,
@@ -420,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     edges = argparse.ArgumentParser(add_help=False)
     edges.add_argument("--input", required=True)
-    edges.add_argument("--format", default="tsv")
+    edges.add_argument("--format", choices=EDGE_LIST_FORMATS, default="tsv")
     edges.add_argument("--ratios", default="0.7,0.1,0.2")
 
     features = argparse.ArgumentParser(add_help=False)
@@ -462,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose", parents=[common, features])
     p.add_argument("--input", default=None)
-    p.add_argument("--format", default="tsv")
+    p.add_argument("--format", choices=EDGE_LIST_FORMATS, default="tsv")
     p.add_argument("--synthetic", default="200,3",
                    help="n,m for a preferential-attachment graph")
     p.add_argument("--pairs", type=int, default=256)

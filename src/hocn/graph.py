@@ -8,7 +8,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import EdgeListParseError, InputError, SamplingError, ScaleError, SplitError
+from .errors import (ConfigError, EdgeListParseError, InputError, SamplingError, ScaleError,
+                     SplitError)
+
+# The edge-list formats load_edge_list reads; --format offers these.
+EDGE_LIST_FORMATS = ("tsv", "csv")
 
 # Largest node count whose edge keys u*n+v fit in int64: isqrt(2**63 - 1).
 _MAX_NODES = 3_037_000_499
@@ -200,10 +204,14 @@ def load_edge_list(source, format: str = "tsv"):
     comma; ``#`` starts a comment. Any other id, such as ``+4``, ``-0``,
     ``1_0`` or a non-ASCII digit, is an EdgeListParseError naming its line.
     Duplicates and self-loops are silently dropped (counted in the
-    report). The graph has nodes 0..max id.
+    report). The graph has nodes 0..max id. ``format`` is "tsv" or "csv";
+    any other is a ConfigError before the source is read.
 
     Returns ``(graph, report)``.
     """
+    if format not in EDGE_LIST_FORMATS:
+        raise ConfigError(f"unknown edge-list format {format!r}, expected one of "
+                          f"{', '.join(EDGE_LIST_FORMATS)}")
     text = source if isinstance(source, str) else source.read()
     edges = _plain_edges(text, format)
     if edges is None:

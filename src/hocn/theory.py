@@ -6,15 +6,16 @@ pairs within radius r (step connection function), so the expected degree is
 exactly N V(1) r^D with no boundary corrections. The Barabasi-Albert
 generator attaches each arriving node to m degree-proportional draws (with
 replacement, duplicates collapsed). Bound evaluators are deterministic pure
-functions that return an explicit vacuous marker instead of NaN. Only the
-latent bounds have a Monte-Carlo check: they bound a latent distance that
-the model samples, and the BA model has no such distance to test against.
+functions; a latent bound is a float, or None (not NaN) where it is vacuous.
+Only the latent bounds have a Monte-Carlo check: they bound a latent
+distance that the model samples, and the BA model has no such distance to
+test against.
 
 The Monte-Carlo trials stay dense on purpose. A latent graph that makes the
 bound non-vacuous is dense (n=500, D=2, r=0.45 has density 0.64, mean degree
-318 of 499), so each trial works on n x n arrays. Each validate_bound worker
-allocates one set of them per call and every trial it runs writes into that
-set with ``out=``, so trials after the first allocate no n x n memory.
+318 of 499), so each trial works on n x n arrays. Each validate_bound run
+allocates one set of them and every trial it runs writes into that set with
+``out=``, so trials after the first allocate no n x n memory.
 The distances are one pass over the coordinates in row blocks whose work
 buffers stay in cache. The radius mask, kept beside the graph, is the
 adjacency; the graph's CSR arrays are read off it on first read, which no
@@ -104,7 +105,7 @@ _BLOCK_ENTRIES = 1 << 15
 
 # Bytes of n x n arrays that one sample_latent_model or validate_bound call
 # may hold at once; above it the call raises ScaleError before it allocates.
-# The largest run of the tests and demos, n = 500 on 4 workers, needs 21 MB.
+# The largest run of the tests and demos, n = 500 with threads=4, needs <= 21 MB.
 _BUFFER_BUDGET = 1 << 31
 
 
@@ -246,6 +247,8 @@ class BoundInputs:
     max_degree: int = 1
 
     def __post_init__(self):
+        if self.n < 1 or self.dim < 1:
+            raise InputError(f"need n >= 1 and dim >= 1, got n={self.n}, dim={self.dim}")
         if not 0.0 < self.delta < 1.0:
             raise InputError("delta must lie in (0, 1)")
         if self.k < 1:
@@ -254,53 +257,50 @@ class BoundInputs:
             raise InputError("eta_2k must be >= 0")
 
 
-@dataclass(frozen=True)
-class BoundResult:
-    """A closed-form latent bound: its value, or None where it is vacuous."""
-
-    value: float | None
-
-    @property
-    def vacuous(self) -> bool:
-        return self.value is None
-
-
 def _concentration_terms(b: BoundInputs) -> tuple[float, float]:
-    """(iota, alpha): normalized walk count and the Bernstein correction."""
+    """(iota, alpha): normalized walk count and the Bernstein correction.
+    Defined for delta <= 1/2 only, where log(1/(2 delta)) >= 0. A power of
+    the walk-count divisor too large for a float makes iota 0, so the bound
+    is vacuous."""
     n, delta, k = b.n, b.delta, b.k
+    if delta > 0.5:
+        raise BoundDomainError(f"the latent bounds need delta <= 1/2, got {delta}")
     alpha = math.sqrt(n * math.log(1.0 / (2.0 * delta)) / 2.0) / (
         n + math.sqrt(-3.0 * n * math.log(delta)))
-    iota = b.eta_2k / (n - math.sqrt(-2.0 * n * math.log(delta))) ** (2 * k - 1)
+    try:
+        iota = b.eta_2k / (n - math.sqrt(-2.0 * n * math.log(delta))) ** (2 * k - 1)
+    except OverflowError:
+        iota = 0.0
     return iota, alpha
 
 
-def bound_unnormalized(b: BoundInputs) -> BoundResult:
-    """Latent-space distance bound from raw k-hop walk counts."""
+def bound_unnormalized(b: BoundInputs) -> float | None:
+    """Latent-space distance bound from raw k-hop walk counts; None if vacuous."""
     iota, alpha = _concentration_terms(b)
     if iota <= alpha:
-        return BoundResult(None)
+        return None
     term = (iota - alpha) ** (2.0 / (b.dim * (2 * b.k - 1)))
     radicand = b.r_m_max ** 2 - term
     if radicand < 0.0:
-        return BoundResult(None)
-    return BoundResult(b.r_sum + 2.0 * math.sqrt(radicand))
+        return None
+    return b.r_sum + 2.0 * math.sqrt(radicand)
 
 
-def bound_normalized(b: BoundInputs) -> BoundResult:
-    """Latent-space bound with the path-normalized contribution (k >= 2)."""
+def bound_normalized(b: BoundInputs) -> float | None:
+    """Latent-space bound with the path-normalized contribution (k >= 2); None if vacuous."""
     if b.k < 2:
         raise BoundDomainError("normalized latent bound needs k >= 2")
     iota, alpha = _concentration_terms(b)
     gamma = iota - alpha
     if gamma <= 0.0:
-        return BoundResult(None)
+        return None
     pair_count = b.zeta * (b.zeta - 1) / 2.0
     inner = (gamma * pair_count) ** (1.0 / (b.dim * (b.k - 1))) * b.rho ** b.n
     term = inner ** ((2.0 * b.k - 2.0) / (2.0 * b.k - 1.0))
     radicand = b.r_m_max ** 2 - term
     if radicand < 0.0:
-        return BoundResult(None)
-    return BoundResult(b.r_sum + 2.0 * math.sqrt(radicand))
+        return None
+    return b.r_sum + 2.0 * math.sqrt(radicand)
 
 
 def _ba_shared_term(b: BoundInputs) -> float:
@@ -371,7 +371,7 @@ class ViolationReport:
 
 
 class _TrialBuffers:
-    """One validate_bound worker's arrays for latent trials of size n and
+    """One validate_bound run's arrays for latent trials of size n and
     order k, allocated once per call and overwritten by every trial."""
 
     def __init__(self, n: int, k: int):
@@ -475,14 +475,11 @@ def _latent_trial(params: LatentModelParams, bound_kind: str, k: int,
     # M - 1 whole-radius hops plus a ball of radius (2k - M) r, so the
     # effective bound is the best value over M in {1, ..., 2k - 1}.
     r = params.radius
-    best = None
-    for split in range(1, 2 * k):
-        result = bound(BoundInputs(n=params.n, delta=delta, k=k, dim=params.dim,
-                                   r_sum=(split - 1) * r,
-                                   r_m_max=(2 * k - split) * r,
-                                   eta_2k=eta, **extra))
-        if not result.vacuous and (best is None or result.value > best):
-            best = result.value
+    values = (bound(BoundInputs(n=params.n, delta=delta, k=k, dim=params.dim,
+                                r_sum=(split - 1) * r, r_m_max=(2 * k - split) * r,
+                                eta_2k=eta, **extra))
+              for split in range(1, 2 * k))
+    best = max((v for v in values if v is not None), default=None)
     if best is None:
         return None
     d_ij = float(sample.distances[i, j])
@@ -497,14 +494,15 @@ def validate_bound(model: str, params, bound_kind: str, k: int, delta: float,
     Each trial samples a latent graph, picks a random pair with positive
     2k-walk count, evaluates the bound against the pair's latent distance,
     and counts violations among non-vacuous cases. ``model`` must be
-    "latent", the one model with a distance to check, and ``bound_kind``
-    "unnormalized" or "normalized" (k >= 2); every input is checked before
-    the first trial. Per-trial seeds derive from the run seed; reduction
-    order fixed. The trials are cut into min(threads, trials) consecutive
-    runs, mapped by ``features.walk_map`` with a worker per run up to the
-    CPU count (one run stays on the calling thread), and each run reuses
-    one set of n x n buffers for all of its trials; ``ScaleError`` is
-    raised first when ``threads`` such sets would exceed the buffer budget.
+    "latent", the one model with a distance to check, ``bound_kind``
+    "unnormalized" or "normalized" (k >= 2) and ``delta`` at most 1/2; every
+    input is checked before the first trial. Trial t draws from seed
+    ``seed + 1000 t``, so the report does not depend on ``threads``. The
+    trials are cut into workers = min(threads, trials, CPUs) consecutive
+    runs, mapped by ``features.walk_map`` (one run stays on the calling
+    thread); each run reuses one set of n x n buffers for all of its
+    trials, and ``ScaleError`` is raised first when ``workers`` sets would
+    exceed the buffer budget.
     """
     if trials < 100:
         raise InputError("need at least 100 trials")
@@ -518,9 +516,12 @@ def validate_bound(model: str, params, bound_kind: str, k: int, delta: float,
         raise InputError(f"the normalized bound needs k >= 2, got {k}")
     if not 0.0 < delta < 1.0:
         raise InputError(f"delta must lie in (0, 1), got {delta}")
+    if delta > 0.5:
+        raise InputError(f"the latent bounds need delta <= 1/2, got {delta}")
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
-    _check_buffer_bytes(threads * _TrialBuffers.nbytes(params.n, k),
+    workers = min(threads, trials, _CPUS)
+    _check_buffer_bytes(workers * _TrialBuffers.nbytes(params.n, k),
                         f"validate_bound at n={params.n}, k={k}, threads={threads}")
 
     def run(start, stop):
@@ -528,9 +529,8 @@ def validate_bound(model: str, params, bound_kind: str, k: int, delta: float,
         return [_latent_trial(params, bound_kind, k, delta, seed + 1000 * t, buffers)
                 for t in range(start, stop)]
 
-    workers = min(threads, trials)
     cuts = [w * trials // workers for w in range(workers + 1)]
-    slacks = [s for part in walk_map(run, cuts, min(workers, _CPUS)) for s in part]
+    slacks = [s for part in walk_map(run, cuts, workers) for s in part]
     valid = [s for s in slacks if s is not None]
     violations = sum(1 for s in valid if s < 0)
     mean_slack = float(np.mean(valid)) if valid else float("nan")

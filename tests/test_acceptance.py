@@ -238,9 +238,8 @@ def test_criterion_07_bound_validation_and_grid_shape():
         assert report.violation_fraction <= 0.1, k
 
     shared = dict(n=11, delta=0.01, dim=2, r_sum=0.1, r_m_max=5.0, eta_2k=0.3)
-    raw = [bound_unnormalized(BoundInputs(k=k, **shared)).value
-           for k in range(2, 7)]
-    norm = [bound_normalized(BoundInputs(k=k, zeta=2, rho=0.98, **shared)).value
+    raw = [bound_unnormalized(BoundInputs(k=k, **shared)) for k in range(2, 7)]
+    norm = [bound_normalized(BoundInputs(k=k, zeta=2, rho=0.98, **shared))
             for k in range(2, 7)]
     assert all(a > b for a, b in zip(norm, norm[1:]))
     assert (max(raw) - min(raw)) / max(raw) < 0.02

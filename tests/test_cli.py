@@ -383,6 +383,26 @@ def test_usage_error_exits_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["prepare", "--input", "g.tsv"], ["diagnose"]])
+def test_unknown_edge_list_format_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "xyz"])
+    assert exc.value.code == 2
+    assert "argument --format: invalid choice: 'xyz'" in capsys.readouterr().err
+
+
+def test_latent_bounds_past_float_range_print_empty(capsys):
+    # from k = 59 at the defaults, (n - sqrt(-2 n ln delta))^(2k - 1)
+    # overflows a float; the bound is vacuous there
+    outputs = []
+    for k_max in ("58", "59"):
+        code, out = run_cli(["bounds", "--k-grid-max", k_max], capsys)
+        assert code == 0
+        outputs.append(parse_csv(out)[1])
+    assert outputs[1][:-1] == outputs[0]
+    assert outputs[1][-1] == {"k": "59", "unnormalized": "", "normalized": ""}
+
+
 def _structural_scores_reference(g, pairs, variant, k_max, exclude):
     """The score-subcommand pipeline written out step by step."""
     cfg = FeatureConfig(k_max=k_max, variant=variant, exclude_endpoints=exclude)
@@ -724,13 +744,27 @@ _NEGATIVE_SEED = "InputError: --seed must be >= 0, got -1\n"
     (["bench", "--batch-sizes", "64,-5"], None, "InputError: --batch-sizes"),
     (["bench", "--probe-size", "0"], None, "InputError: --probe-size"),
     (["bench", "--probe-size", "-3"], None, "InputError: --probe-size"),
+    (["bounds", "--delta", "0.6"], None,
+     "BoundDomainError: the latent bounds need delta <= 1/2, got 0.6"),
+    (["theory", "--k", "2", "--radius", "0.45", "--trials", "100", "--delta", "0.6"], None,
+     "InputError: the latent bounds need delta <= 1/2, got 0.6"),
+    (["bounds", "--n", "0"], None, "InputError: need n >= 1 and dim >= 1, got n=0, dim=2"),
+    (["bounds", "--dim", "0", "--eta", "1e9"], None,
+     "InputError: need n >= 1 and dim >= 1, got n=500, dim=0"),
+    (["bounds", "--model", "ba", "--dim", "0"], None,
+     "InputError: need n >= 1 and dim >= 1, got n=500, dim=0"),
+    (["bounds", "--n", "-5", "--eta", "1e9"], None,
+     "InputError: need n >= 1 and dim >= 1, got n=-5, dim=2"),
+    (["prepare"], "format=xyz\n", "ConfigError: format: expected one of tsv, csv, got 'xyz'"),
     *[([*argv, "--seed", "-1"], None, _NEGATIVE_SEED) for argv in _EVERY_SUBCOMMAND],
     *[(argv, "seed=-1\n", _NEGATIVE_SEED) for argv in _EVERY_SUBCOMMAND],
 ], ids=["ratios", "ks", "config-k-max", "config-negatives", "synthetic", "synthetic-count",
         "batch-sizes", "ks-0", "ks-negative", "negatives-0", "negatives-negative", "pairs-0",
         "theory-k-0", "theory-k-negative", "theory-threads-0",
         "theory-threads-negative", "batch-sizes-0", "batch-sizes-negative",
-        "probe-size-0", "probe-size-negative",
+        "probe-size-0", "probe-size-negative", "bounds-delta-above-half",
+        "theory-delta-above-half", "bounds-n-0", "bounds-dim-0", "bounds-ba-dim-0",
+        "bounds-n-negative", "config-format",
         *[f"seed-{argv[0]}" for argv in _EVERY_SUBCOMMAND],
         *[f"config-seed-{argv[0]}" for argv in _EVERY_SUBCOMMAND]])
 def test_malformed_number_is_an_error_line(edge_file, tmp_path, capsys, argv, config, error):

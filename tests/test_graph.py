@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hocn.graph
-from hocn import (EdgeListParseError, Graph, InputError, PairBatch,
+from hocn import (ConfigError, EdgeListParseError, Graph, InputError, PairBatch,
                   SamplingError, ScaleError, SplitError, load_edge_list, merged_graph,
                   sample_negatives, split_edges)
 from hocn.theory import sample_ba_graph
@@ -64,6 +64,16 @@ def test_load_edge_list_ids_are_ascii_digits_on_both_parse_paths(bad, fmt):
                 with pytest.raises(EdgeListParseError, match=re.escape(repr(bad))) as info:
                     load_edge_list(text, format=fmt)
             assert info.value.line_number == 2, (text, vectorized)
+
+
+@pytest.mark.parametrize("fmt", ["xyz", "TSV", ""])
+def test_load_edge_list_unknown_format_is_a_config_error_before_reading(fmt):
+    class Unread:
+        def read(self):
+            raise AssertionError("the source was read")
+
+    with pytest.raises(ConfigError, match=f"unknown edge-list format {fmt!r}"):
+        load_edge_list(Unread(), format=fmt)
 
 
 def test_load_edge_list_counts_drops():

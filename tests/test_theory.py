@@ -12,7 +12,7 @@ import scipy.special as spfn
 
 import hocn.features
 import hocn.theory
-from hocn import (BoundDomainError, BoundInputs, BoundResult, Graph, InputError,
+from hocn import (BoundDomainError, BoundInputs, Graph, InputError,
                   LatentModelParams, ScaleError, adj_power_row, ba_bound_normalized,
                   ba_bound_unnormalized, bound_normalized,
                   bound_unnormalized, cn_set, lambert_w,
@@ -100,35 +100,60 @@ def test_import_hocn_loads_neither_scipy_special_nor_csgraph():
 def test_latent_unnormalized_example():
     b = BoundInputs(n=1000, delta=0.05, k=2, dim=2, r_sum=0.1, r_m_max=0.8,
                     eta_2k=1e8)
-    assert bound_unnormalized(b).value == \
-        pytest.approx(LATENT_UNNORM_EXAMPLE, rel=1e-12)
+    assert bound_unnormalized(b) == pytest.approx(LATENT_UNNORM_EXAMPLE, rel=1e-12)
 
 
 def test_latent_grid_frozen_values():
     for k, want in LATENT_UNNORM_GRID.items():
         got = bound_unnormalized(BoundInputs(k=k, **SHARED))
-        assert got.value == pytest.approx(want, rel=1e-12), k
+        assert got == pytest.approx(want, rel=1e-12), k
     for k, want in LATENT_NORM_GRID.items():
         got = bound_normalized(BoundInputs(k=k, zeta=2, rho=0.98, **SHARED))
-        assert got.value == pytest.approx(want, rel=1e-12), k
+        assert got == pytest.approx(want, rel=1e-12), k
 
 
 def test_latent_grid_shape():
     # raw bound nearly flat in k, normalized bound strictly decreasing
-    raw = [bound_unnormalized(BoundInputs(k=k, **SHARED)).value
-           for k in range(2, 7)]
+    raw = [bound_unnormalized(BoundInputs(k=k, **SHARED)) for k in range(2, 7)]
     assert (max(raw) - min(raw)) / max(raw) < 0.02
-    norm = [bound_normalized(BoundInputs(k=k, zeta=2, rho=0.98, **SHARED)).value
+    norm = [bound_normalized(BoundInputs(k=k, zeta=2, rho=0.98, **SHARED))
             for k in range(2, 7)]
     assert all(a > b for a, b in zip(norm, norm[1:]))
 
 
 def test_latent_bound_vacuous_marker():
-    out = bound_unnormalized(BoundInputs(n=100, delta=0.1, k=2, dim=2,
-                                         eta_2k=0.0))
-    assert out.vacuous and out.value is None
-    # vacuous is read off the value, so no vacuous bound carries one
-    assert BoundResult(None).vacuous and not BoundResult(0.3).vacuous
+    b = BoundInputs(n=100, delta=0.1, k=2, dim=2, eta_2k=0.0)
+    assert bound_unnormalized(b) is None and bound_normalized(b) is None
+
+
+@pytest.mark.parametrize("delta", [0.5000001, 0.6, 0.99])
+def test_latent_bounds_need_delta_at_most_half(delta):
+    # log(1/(2 delta)) < 0 above 1/2; the BA bounds keep delta in (0, 1)
+    b = BoundInputs(n=500, delta=delta, k=2, dim=2, r_m_max=5.0, eta_2k=1e9)
+    for bound in (bound_unnormalized, bound_normalized):
+        with pytest.raises(BoundDomainError, match=f"delta <= 1/2, got {delta}"):
+            bound(b)
+    assert bound_unnormalized(replace(b, delta=0.5)) is not None
+    ba = BoundInputs(n=500, delta=delta, k=2, dim=2, m=3, eta_2k=1e6)
+    assert math.isfinite(ba_bound_unnormalized(ba))
+    assert math.isfinite(ba_bound_normalized(ba, n_inner=4))
+
+
+@pytest.mark.parametrize("n,dim", [(0, 2), (-5, 2), (500, 0), (500, -1)])
+def test_bound_inputs_need_a_node_and_a_dimension(n, dim):
+    with pytest.raises(InputError, match=f"got n={n}, dim={dim}"):
+        BoundInputs(n=n, delta=0.1, k=2, dim=dim, eta_2k=1e9)
+
+
+def test_latent_bound_past_float_range_is_vacuous():
+    # (n - sqrt(-2 n ln delta))^(2k - 1) overflows from k = 59 at n = 500;
+    # the walk count over it is 0 and the bound vacuous
+    shared = dict(n=500, delta=0.1, dim=2, eta_2k=1e300)
+    for k in (59, 200):
+        b = BoundInputs(k=k, **shared)
+        assert bound_unnormalized(b) is None and bound_normalized(b) is None
+    iota, _ = hocn.theory._concentration_terms(BoundInputs(k=58, **shared))
+    assert iota == 1e300 / (500 - math.sqrt(-1000 * math.log(0.1))) ** 115 > 0
 
 
 def test_ba_unnormalized_frozen_and_affine():
@@ -343,10 +368,14 @@ def test_oversized_latent_runs_are_scale_errors_before_allocating(monkeypatch):
 
 
 def test_validate_bound_budget_counts_every_worker(monkeypatch):
+    # one set of buffers is live per run, and there are min(threads,
+    # trials, CPUs) runs
     params = LatentModelParams(n=200, dim=2, radius=0.45, seed=0)
     monkeypatch.setattr(hocn.theory, "_BUFFER_BUDGET", 2 * _TrialBuffers.nbytes(200, 2))
+    monkeypatch.setattr(hocn.theory, "_CPUS", 2)
     assert validate_bound("latent", params, "unnormalized", 2, 0.1, 100, 0,
-                          threads=2).eligible > 0
+                          threads=64).eligible > 0
+    monkeypatch.setattr(hocn.theory, "_CPUS", 4)
     with pytest.raises(ScaleError, match="threads=3"):
         validate_bound("latent", params, "unnormalized", 2, 0.1, 100, 0, threads=3)
 
@@ -385,10 +414,11 @@ def test_validate_bound_order_below_one_fails_before_any_trial(k, monkeypatch):
     ("unnormalized", 1, 0.0, 1, r"delta must lie in \(0, 1\), got 0.0"),
     ("unnormalized", 1, 1.0, 1, r"delta must lie in \(0, 1\), got 1.0"),
     ("unnormalized", 1, -0.5, 1, r"delta must lie in \(0, 1\), got -0.5"),
+    ("unnormalized", 1, 0.6, 1, "the latent bounds need delta <= 1/2, got 0.6"),
     ("unnormalized", 1, 0.1, 0, "threads must be >= 1, got 0"),
     ("unnormalized", 1, 0.1, -1, "threads must be >= 1, got -1"),
 ], ids=["bound-kind", "normalized-k-1", "delta-0", "delta-1", "delta-negative",
-        "threads-0", "threads-negative"])
+        "delta-above-half", "threads-0", "threads-negative"])
 def test_validate_bound_bad_input_fails_before_any_trial(kind, k, delta, threads, message,
                                                          monkeypatch):
     def no_trial(*args):
@@ -516,8 +546,8 @@ def _reference_normalized_trial(params, k, delta, seed):
             r_sum=(split - 1) * params.radius,
             r_m_max=(2 * k - split) * params.radius, eta_2k=float(walks[i, j]),
             zeta=zeta, rho=0.5 ** (1.0 / (params.dim * (k - 1)))))
-        if not result.vacuous and (best is None or result.value > best):
-            best = result.value
+        if result is not None and (best is None or result > best):
+            best = result
     return None if best is None else best - float(sample.distances[i, j])
 
 
