@@ -295,8 +295,8 @@ def cmd_diagnose(args) -> int:
 # listed for one model only is one that the other model does not read.
 _BOUNDS_DEFAULTS = {
     "latent": {"eta": 0.3, "rho": 0.98, "r_sum": 0.1, "r_m_max": 5.0},
-    # BA's normalized bound leaves its domain below a walk count of about
-    # 5e5 at the default --n 500.
+    # BA's normalized bound is vacuous (an empty cell) below a walk count
+    # of about 5e5 at the default --n 500.
     "ba": {"eta": 1e6, "m": 3, "steepness": 1.0, "max_degree": 1, "n_inner": 4},
 }
 
@@ -317,14 +317,13 @@ def cmd_bounds(args) -> int:
             b = BoundInputs(n=args.n, delta=args.delta, k=k, dim=args.dim,
                             r_sum=args.r_sum, r_m_max=args.r_m_max, eta_2k=args.eta,
                             zeta=args.zeta, rho=args.rho)
-            rows.append((k, *(None if x is None else repr(x)
-                              for x in (bound_unnormalized(b), bound_normalized(b)))))
+            values = bound_unnormalized(b), bound_normalized(b)
         else:
             b = BoundInputs(n=args.n, delta=args.delta, k=k, dim=args.dim, m=args.m,
                             steepness=args.steepness, zeta=args.zeta, eta_2k=args.eta,
                             max_degree=args.max_degree)
-            rows.append((k, repr(ba_bound_unnormalized(b)),
-                         repr(ba_bound_normalized(b, args.n_inner))))
+            values = ba_bound_unnormalized(b), ba_bound_normalized(b, args.n_inner)
+        rows.append((k, *(None if x is None else repr(x) for x in values)))
     emit(args, ("k", "unnormalized", "normalized"), rows)
     return 0
 

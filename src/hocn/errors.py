@@ -46,4 +46,6 @@ class TrainingError(HocnError):
 
 
 class BoundDomainError(HocnError):
-    """Closed-form bound evaluated outside its mathematical domain."""
+    """A closed-form bound or the Lambert W called outside its stated domain:
+    latent delta above 1/2, the normalized latent bound with k below 2,
+    ``n_inner`` outside (2, n - 1), or x below -1/e. A vacuous bound is None."""

@@ -6,7 +6,8 @@ pairs within radius r (step connection function), so the expected degree is
 exactly N V(1) r^D with no boundary corrections. The Barabasi-Albert
 generator attaches each arriving node to m degree-proportional draws (with
 replacement, duplicates collapsed). Bound evaluators are deterministic pure
-functions; a latent bound is a float, or None (not NaN) where it is vacuous.
+functions of one ``BoundInputs``, which checks every field; each bound is a
+finite float >= 0, or None (not NaN) where it is vacuous.
 Only the latent bounds have a Monte-Carlo check: they bound a latent
 distance that the model samples, and the BA model has no such distance to
 test against.
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -231,6 +232,10 @@ class BoundInputs:
     ``steepness`` is the logistic sharpness of the connection function,
     distinct from the concentration quantity computed internally from
     (n, delta, k). ``max_degree`` only enters the normalized BA bound.
+    Construction is the one place a field is checked: n, dim, k, m and
+    max_degree >= 1, zeta >= 2, delta in (0, 1), steepness > 0, rho finite
+    and > 0, and r_sum, r_m_max and eta_2k finite and >= 0. NaN fails every
+    check; a failed one is an InputError naming the field and its value.
     """
 
     n: int
@@ -247,45 +252,71 @@ class BoundInputs:
     max_degree: int = 1
 
     def __post_init__(self):
-        if self.n < 1 or self.dim < 1:
+        if not (self.n >= 1 and self.dim >= 1):
             raise InputError(f"need n >= 1 and dim >= 1, got n={self.n}, dim={self.dim}")
-        if not 0.0 < self.delta < 1.0:
-            raise InputError("delta must lie in (0, 1)")
-        if self.k < 1:
-            raise InputError("k must be >= 1")
-        if self.eta_2k < 0:
-            raise InputError("eta_2k must be >= 0")
+        for name, ok, need in (
+                ("delta", 0.0 < self.delta < 1.0, "lie in (0, 1)"),
+                ("k", self.k >= 1, "be >= 1"),
+                ("r_sum", 0.0 <= self.r_sum < math.inf, "be finite and >= 0"),
+                ("r_m_max", 0.0 <= self.r_m_max < math.inf, "be finite and >= 0"),
+                ("eta_2k", 0.0 <= self.eta_2k < math.inf, "be finite and >= 0"),
+                ("zeta", self.zeta >= 2, "be >= 2"),
+                ("rho", 0.0 < self.rho < math.inf, "be finite and > 0"),
+                ("m", self.m >= 1, "be >= 1"),
+                ("steepness", self.steepness > 0.0, "be > 0"),
+                ("max_degree", self.max_degree >= 1, "be >= 1")):
+            if not ok:
+                raise InputError(f"{name} must {need}, got {getattr(self, name)}")
+
+
+def _distance_bound(compute):
+    """Give a closed-form bound the one contract of the four: a finite
+    float >= 0, or None where it is vacuous. That is where ``compute``
+    returns None, where its value is below 0 or not finite (such a bound on
+    a distance says nothing), and where a power in it leaves float range."""
+    @wraps(compute)
+    def bound(*args, **kwargs):
+        try:
+            value = compute(*args, **kwargs)
+        except OverflowError:
+            return None
+        return value if value is not None and 0.0 <= value < math.inf else None
+    return bound
 
 
 def _concentration_terms(b: BoundInputs) -> tuple[float, float]:
     """(iota, alpha): normalized walk count and the Bernstein correction.
     Defined for delta <= 1/2 only, where log(1/(2 delta)) >= 0. A power of
-    the walk-count divisor too large for a float makes iota 0, so the bound
-    is vacuous."""
+    the walk-count divisor that is not positive (the divisor is <= 0, or
+    the power underflows) makes iota 0, so the bound is vacuous."""
     n, delta, k = b.n, b.delta, b.k
     if delta > 0.5:
         raise BoundDomainError(f"the latent bounds need delta <= 1/2, got {delta}")
     alpha = math.sqrt(n * math.log(1.0 / (2.0 * delta)) / 2.0) / (
         n + math.sqrt(-3.0 * n * math.log(delta)))
-    try:
-        iota = b.eta_2k / (n - math.sqrt(-2.0 * n * math.log(delta))) ** (2 * k - 1)
-    except OverflowError:
-        iota = 0.0
+    divisor = (n - math.sqrt(-2.0 * n * math.log(delta))) ** (2 * k - 1)
+    iota = b.eta_2k / divisor if divisor > 0.0 else 0.0
     return iota, alpha
 
 
-def bound_unnormalized(b: BoundInputs) -> float | None:
-    """Latent-space distance bound from raw k-hop walk counts; None if vacuous."""
-    iota, alpha = _concentration_terms(b)
-    if iota <= alpha:
-        return None
-    term = (iota - alpha) ** (2.0 / (b.dim * (2 * b.k - 1)))
+def _latent_distance(b: BoundInputs, term: float) -> float | None:
+    """r_sum + 2 sqrt(r_m_max^2 - term), the tail of both latent bounds."""
     radicand = b.r_m_max ** 2 - term
     if radicand < 0.0:
         return None
     return b.r_sum + 2.0 * math.sqrt(radicand)
 
 
+@_distance_bound
+def bound_unnormalized(b: BoundInputs) -> float | None:
+    """Latent-space distance bound from raw k-hop walk counts; None if vacuous."""
+    iota, alpha = _concentration_terms(b)
+    if iota <= alpha:
+        return None
+    return _latent_distance(b, (iota - alpha) ** (2.0 / (b.dim * (2 * b.k - 1))))
+
+
+@_distance_bound
 def bound_normalized(b: BoundInputs) -> float | None:
     """Latent-space bound with the path-normalized contribution (k >= 2); None if vacuous."""
     if b.k < 2:
@@ -296,11 +327,7 @@ def bound_normalized(b: BoundInputs) -> float | None:
         return None
     pair_count = b.zeta * (b.zeta - 1) / 2.0
     inner = (gamma * pair_count) ** (1.0 / (b.dim * (b.k - 1))) * b.rho ** b.n
-    term = inner ** ((2.0 * b.k - 2.0) / (2.0 * b.k - 1.0))
-    radicand = b.r_m_max ** 2 - term
-    if radicand < 0.0:
-        return None
-    return b.r_sum + 2.0 * math.sqrt(radicand)
+    return _latent_distance(b, inner ** ((2.0 * b.k - 2.0) / (2.0 * b.k - 1.0)))
 
 
 def _ba_shared_term(b: BoundInputs) -> float:
@@ -311,42 +338,39 @@ def _ba_shared_term(b: BoundInputs) -> float:
     return (inner / (b.n * unit_ball_volume(b.dim))) ** (1.0 / b.dim)
 
 
-def ba_bound_unnormalized(b: BoundInputs) -> float:
-    """Barabasi-Albert distance bound, affine through the origin in k."""
-    if b.steepness <= 0.0:
-        raise BoundDomainError("steepness must be > 0")
+@_distance_bound
+def ba_bound_unnormalized(b: BoundInputs) -> float | None:
+    """Barabasi-Albert distance bound, affine through the origin in k; None if vacuous."""
     ratio = math.exp(log_double_factorial_ratio(b.n))
     arg = 2.0 * (b.n - 2) / (ratio + math.sqrt(b.n * math.log(1.0 / b.delta)) / 4.0) - 1.0
     if arg <= 0.0:
-        raise BoundDomainError("log argument <= 0")
+        return None
     return 2.0 * b.k * (math.log(arg) / b.steepness + _ba_shared_term(b))
 
 
-def ba_bound_normalized(b: BoundInputs, n_inner: int) -> float:
-    """Barabasi-Albert bound after normalization (needs the Lambert W)."""
-    if b.steepness <= 0.0:
-        raise BoundDomainError("steepness must be > 0")
+@_distance_bound
+def ba_bound_normalized(b: BoundInputs, n_inner: int) -> float | None:
+    """Barabasi-Albert bound after normalization (needs the Lambert W); None
+    if vacuous, as where the walk count is too small for the concentration
+    term or the Lambert W argument falls below -1/e."""
     if not 2 < n_inner < b.n - 1:
         raise BoundDomainError("n_inner must lie strictly between 2 and n-1")
     pair_count = b.zeta * (b.zeta - 1) / 2.0
-    if pair_count <= 0:
-        raise BoundDomainError("zeta must be >= 2")
     denom = b.eta_2k - b.max_degree ** (2 * b.k - 2) * math.sqrt(
         b.n * math.log(1.0 / b.delta)) / 4.0
     if denom <= 0.0:
-        raise BoundDomainError("walk count too small for the concentration term")
+        return None
     c_const = (1.0 / pair_count) * b.max_degree ** (2 * b.k - 1) / denom
     r_factor = (b.n - n_inner - 1) / (n_inner - 2)
     w_arg = -r_factor * c_const ** (1.0 / (n_inner - 2))
     if w_arg < -INV_E:
-        raise BoundDomainError(f"Lambert W argument {w_arg:.6g} below -1/e")
-    w_val = lambert_w(w_arg)
-    inner = -w_val / r_factor
+        return None
+    inner = -lambert_w(w_arg) / r_factor
     if not 0.0 < inner < 1.0:
-        raise BoundDomainError(f"inner Lambert term {inner:.6g} outside (0, 1)")
+        return None
     log_arg = inner ** (-1.0 / b.k) - 1.0
     if log_arg <= 0.0:
-        raise BoundDomainError("log argument <= 0")
+        return None
     return 2.0 * b.k * (math.log(log_arg) / b.steepness + _ba_shared_term(b))
 
 

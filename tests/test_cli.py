@@ -403,6 +403,21 @@ def test_latent_bounds_past_float_range_print_empty(capsys):
     assert outputs[1][-1] == {"k": "59", "unnormalized": "", "normalized": ""}
 
 
+def test_ba_bounds_print_vacuous_cells_empty(capsys):
+    # the normalized BA bound falls below 0 at k = 12 and leaves the Lambert W
+    # domain at every order for a walk count of 1e5; each such cell is empty
+    code, out = run_cli(["bounds", "--model", "ba", "--k-grid-max", "12"], capsys)
+    assert code == 0
+    rows = parse_csv(out)[1]
+    assert rows[-1] == {"k": "12", "unnormalized": "87.77972719177775", "normalized": ""}
+    assert all(float(r["normalized"]) > 0 for r in rows[:-1])
+    code, out = run_cli(["bounds", "--model", "ba", "--eta", "1e5"], capsys)
+    assert code == 0
+    low = parse_csv(out)[1]
+    assert [r["unnormalized"] for r in low] == [r["unnormalized"] for r in rows[:5]]
+    assert all(r["normalized"] == "" for r in low)
+
+
 def _structural_scores_reference(g, pairs, variant, k_max, exclude):
     """The score-subcommand pipeline written out step by step."""
     cfg = FeatureConfig(k_max=k_max, variant=variant, exclude_endpoints=exclude)
@@ -756,6 +771,19 @@ _NEGATIVE_SEED = "InputError: --seed must be >= 0, got -1\n"
     (["bounds", "--n", "-5", "--eta", "1e9"], None,
      "InputError: need n >= 1 and dim >= 1, got n=-5, dim=2"),
     (["prepare"], "format=xyz\n", "ConfigError: format: expected one of tsv, csv, got 'xyz'"),
+    (["bounds", "--eta", "nan"], None, "InputError: eta_2k must be finite and >= 0, got nan"),
+    (["bounds", "--model", "ba", "--steepness", "nan"], None,
+     "InputError: steepness must be > 0, got nan"),
+    (["bounds", "--model", "ba", "--m", "0"], None, "InputError: m must be >= 1, got 0"),
+    (["bounds", "--model", "ba", "--m", "-2"], None, "InputError: m must be >= 1, got -2"),
+    (["bounds", "--model", "ba", "--max-degree", "-1"], None,
+     "InputError: max_degree must be >= 1, got -1"),
+    *[(["bounds", "--eta", "1e7", "--zeta", zeta], None,
+       f"InputError: zeta must be >= 2, got {zeta}") for zeta in ("0", "1", "-1")],
+    (["bounds", "--eta", "1e7", "--rho", "-1", "--n", "501"], None,
+     "InputError: rho must be finite and > 0, got -1.0"),
+    (["bounds", "--eta", "1e7", "--r-m-max", "-1"], None,
+     "InputError: r_m_max must be finite and >= 0, got -1.0"),
     *[([*argv, "--seed", "-1"], None, _NEGATIVE_SEED) for argv in _EVERY_SUBCOMMAND],
     *[(argv, "seed=-1\n", _NEGATIVE_SEED) for argv in _EVERY_SUBCOMMAND],
 ], ids=["ratios", "ks", "config-k-max", "config-negatives", "synthetic", "synthetic-count",
@@ -764,7 +792,10 @@ _NEGATIVE_SEED = "InputError: --seed must be >= 0, got -1\n"
         "theory-threads-negative", "batch-sizes-0", "batch-sizes-negative",
         "probe-size-0", "probe-size-negative", "bounds-delta-above-half",
         "theory-delta-above-half", "bounds-n-0", "bounds-dim-0", "bounds-ba-dim-0",
-        "bounds-n-negative", "config-format",
+        "bounds-n-negative", "config-format", "bounds-eta-nan", "bounds-ba-steepness-nan",
+        "bounds-ba-m-0", "bounds-ba-m-negative", "bounds-ba-max-degree-negative",
+        "bounds-zeta-0", "bounds-zeta-1", "bounds-zeta-negative", "bounds-rho-negative",
+        "bounds-r-m-max-negative",
         *[f"seed-{argv[0]}" for argv in _EVERY_SUBCOMMAND],
         *[f"config-seed-{argv[0]}" for argv in _EVERY_SUBCOMMAND]])
 def test_malformed_number_is_an_error_line(edge_file, tmp_path, capsys, argv, config, error):

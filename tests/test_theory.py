@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.special as spfn
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hocn.features
 import hocn.theory
@@ -178,12 +181,38 @@ def test_ba_normalized_frozen_and_decreasing():
 def test_ba_normalized_domain_errors():
     base = BoundInputs(n=100, delta=0.1, k=2, dim=2, m=3, steepness=1.0,
                        zeta=2, eta_2k=1.0, max_degree=50)
-    with pytest.raises(BoundDomainError):
-        ba_bound_normalized(base, n_inner=4)  # concentration term too large
+    assert ba_bound_normalized(base, n_inner=4) is None  # concentration term too large
     ok = BoundInputs(n=100, delta=0.1, k=2, dim=2, m=3, steepness=1.0,
                      zeta=2, eta_2k=16726.0, max_degree=1)
     with pytest.raises(BoundDomainError):
         ba_bound_normalized(ok, n_inner=2)
+
+
+@pytest.mark.parametrize("fields,n_inner", [
+    (dict(n=5, delta=0.01, k=1, eta_2k=1.0), 3),  # walk count too small
+    (dict(n=5, delta=0.01, k=3, eta_2k=1e3, max_degree=5), 3),  # Lambert W below -1/e
+    (dict(n=10, k=3, eta_2k=1e3, max_degree=5), 8),  # inner Lambert term above 1
+    (dict(n=500, k=12, eta_2k=1e6), 4),  # a bound below 0
+])
+def test_ba_normalized_is_none_where_vacuous(fields, n_inner):
+    b = BoundInputs(**{**dict(delta=0.1, dim=2, m=3), **fields})
+    assert ba_bound_normalized(b, n_inner=n_inner) is None
+    assert ba_bound_unnormalized(b) > 0.0
+
+
+def test_ba_unnormalized_is_none_where_its_log_argument_is_not_positive():
+    assert ba_bound_unnormalized(BoundInputs(n=2, delta=0.1, k=2, dim=2, m=3)) is None
+
+
+def test_powers_past_float_range_are_vacuous():
+    # rho ** n and max_degree ** (2k - 2) leave float range
+    latent = BoundInputs(n=2000, delta=0.1, k=2, dim=2, r_sum=0.1, r_m_max=5.0,
+                         eta_2k=1e12, rho=2.0)
+    assert bound_normalized(latent) is None
+    assert bound_normalized(replace(latent, rho=0.98)) is not None
+    ba = BoundInputs(n=500, delta=0.1, k=600, dim=2, m=3, eta_2k=1e300, max_degree=2)
+    assert ba_bound_normalized(ba, n_inner=4) is None
+    assert ba_bound_normalized(replace(ba, k=2), n_inner=4) is not None
 
 
 def test_bound_inputs_validation():
@@ -191,6 +220,53 @@ def test_bound_inputs_validation():
         BoundInputs(n=10, delta=1.5, k=1, dim=2)
     with pytest.raises(InputError):
         BoundInputs(n=10, delta=0.5, k=0, dim=2)
+
+
+@pytest.mark.parametrize("field,value,need", [
+    ("eta_2k", math.nan, "be finite and >= 0"), ("eta_2k", math.inf, "be finite and >= 0"),
+    ("steepness", math.nan, "be > 0"), ("steepness", 0.0, "be > 0"),
+    ("steepness", -1.0, "be > 0"), ("m", 0, "be >= 1"), ("m", -2, "be >= 1"),
+    ("max_degree", 0, "be >= 1"), ("max_degree", -1, "be >= 1"),
+    ("zeta", 1, "be >= 2"), ("zeta", -1, "be >= 2"),
+    ("rho", 0.0, "be finite and > 0"), ("rho", -1.0, "be finite and > 0"),
+    ("rho", math.nan, "be finite and > 0"), ("rho", math.inf, "be finite and > 0"),
+    ("r_sum", -1.0, "be finite and >= 0"), ("r_sum", math.inf, "be finite and >= 0"),
+    ("r_m_max", -1.0, "be finite and >= 0"), ("r_m_max", math.nan, "be finite and >= 0"),
+])
+def test_bound_inputs_refuse_each_bad_field(field, value, need):
+    with pytest.raises(InputError, match=re.escape(f"{field} must {need}, got {value}")):
+        BoundInputs(**{**dict(n=500, delta=0.1, k=2, dim=2, eta_2k=1e7), field: value})
+
+
+_MAX_FLOAT = sys.float_info.max
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), n=st.integers(1, 10 ** 30),
+       delta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       k=st.integers(1, 2000), dim=st.integers(1, 400),
+       r_sum=st.floats(0.0, _MAX_FLOAT), r_m_max=st.floats(0.0, _MAX_FLOAT),
+       eta_2k=st.floats(0.0, _MAX_FLOAT), zeta=st.integers(2, 10 ** 30),
+       rho=st.floats(0.0, _MAX_FLOAT, exclude_min=True), m=st.integers(1, 10 ** 30),
+       steepness=st.floats(0.0, _MAX_FLOAT, exclude_min=True),
+       max_degree=st.integers(1, 10 ** 9))
+def test_every_bound_is_none_a_distance_or_a_stated_domain_error(data, n, **fields):
+    b = BoundInputs(n=n, **fields)
+    n_inner = data.draw(st.integers(0, n + 1), label="n_inner")
+    latent_domain = b.delta > 0.5
+    for bound, args, domain in (
+            (bound_unnormalized, (), latent_domain),
+            (bound_normalized, (), latent_domain or b.k < 2),
+            (ba_bound_unnormalized, (), False),
+            (ba_bound_normalized, (n_inner,), not 2 < n_inner < n - 1)):
+        try:
+            value = bound(b, *args)
+        except BoundDomainError:
+            assert domain, bound.__name__
+            continue
+        assert not domain, bound.__name__
+        assert value is None or type(value) is float and 0.0 <= value < math.inf, \
+            (bound.__name__, value)
 
 
 def test_latent_params_validation():
