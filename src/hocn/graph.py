@@ -231,12 +231,14 @@ def load_edge_list(source, format: str = "tsv"):
 
 def split_edges(g: Graph, ratios, seed: int) -> SplitResult:
     """Random train/valid/test split of the edge set; targets removed from train graph.
-    A ratio that leaves its part with no edge is a SplitError naming the part."""
+    A ratio that is not finite and >= 0, or that leaves its part with no
+    edge, is a SplitError naming the part."""
     r_train, r_valid, r_test = (float(x) for x in ratios)
+    for part, ratio in (("train", r_train), ("valid", r_valid), ("test", r_test)):
+        if not (np.isfinite(ratio) and ratio >= 0):
+            raise SplitError(f"{part} ratio {ratio} is not finite and >= 0")
     if abs(r_train + r_valid + r_test - 1.0) > 1e-9:
         raise SplitError(f"ratios sum to {r_train + r_valid + r_test}, expected 1")
-    if min(r_train, r_valid, r_test) < 0:
-        raise SplitError("negative split ratio")
     m = g.num_edges
     if m < 3:
         raise SplitError(f"graph has {m} edges; need at least 3 to split")

@@ -22,7 +22,8 @@ class EvalReport:
 
 
 def hits_at_k(pos_scores, neg_scores, k: int) -> float:
-    """Fraction of positives strictly above the K-th highest negative score."""
+    """Fraction of positives strictly above the K-th highest negative score.
+    A NaN score is a MetricError, as in ``mrr``."""
     pos = np.asarray(pos_scores, dtype=np.float64)
     neg = np.asarray(neg_scores, dtype=np.float64)
     if k < 1:
@@ -31,6 +32,8 @@ def hits_at_k(pos_scores, neg_scores, k: int) -> float:
         raise MetricError(f"need at least K={k} negatives, got {neg.size}")
     if pos.size == 0:
         raise MetricError("no positive scores")
+    if np.isnan(pos).any() or np.isnan(neg).any():
+        raise MetricError("NaN score")
     threshold = np.partition(neg, neg.size - k)[neg.size - k]
     return float(np.mean(pos > threshold))
 

@@ -9,11 +9,13 @@ walk-row norms in node blocks cut by the walk-row budget, or by the streaming
 column-sum estimate during training. The exact counts depend on the graph
 alone: each graph builds them once per order and endpoint setting and
 hands out the same read-only array after that, so the normalized CN
-scores read them without any caller passing them in.
+scores read them without any caller passing them in. Those scores and the
+CN, AA and RA heuristics sum per-node weights over CN^k (``cn_member_sums``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +120,19 @@ def apply_normalization(feats: OrderFeatures, counts: ParticipationCounts) -> Or
     return feats.scale_columns(1.0 / np.maximum(counts.counts, DIVISION_EPSILON))
 
 
+def cn_member_sums(g: Graph, pairs: np.ndarray, k: int,
+                   weight: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Per pair (i, j) of a (h, 2) array, the sum of weight(c) over the
+    members c of CN^k(i, j), endpoints excluded, in ascending node order: the
+    stored entries (positive counts) of the canonical CSR rows of
+    ``cn_order_features_all``. ``weight`` maps member ids to weights."""
+    members = cn_order_features_all(g, PairBatch(pairs), k, exclude_endpoints=True)[-1].combined
+    if members.nnz == 0:
+        return np.zeros(members.shape[0])
+    members.data = weight(members.indices)
+    return np.asarray(members.sum(axis=1)).ravel()
+
+
 def normalized_cn_scores(g: Graph, pairs: np.ndarray, k: int,
                          degree_corrected: bool = False) -> np.ndarray:
     """Per pair (i, j), the sum over the members c of CN^k(i, j), endpoints
@@ -131,16 +146,10 @@ def normalized_cn_scores(g: Graph, pairs: np.ndarray, k: int,
     the score is then the resource-allocation value exactly, and no
     participation is read.
     """
-    feats = cn_order_features_all(g, PairBatch(pairs), k, exclude_endpoints=True)
-    members = (feats[-1].combined > 0).astype(np.float64)
-    if members.nnz == 0:
-        return np.zeros(members.shape[0])
     if degree_corrected:
-        members.data = 1.0 / g.degrees[members.indices]
-    else:
-        counts = exact_walk_participation(g, k, exclude_endpoints=True).counts
-        members.data = 2.0 / counts[members.indices]
-    return np.asarray(members.sum(axis=1)).ravel()
+        return cn_member_sums(g, pairs, k, lambda c: 1.0 / g.degrees[c])
+    return cn_member_sums(g, pairs, k, lambda c: 2.0 / exact_walk_participation(
+        g, k, exclude_endpoints=True).counts[c])
 
 
 def normalized_cn_score(g: Graph, i: int, j: int, k: int,

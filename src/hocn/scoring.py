@@ -1,4 +1,5 @@
-"""Heuristic scorers and the orthogonal-CN link scoring model.
+"""Heuristic scorers (CN, AA and RA: order-1 member sums of the walk-row
+features, ``normalize.cn_member_sums``) and the orthogonal-CN scoring model.
 
 The learned model realizes
     score(i, j) = head . [ H_i * H_j + sum_k alpha_k (OCN^k row) H ] + bias
@@ -21,8 +22,8 @@ import scipy.sparse as sp
 from .errors import ConfigError, InputError, TrainingError
 from .features import OrderFeatures, cn_order_features_all, features_fit_budget
 from .graph import Graph, PairBatch, SplitResult, sample_negatives
-from .normalize import (apply_normalization, normalized_cn_score, running_counts,
-                        update_running_participation)
+from .normalize import (apply_normalization, cn_member_sums, normalized_cn_score,
+                        running_counts, update_running_participation)
 from .ortho import (RunningState, apply_polynomial_filter,
                     degree_filter_argument, gram_schmidt_batch, polynomial_weights)
 
@@ -39,8 +40,6 @@ def heuristic_score(g: Graph, pair, kind: str) -> float:
     path-normalized CN at order k: the one-row call of ``heuristic_scores``
     or of ``normalized_cn_scores``."""
     i, j = int(pair[0]), int(pair[1])
-    if i == j:
-        raise InputError("pair with identical endpoints")
     if kind.startswith("normalized_cn"):
         named = re.fullmatch(r"normalized_cn_(-?[0-9]+)", kind)
         if named is None:
@@ -50,22 +49,14 @@ def heuristic_score(g: Graph, pair, kind: str) -> float:
 
 
 def heuristic_scores(g: Graph, pairs: np.ndarray, kind: str) -> np.ndarray:
-    """Vectorized CN/AA/RA over a (h, 2) pair array via sparse row products."""
-    if kind not in ("cn", "aa", "ra"):
+    """CN, AA and RA over a (h, 2) pair array: ``cn_member_sums`` at order 1
+    of weight 1, 1/log d(c) and 1/d(c). A member c of CN^1(i, j) is adjacent
+    to both endpoints, so d(c) >= 2 and every weight is finite."""
+    weight = {"cn": lambda d: np.ones(d.size), "aa": lambda d: 1.0 / np.log(d),
+              "ra": lambda d: 1.0 / d}.get(kind)
+    if weight is None:
         raise ConfigError(f"unknown heuristic kind {kind!r}")
-    g.check_pairs(pairs)
-    adj = g.to_scipy()
-    rows_u = adj[pairs[:, 0]]
-    rows_v = adj[pairs[:, 1]]
-    if kind != "cn":
-        # weighting the selected rows, not the whole adjacency, keeps a
-        # one-row call cheap; each weighted row is the same either way
-        d = g.degrees.astype(np.float64)
-        with np.errstate(divide="ignore"):
-            w = 1.0 / d if kind == "ra" else 1.0 / np.log(d)
-        w[~np.isfinite(w)] = 0.0
-        rows_v = rows_v @ sp.diags(w)
-    return np.asarray(rows_u.multiply(rows_v).sum(axis=1)).ravel()
+    return cn_member_sums(g, pairs, 1, lambda c: weight(g.degrees[c]))
 
 
 def normalized_adjacency(g: Graph) -> sp.csr_matrix:

@@ -56,8 +56,18 @@ def unit_ball_volume(dim: int) -> float:
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
 
 
+DOUBLE_FACTORIAL_SERIES_FROM = 1000
+
+
 def log_double_factorial_ratio(n: int) -> float:
-    """log of (2n+1)!! / (2^n n!), evaluated via log-gamma."""
+    """log of (2n+1)!! / (2^n n!) = log((2n+1) C(2n, n) / 4^n), via log-gamma
+    below ``DOUBLE_FACTORIAL_SERIES_FROM``, whose terms of size n log n
+    cancel (all bits are lost by n = 10^18), and from there on by the series
+    log(2n+1) - log(pi n)/2 - 1/(8n) + 1/(192 n^3), next term below 1e-17."""
+    if n >= DOUBLE_FACTORIAL_SERIES_FROM:
+        inv = 1 / n
+        return (math.log(2 * n + 1) - 0.5 * (math.log(math.pi) + math.log(n))
+                - inv / 8 + inv ** 3 / 192)
     return (math.lgamma(2 * n + 2) - 2 * n * math.log(2.0)
             - 2.0 * math.lgamma(n + 1))
 

@@ -18,7 +18,7 @@ sys.path.insert(0, str(BENCH))
 
 import layers
 import tracer
-from hocn import features, graph, metrics, ortho, scoring, theory
+from hocn import features, graph, metrics, normalize, ortho, scoring, theory
 
 
 def test_every_traced_name_exists_and_is_restored():
@@ -43,6 +43,10 @@ def test_names_the_workloads_read():
     cfg = scoring.TrainConfig().features
     assert isinstance(cfg.feature_dim, int) and isinstance(cfg.depth, int)
     assert isinstance(cfg.seed, int)
+    # The per-pair calls of the exact-diagnose workload, graph g and pair (i, j).
+    g, i, j = object(), 0, 1
+    inspect.signature(normalize.normalized_cn_score).bind(g, i, j, 1, degree_corrected=True)
+    inspect.signature(scoring.heuristic_score).bind(g, (i, j), "normalized_cn_2")
 
 
 def test_calls_train_eval_makes():

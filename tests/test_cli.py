@@ -784,6 +784,10 @@ _NEGATIVE_SEED = "InputError: --seed must be >= 0, got -1\n"
      "InputError: rho must be finite and > 0, got -1.0"),
     (["bounds", "--eta", "1e7", "--r-m-max", "-1"], None,
      "InputError: r_m_max must be finite and >= 0, got -1.0"),
+    (["prepare", "--ratios", "0.5,nan,0.5"], None,
+     "SplitError: valid ratio nan is not finite and >= 0"),
+    (["prepare", "--ratios", "nan,0.3,0.3"], None,
+     "SplitError: train ratio nan is not finite and >= 0"),
     *[([*argv, "--seed", "-1"], None, _NEGATIVE_SEED) for argv in _EVERY_SUBCOMMAND],
     *[(argv, "seed=-1\n", _NEGATIVE_SEED) for argv in _EVERY_SUBCOMMAND],
 ], ids=["ratios", "ks", "config-k-max", "config-negatives", "synthetic", "synthetic-count",
@@ -795,7 +799,7 @@ _NEGATIVE_SEED = "InputError: --seed must be >= 0, got -1\n"
         "bounds-n-negative", "config-format", "bounds-eta-nan", "bounds-ba-steepness-nan",
         "bounds-ba-m-0", "bounds-ba-m-negative", "bounds-ba-max-degree-negative",
         "bounds-zeta-0", "bounds-zeta-1", "bounds-zeta-negative", "bounds-rho-negative",
-        "bounds-r-m-max-negative",
+        "bounds-r-m-max-negative", "ratios-nan-valid", "ratios-nan-train",
         *[f"seed-{argv[0]}" for argv in _EVERY_SUBCOMMAND],
         *[f"config-seed-{argv[0]}" for argv in _EVERY_SUBCOMMAND]])
 def test_malformed_number_is_an_error_line(edge_file, tmp_path, capsys, argv, config, error):

@@ -194,6 +194,13 @@ def test_split_deterministic_in_seed():
 def test_split_rejects_bad_ratios(g4):
     with pytest.raises(SplitError):
         split_edges(g4, (0.5, 0.2, 0.2), seed=0)
+    # NaN passes a test of the sum, which is NaN, so each ratio is checked by name.
+    for ratios, error in [((0.5, float("nan"), 0.5), "valid ratio nan"),
+                          ((float("nan"), 0.3, 0.3), "train ratio nan"),
+                          ((0.5, 0.5, float("inf")), "test ratio inf"),
+                          ((1.2, -0.1, -0.1), "valid ratio -0.1")]:
+        with pytest.raises(SplitError, match=f"^{error} is not finite and >= 0$"):
+            split_edges(g4, ratios, seed=0)
 
 
 @pytest.mark.parametrize("ratios,part", [

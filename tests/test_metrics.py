@@ -104,6 +104,15 @@ def test_mrr_rejects_nan_and_mismatched_rows():
         mrr([], [0.5])
 
 
+def test_hits_at_k_rejects_nan():
+    """A NaN score is an error, as in ``mrr``. Unchecked, a NaN negative
+    made the threshold NaN and Hits 0.0, and a NaN positive was a miss."""
+    with pytest.raises(MetricError, match="NaN"):
+        hits_at_k([1.0, 2.0], [np.nan, 0.5, 0.1], 1)
+    with pytest.raises(MetricError, match="NaN"):
+        hits_at_k([np.nan, 2.0], [0.5, 0.1], 1)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(-50, 50), min_size=3, max_size=25, unique=True),
        st.data())

@@ -31,6 +31,9 @@ def test_heuristic_hand_values(g4):
 def test_heuristic_rejects_self_pair(g4):
     with pytest.raises(InputError):
         heuristic_score(g4, (1, 1), "cn")
+    for kind in ("cn", "aa", "ra"):
+        with pytest.raises(InputError, match="identical endpoints"):
+            heuristic_scores(g4, np.array([(0, 2), (1, 1)]), kind)
     with pytest.raises(ConfigError):
         heuristic_score(g4, (0, 2), "katz")
 
@@ -43,6 +46,26 @@ def test_vectorized_heuristics_match_scalar():
         fast = heuristic_scores(g, pairs, kind)
         slow = np.array([heuristic_score(g, p, kind) for p in pairs])
         assert np.allclose(fast, slow)
+
+
+@pytest.mark.parametrize("g", [random_graph(30, 0.15, seed=3), random_graph(45, 0.1, seed=4),
+                               sample_ba_graph(60, 2, seed=5)], ids=["gnp-30", "gnp-45", "ba-60"])
+def test_heuristics_match_neighbor_set_oracle(g):
+    """CN, AA and RA against sums over set(neighbors(u)) & set(neighbors(v)),
+    computed apart from the walk rows, for every pair of the graph."""
+    pairs = np.array([(u, v) for u in range(g.n) for v in range(u + 1, g.n)])
+    want = {"cn": [], "aa": [], "ra": []}
+    for u, v in pairs:
+        common = set(g.neighbors(u)) & set(g.neighbors(v))
+        degrees = [float(g.degrees[c]) for c in sorted(common)]
+        want["cn"].append(float(len(common)))
+        want["aa"].append(sum(1.0 / math.log(d) for d in degrees))
+        want["ra"].append(sum(1.0 / d for d in degrees))
+    assert 0.0 in want["cn"] and max(want["cn"]) >= 2
+    for kind, values in want.items():
+        got = heuristic_scores(g, pairs, kind)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, values, rtol=1e-12, atol=0, err_msg=kind)
 
 
 def test_vectorized_heuristics_reject_other_kinds(g4):

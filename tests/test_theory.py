@@ -57,6 +57,25 @@ def test_double_factorial_ratio_exact_integers():
         pytest.approx(10395 / 3840, rel=1e-13)
 
 
+def test_double_factorial_ratio_series_meets_exact_integers():
+    """From ``DOUBLE_FACTORIAL_SERIES_FROM`` on, the asymptotic series agrees
+    with the log of (2n+1) C(2n, n) / 4^n taken from exact integers, scaled
+    by 2^s so that the floor keeps every bit a float holds; log-gamma, used
+    below, is already off by about 1e-12 where the two meet."""
+    def exact(n, s=100):
+        return math.log((2 * n + 1) * math.comb(2 * n, n) * 2 ** s // 4 ** n) - s * math.log(2)
+
+    start = hocn.theory.DOUBLE_FACTORIAL_SERIES_FROM
+    assert abs(log_double_factorial_ratio(start - 1) - exact(start - 1)) < 1e-11
+    for n in (start, start + 1, 2 * start, 10 * start, 100 * start):
+        assert log_double_factorial_ratio(n) == pytest.approx(exact(n), rel=0, abs=1e-14), n
+    # log((2n+1)!! / (2^n n!)) = log(4n/pi) / 2 + 3 / (8n) + O(1/n^2); the
+    # log-gamma form gave 8.0 at 10^15 and 0.0 at 10^18.
+    for n in (10 ** 9, 10 ** 15, 10 ** 18):
+        assert log_double_factorial_ratio(n) == pytest.approx(
+            0.5 * math.log(4 * n / math.pi) + 3 / (8 * n), rel=1e-15), n
+
+
 def test_lambert_w_residual_grid():
     xs = np.concatenate([
         np.linspace(-1 / math.e + 1e-12, 0.0, 400, endpoint=False),
